@@ -5,10 +5,10 @@ interpolation, Gaussian and sphere smoothing), the closed-form error and
 sample-size guarantees that go with them under bounded noise, and a
 line-search DFO driver plus experiment harness built on top.
 """
-from .core import (NoiseModel, NoisyOracle, ObjectiveFunction, eval_noisy,
-                   get_problem, make_linear, make_powell_singular,
-                   make_quadratic, make_rosenbrock, make_sincos,
-                   make_standard_problems, make_trigonometric)
+from .core import (NoiseModel, NoisyOracle, ObjectiveFunction, get_problem,
+                   make_linear, make_powell_singular, make_quadratic,
+                   make_rosenbrock, make_sincos, make_standard_problems,
+                   make_trigonometric)
 from .sampling import (DirectionSet, RngStream, coordinate_directions,
                        gaussian_directions, interpolation_directions,
                        monte_carlo_moment, orthonormal_directions,
@@ -17,7 +17,7 @@ from .estimators import (METHODS, EstimatorConfig, GradientEstimate,
                          SingularDirections, ZeroGradient, bsg, cbsg, cfd,
                          cgsg, estimate, estimate_with_retry, ffd, gsg,
                          linear_interp, relative_error)
-from .bounds import (BoundQuery, BoundReport, bernstein_sample_size,
+from .bounds import (BoundReport, bernstein_sample_size,
                      chebyshev_sample_size, condition_table,
                      deterministic_error_bound, error_floor,
                      ffd_exact_sigma_interval, smoothing_bias_bound,
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # core
-    "ObjectiveFunction", "NoiseModel", "NoisyOracle", "eval_noisy",
+    "ObjectiveFunction", "NoiseModel", "NoisyOracle",
     "make_sincos", "make_linear", "make_quadratic", "make_rosenbrock",
     "make_powell_singular", "make_trigonometric", "make_standard_problems",
     "get_problem",
@@ -48,7 +48,7 @@ __all__ = [
     "ZeroGradient", "ffd", "cfd", "linear_interp", "gsg", "cgsg", "bsg",
     "cbsg", "relative_error", "estimate", "estimate_with_retry",
     # bounds
-    "BoundQuery", "BoundReport", "deterministic_error_bound",
+    "BoundReport", "deterministic_error_bound",
     "smoothing_bias_bound", "variance_kappa", "chebyshev_sample_size",
     "bernstein_sample_size", "condition_table", "ffd_exact_sigma_interval",
     "error_floor",

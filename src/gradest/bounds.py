@@ -36,7 +36,6 @@ LAMBDAS = {
 __all__ = [
     "DETERMINISTIC",
     "SMOOTHING",
-    "BoundQuery",
     "BoundReport",
     "deterministic_error_bound",
     "smoothing_bias_bound",
@@ -44,32 +43,9 @@ __all__ = [
     "chebyshev_sample_size",
     "bernstein_sample_size",
     "condition_table",
-    "condition_report",
     "ffd_exact_sigma_interval",
     "error_floor",
 ]
-
-
-@dataclass(frozen=True)
-class BoundQuery:
-    """Parameter bundle for condition_table; grad_norm None means unknown."""
-
-    method: str
-    n: int
-    theta: float
-    delta: float | None = None
-    L: float | None = None
-    M: float | None = None
-    eps_f: float = 0.0
-    grad_norm: float | None = None
-    cond_qinv: float | None = None
-    sigma: float | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.theta < 1.0:
-            raise ValueError("theta must lie in [0, 1)")
-        if self.delta is not None and not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -414,13 +390,6 @@ def condition_table(method: str, n: int, theta: float, delta: float | None = Non
                        sigma_lo=lo if interval != "empty" else None,
                        sigma_hi=hi, interval=interval, n_min=n_min, rho=rho,
                        grad_norm_min=grad_norm_min, lambda_used=lam)
-
-
-def condition_report(query: BoundQuery) -> BoundReport:
-    """condition_table on a BoundQuery bundle (CLI entry path)."""
-    return condition_table(query.method, query.n, query.theta, query.delta,
-                           query.L, query.M, query.eps_f, query.grad_norm,
-                           query.cond_qinv)
 
 
 def ffd_exact_sigma_interval(n: int, L: float, eps_f: float, theta: float,

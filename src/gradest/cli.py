@@ -1,9 +1,12 @@
 """Command-line driver.
 
 Subcommands: estimate, bounds, sweep, theta-dist, bound-check, optimize,
-bench. Global flags --seed/--out/--threads/--trials apply to every
-subcommand; experiment subcommands also accept --spec pointing at a JSON
-file whose keys are ExperimentSpec fields (flags override file values).
+bench. Global flags --seed/--out/--trials apply to every subcommand;
+experiment subcommands also accept --spec pointing at a JSON file whose keys
+are ExperimentSpec fields (flags override file values). The experiment
+subcommands run single-threaded: each cell's trials go through the batched
+estimator core with their own direction and noise streams, so the same seed
+always writes the same bytes.
 """
 from __future__ import annotations
 
@@ -59,7 +62,6 @@ def _spec_from_args(args, experiment: str, **overrides) -> ExperimentSpec:
             data = json.load(fh)
     data["experiment"] = experiment
     data["seed"] = args.seed
-    data["threads"] = args.threads
     if args.trials is not None:
         data["trials"] = args.trials
     for key, value in overrides.items():
@@ -247,8 +249,6 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     common.add_argument("--out", default=None, help="output path")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for trial loops (default 1)")
     common.add_argument("--trials", type=int, default=None,
                         help="trials per cell (default per experiment)")
     noise = argparse.ArgumentParser(add_help=False)

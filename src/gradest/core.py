@@ -28,7 +28,6 @@ __all__ = [
     "ObjectiveFunction",
     "NoiseModel",
     "NoisyOracle",
-    "eval_noisy",
     "make_sincos",
     "make_linear",
     "make_quadratic",
@@ -48,6 +47,12 @@ class ObjectiveFunction:
     over the documented box [box_lo, box_hi]; lipschitz_hessian (M) is the
     analogous Hessian constant, or None when unknown. minimum_value is the
     known global minimum over the box, or None.
+
+    value_batch must compute each row's value independently of the other
+    rows. A BLAS matrix-vector product (X @ a) does not: its rounding
+    depends on how many rows the batch has and where a row sits in it, so
+    the drivers' trial chunking would change the values. Row sums and
+    einsum contractions are row-independent.
     """
 
     name: str
@@ -135,7 +140,8 @@ class NoisyOracle:
             return np.zeros(X.shape[0])
         if kind == "uniform_iid":
             return self._rng.uniform(-self.noise.level, self.noise.level, X.shape[0])
-        return self.noise.level * np.sin(_SIN_FREQ * (X @ self._w + _SIN_PHASE))
+        h = np.einsum("ij,j->i", X, self._w)   # row-independent, unlike X @ w
+        return self.noise.level * np.sin(_SIN_FREQ * (h + _SIN_PHASE))
 
     def __call__(self, x: Array) -> float:
         x = np.asarray(x, dtype=float)
@@ -152,11 +158,6 @@ class NoisyOracle:
             raise ValueError(f"points have shape {X.shape}, expected (*, {self.objective.n})")
         self.eval_count += X.shape[0]
         return self.objective.batch_value(X) + self._noise_batch(X)
-
-
-def eval_noisy(oracle: NoisyOracle, x: Array) -> float:
-    """One noisy function value; increments the oracle's counter."""
-    return oracle(x)
 
 
 def make_sincos(n: int, M: float, L: float) -> ObjectiveFunction:
@@ -209,7 +210,7 @@ def make_linear(a: Array) -> ObjectiveFunction:
         value_at=lambda x: float(a @ x),
         gradient_at=lambda x: a.copy(),
         lipschitz_gradient=0.0, lipschitz_hessian=0.0,
-        value_batch=lambda X: X @ a,
+        value_batch=lambda X: np.einsum("ij,j->i", X, a),
         x0=np.ones(n), box_lo=np.zeros(n), box_hi=2 * np.ones(n),
         minimum_value=None)
 
@@ -229,7 +230,8 @@ def make_quadratic(A: Array, b: Array, name: str = "quadratic",
         value_at=lambda x: float(0.5 * x @ A @ x - b @ x),
         gradient_at=lambda x: A @ x - b,
         lipschitz_gradient=float(np.linalg.norm(A, 2)), lipschitz_hessian=0.0,
-        value_batch=lambda X: 0.5 * np.einsum("ij,jk,ik->i", X, A, X) - X @ b,
+        value_batch=lambda X: (0.5 * np.einsum("ij,jk,ik->i", X, A, X)
+                               - np.einsum("ij,j->i", X, b)),
         x0=x0, box_lo=x0 - 2, box_hi=x0 + 2, minimum_value=fstar)
 
 

@@ -11,6 +11,11 @@ All return a GradientEstimate with exact evaluation accounting: n+1 (FFD),
 2n (CFD), n+1 (LI), N+1 (GSG/BSG, the base value f(x) is evaluated once and
 reused), 2N (cGSG/cBSG). The one-point smoothing forms whose variance blows
 up as sigma -> 0 exist only behind a pedagogical flag.
+
+Every method runs through one core, estimate_trials, which estimates a
+stack of T independent trials with a single oracle batch; the per-method
+functions are its T = 1 calls, and the experiment drivers call it with
+whole cells of trials.
 """
 from __future__ import annotations
 
@@ -19,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NoisyOracle
-from .sampling import (DirectionSet, RngStream, gaussian_directions,
-                       interpolation_directions, sphere_directions)
+from .sampling import (DirectionSet, RngStream, direction_stack,
+                       gaussian_directions, interpolation_directions,
+                       sphere_directions)
 
 Array = np.ndarray
 
@@ -29,6 +35,8 @@ Array = np.ndarray
 COND_LIMIT = 1e12
 
 METHODS = ("FFD", "CFD", "LI", "GSG", "cGSG", "BSG", "cBSG")
+# probe x +- sigma q (2k rows a trial) rather than x and x + sigma q (k + 1)
+CENTRAL = ("CFD", "cGSG", "cBSG")
 
 __all__ = [
     "METHODS",
@@ -36,6 +44,8 @@ __all__ = [
     "EstimatorConfig",
     "SingularDirections",
     "ZeroGradient",
+    "estimate_trials",
+    "trial_directions",
     "ffd",
     "cfd",
     "linear_interp",
@@ -95,10 +105,128 @@ class EstimatorConfig:
             raise ValueError("N must be at least 1")
 
 
-def _check_sigma(sigma: float) -> float:
+def estimate_trials(oracle: NoisyOracle, x: Array, method: str, sigma: float,
+                    Q: Array, *, one_point: bool = False, orthogonal: bool = False,
+                    redraw=None):
+    """The estimator core: T independent estimates at x, one per direction set.
+
+    Q is a stack of T direction sets, shape (T, k, n): the coordinate axes
+    for FFD/CFD, a square frame for LI, N smoothing directions otherwise.
+    Every probe row goes to the oracle in a single eval_batch call, trial by
+    trial, so bounded noise is consumed in trial order. Each trial's rows are
+    contiguous: [x, x + sigma q_1, ..., x + sigma q_k] for the forward forms
+    (FFD, LI, GSG, BSG), [x + sigma q_1, ..., x - sigma q_1, ...] for the
+    central ones (CFD, cGSG, cBSG), and [x + sigma q_1, ...] alone for the
+    one-point GSG/BSG forms, which difference against zero.
+
+    The difference quotients d (T, k) are combined per method:
+
+        FFD, CFD    g = d
+        LI          g = Q^-1 d   (Q' d on orthogonal frames)
+        GSG, cGSG   g = Q' d / N
+        BSG, cBSG   g = Q' d * n / N
+
+    LI frames are checked before any evaluation: unless orthogonal is set,
+    the 2-norm condition number of each frame is computed, a frame above
+    COND_LIMIT is replaced once by redraw(count), a (count, n, n) stack, when
+    redraw is given, and a frame that is still singular raises
+    SingularDirections.
+
+    Returns (G, cond_Q, qinv_norm): G has shape (T, n); cond_Q and qinv_norm
+    are per-trial arrays for LI and None for the other methods.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choices: {METHODS}")
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    return float(sigma)
+    x = np.asarray(x, dtype=float)
+    T, k, n = Q.shape
+    if n != x.size:
+        raise ValueError(f"directions have dimension {n}, point has {x.size}")
+    cond = qinv = None
+    if method == "LI":
+        if orthogonal:
+            cond = qinv = np.ones(T)
+        else:
+            Q, cond, qinv = _checked_frames(Q, redraw)
+
+    step = sigma * Q
+    central = method in CENTRAL
+    if one_point:
+        P = x + step
+    elif central:
+        P = np.empty((T, 2 * k, n))
+        np.add(x, step, out=P[:, :k])
+        np.subtract(x, step, out=P[:, k:])
+    else:
+        P = np.empty((T, k + 1, n))
+        P[:, 0] = x
+        np.add(x, step, out=P[:, 1:])
+    F = oracle.eval_batch(P.reshape(-1, n)).reshape(T, -1)
+    if one_point:
+        d = F / sigma
+    elif central:
+        d = (F[:, :k] - F[:, k:]) / (2 * sigma)
+    else:
+        d = (F[:, 1:] - F[:, :1]) / sigma
+
+    if method in ("FFD", "CFD"):
+        return d, cond, qinv
+    if method == "LI" and not orthogonal:
+        return np.linalg.solve(Q, d[:, :, None])[:, :, 0], cond, qinv
+    G = np.matmul(d[:, None, :], Q)[:, 0, :]
+    if method in ("GSG", "cGSG"):
+        G = G / k
+    elif method in ("BSG", "cBSG"):
+        G = G * (n / k)
+    return G, cond, qinv
+
+
+def _checked_frames(Q: Array, redraw):
+    """(Q, cond, qinv) for a stack of square frames; singular frames are
+    redrawn once when redraw is given, else SingularDirections."""
+
+    def condition(svals):
+        smallest = svals[:, -1]
+        cond = np.divide(svals[:, 0], smallest, out=np.full(len(svals), np.inf),
+                         where=smallest > 0)
+        return cond, ~(cond <= COND_LIMIT)
+
+    svals = np.linalg.svd(Q, compute_uv=False)
+    cond, bad = condition(svals)
+    if bad.any() and redraw is not None:
+        Q = np.array(Q)
+        Q[bad] = redraw(int(bad.sum()))
+        svals[bad] = np.linalg.svd(Q[bad], compute_uv=False)
+        cond, bad = condition(svals)
+    if bad.any():
+        raise SingularDirections(
+            f"direction set condition number {cond[bad][0]:.3e} exceeds {COND_LIMIT:.0e}")
+    return Q, cond, 1.0 / svals[:, -1]
+
+
+def trial_directions(method: str, n: int, N: int | None, T: int,
+                     rng: np.random.Generator | None) -> Array:
+    """Direction stack (T, k, n) for T trials of method: the coordinate axes
+    for FFD/CFD, else fresh draws from rng in trial order (scaled-Gaussian
+    frames for LI, Gaussian rows for GSG/cGSG, sphere rows for BSG/cBSG)."""
+    if method in ("FFD", "CFD"):
+        return np.broadcast_to(np.eye(n), (T, n, n))
+    if method == "LI":
+        return direction_stack("general_interp", n, n, T, rng)
+    scheme = "sphere" if method in ("BSG", "cBSG") else "gaussian"
+    return direction_stack(scheme, n, N, T, rng)
+
+
+def _single(oracle: NoisyOracle, x: Array, method: str, sigma: float, Q: Array,
+            **options) -> GradientEstimate:
+    """One estimate: the core at T = 1, with its evaluations counted."""
+    before = oracle.eval_count
+    G, cond, qinv = estimate_trials(oracle, x, method, sigma, Q[None], **options)
+    return GradientEstimate(
+        G[0], method, float(sigma), Q.shape[0], oracle.eval_count - before,
+        cond_Q=None if cond is None else float(cond[0]),
+        qinv_norm=None if qinv is None else float(qinv[0]))
 
 
 def ffd(oracle: NoisyOracle, x: Array, sigma: float) -> GradientEstimate:
@@ -106,12 +234,7 @@ def ffd(oracle: NoisyOracle, x: Array, sigma: float) -> GradientEstimate:
 
     [g]_i = (f(x + sigma e_i) - f(x)) / sigma; n+1 evaluations.
     """
-    sigma = _check_sigma(sigma)
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    f0 = oracle(x)
-    fplus = oracle.eval_batch(x[None, :] + sigma * np.eye(n))
-    return GradientEstimate((fplus - f0) / sigma, "FFD", sigma, n, n + 1)
+    return _single(oracle, x, "FFD", sigma, np.eye(np.size(x)))
 
 
 def cfd(oracle: NoisyOracle, x: Array, sigma: float) -> GradientEstimate:
@@ -120,13 +243,7 @@ def cfd(oracle: NoisyOracle, x: Array, sigma: float) -> GradientEstimate:
     [g]_i = (f(x + sigma e_i) - f(x - sigma e_i)) / (2 sigma); 2n evaluations,
     f(x) itself is never used.
     """
-    sigma = _check_sigma(sigma)
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    eye = np.eye(n)
-    fplus = oracle.eval_batch(x[None, :] + sigma * eye)
-    fminus = oracle.eval_batch(x[None, :] - sigma * eye)
-    return GradientEstimate((fplus - fminus) / (2 * sigma), "CFD", sigma, n, 2 * n)
+    return _single(oracle, x, "CFD", sigma, np.eye(np.size(x)))
 
 
 def linear_interp(oracle: NoisyOracle, x: Array, directions: DirectionSet,
@@ -141,38 +258,24 @@ def linear_interp(oracle: NoisyOracle, x: Array, directions: DirectionSet,
     resample (no resampling happens here, so the result is a deterministic
     function of the inputs).
     """
-    sigma = _check_sigma(sigma)
-    x = np.asarray(x, dtype=float)
-    n = x.size
+    n = np.size(x)
     if directions.Q.shape != (n, n):
         raise ValueError(f"direction matrix must be {n}x{n} for interpolation")
-    Q = directions.Q
-    orthogonal = directions.scheme in ("coordinate", "orthonormal")
-    if orthogonal:
-        cond = qinv = 1.0
-    else:
-        # reject before spending evaluations
-        svals = np.linalg.svd(Q, compute_uv=False)
-        cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise SingularDirections(
-                f"direction set condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
-        qinv = float(1.0 / svals[-1])
-    f0 = oracle(x)
-    F = oracle.eval_batch(x[None, :] + sigma * Q) - f0
-    g = (Q.T @ F) / sigma if orthogonal else np.linalg.solve(Q, F) / sigma
-    return GradientEstimate(g, "LI", sigma, n, n + 1, cond_Q=cond, qinv_norm=qinv)
+    return _single(oracle, x, "LI", sigma, directions.Q,
+                   orthogonal=directions.scheme in ("coordinate", "orthonormal"))
 
 
-def _resolve_directions(n: int, N: int, rng, directions: DirectionSet | None,
-                        sampler) -> Array:
+def _smoothing(oracle, x, method, sigma, N, rng, directions, sampler) -> GradientEstimate:
+    n = np.size(x)
     if directions is not None:
         if directions.Q.shape != (N, n):
             raise ValueError(f"direction matrix must be {N}x{n}")
-        return directions.Q
-    if rng is None:
+        U = directions.Q
+    elif rng is None:
         raise ValueError("either rng or directions must be supplied")
-    return sampler(n, N, rng).Q
+    else:
+        U = sampler(n, N, rng).Q
+    return _single(oracle, x, method, sigma, U)
 
 
 def gsg(oracle: NoisyOracle, x: Array, sigma: float, N: int,
@@ -185,13 +288,7 @@ def gsg(oracle: NoisyOracle, x: Array, sigma: float, N: int,
     realization is shared by all N difference quotients. Unbiased for the
     gradient of the Gaussian-smoothed phi.
     """
-    sigma = _check_sigma(sigma)
-    x = np.asarray(x, dtype=float)
-    U = _resolve_directions(x.size, N, rng, directions, gaussian_directions)
-    f0 = oracle(x)
-    fplus = oracle.eval_batch(x[None, :] + sigma * U)
-    g = ((fplus - f0) / sigma) @ U / N
-    return GradientEstimate(g, "GSG", sigma, N, N + 1)
+    return _smoothing(oracle, x, "GSG", sigma, N, rng, directions, gaussian_directions)
 
 
 def cgsg(oracle: NoisyOracle, x: Array, sigma: float, N: int,
@@ -202,13 +299,7 @@ def cgsg(oracle: NoisyOracle, x: Array, sigma: float, N: int,
     The antithetic pair f(x + sigma u), f(x - sigma u) draws independent
     noise on each side.
     """
-    sigma = _check_sigma(sigma)
-    x = np.asarray(x, dtype=float)
-    U = _resolve_directions(x.size, N, rng, directions, gaussian_directions)
-    fplus = oracle.eval_batch(x[None, :] + sigma * U)
-    fminus = oracle.eval_batch(x[None, :] - sigma * U)
-    g = ((fplus - fminus) / (2 * sigma)) @ U / N
-    return GradientEstimate(g, "cGSG", sigma, N, 2 * N)
+    return _smoothing(oracle, x, "cGSG", sigma, N, rng, directions, gaussian_directions)
 
 
 def bsg(oracle: NoisyOracle, x: Array, sigma: float, N: int,
@@ -216,28 +307,20 @@ def bsg(oracle: NoisyOracle, x: Array, sigma: float, N: int,
         directions: DirectionSet | None = None) -> GradientEstimate:
     """Sphere smoothed gradient: Gaussian form with u_i uniform on the unit
     sphere and the estimator scaled by n. N+1 evaluations."""
-    sigma = _check_sigma(sigma)
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    U = _resolve_directions(n, N, rng, directions, sphere_directions)
-    f0 = oracle(x)
-    fplus = oracle.eval_batch(x[None, :] + sigma * U)
-    g = ((fplus - f0) / sigma) @ U * (n / N)
-    return GradientEstimate(g, "BSG", sigma, N, N + 1)
+    return _smoothing(oracle, x, "BSG", sigma, N, rng, directions, sphere_directions)
 
 
 def cbsg(oracle: NoisyOracle, x: Array, sigma: float, N: int,
          rng: np.random.Generator | None = None, *,
          directions: DirectionSet | None = None) -> GradientEstimate:
     """Central sphere smoothed gradient; 2N evaluations."""
-    sigma = _check_sigma(sigma)
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    U = _resolve_directions(n, N, rng, directions, sphere_directions)
-    fplus = oracle.eval_batch(x[None, :] + sigma * U)
-    fminus = oracle.eval_batch(x[None, :] - sigma * U)
-    g = ((fplus - fminus) / (2 * sigma)) @ U * (n / N)
-    return GradientEstimate(g, "cBSG", sigma, N, 2 * N)
+    return _smoothing(oracle, x, "cBSG", sigma, N, rng, directions, sphere_directions)
+
+
+def _require_pedagogical(pedagogical: bool) -> None:
+    if not pedagogical:
+        raise ValueError("one-point forms are pedagogical only; "
+                         "pass pedagogical=True to acknowledge the sigma->0 variance blow-up")
 
 
 def one_point_gsg(oracle: NoisyOracle, x: Array, sigma: float, N: int,
@@ -248,15 +331,9 @@ def one_point_gsg(oracle: NoisyOracle, x: Array, sigma: float, N: int,
     term and explodes as sigma -> 0. Kept only to demonstrate that blow-up;
     call with pedagogical=True to acknowledge.
     """
-    if not pedagogical:
-        raise ValueError("one-point forms are pedagogical only; "
-                         "pass pedagogical=True to acknowledge the sigma->0 variance blow-up")
-    sigma = _check_sigma(sigma)
-    x = np.asarray(x, dtype=float)
-    U = gaussian_directions(x.size, N, rng).Q
-    fplus = oracle.eval_batch(x[None, :] + sigma * U)
-    g = (fplus / sigma) @ U / N
-    return GradientEstimate(g, "GSG", sigma, N, N)
+    _require_pedagogical(pedagogical)
+    U = gaussian_directions(np.size(x), N, rng).Q
+    return _single(oracle, x, "GSG", sigma, U, one_point=True)
 
 
 def one_point_bsg(oracle: NoisyOracle, x: Array, sigma: float, N: int,
@@ -265,16 +342,9 @@ def one_point_bsg(oracle: NoisyOracle, x: Array, sigma: float, N: int,
 
     Same caveat as one_point_gsg.
     """
-    if not pedagogical:
-        raise ValueError("one-point forms are pedagogical only; "
-                         "pass pedagogical=True to acknowledge the sigma->0 variance blow-up")
-    sigma = _check_sigma(sigma)
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    U = sphere_directions(n, N, rng).Q
-    fplus = oracle.eval_batch(x[None, :] + sigma * U)
-    g = (fplus / sigma) @ U * (n / N)
-    return GradientEstimate(g, "BSG", sigma, N, N)
+    _require_pedagogical(pedagogical)
+    U = sphere_directions(np.size(x), N, rng).Q
+    return _single(oracle, x, "BSG", sigma, U, one_point=True)
 
 
 def relative_error(g, grad_true: Array) -> float:
@@ -324,12 +394,10 @@ def estimate_with_retry(oracle: NoisyOracle, x: Array, config: EstimatorConfig,
         return estimate(oracle, x, config, rng)
     if rng is None:
         rng = RngStream(config.seed).generator()
-    x = np.asarray(x, dtype=float)
-    for attempt in range(2):
-        frame = interpolation_directions(x.size, rng)
-        try:
-            return linear_interp(oracle, x, frame, config.sigma)
-        except SingularDirections:
-            if attempt == 1:
-                raise
-    raise AssertionError("unreachable")
+    n = np.size(x)
+
+    def frame() -> Array:
+        return interpolation_directions(n, rng).Q
+
+    return _single(oracle, x, "LI", config.sigma, frame(),
+                   redraw=lambda count: frame()[None])

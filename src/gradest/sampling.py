@@ -16,8 +16,8 @@ Array = np.ndarray
 
 # Orthogonality / unit-norm tolerances promised by the generators.
 ORTHO_TOL = 1e-12
-# Residual norm below RANK_TOL * original norm means the Gaussian draw was
-# numerically dependent on the rows already accepted; redraw it.
+# |R_ii| below RANK_TOL * ||row i of the draw|| means the Gaussian draw was
+# numerically dependent on the rows before it; redraw it.
 RANK_TOL = 1e-8
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "DirectionSet",
     "RngStream",
     "coordinate_directions",
+    "direction_stack",
     "gaussian_directions",
     "sphere_directions",
     "orthonormal_directions",
@@ -81,50 +82,72 @@ def coordinate_directions(n: int) -> DirectionSet:
     return _direction_set(np.eye(n), "coordinate")
 
 
-def gaussian_directions(n: int, N: int, rng: np.random.Generator) -> DirectionSet:
-    """N iid standard normal rows in R^n."""
+def direction_stack(scheme: str, n: int, N: int, T: int,
+                    rng: np.random.Generator) -> Array:
+    """T direction sets of N rows in R^n, shape (T, N, n), drawn from rng in
+    set order, so splitting T across calls does not change the draws.
+
+    scheme:
+        gaussian: iid standard normal rows.
+        sphere: rows uniform on the unit sphere (normalized Gaussian draws).
+        general_interp: square Gaussian frames (N == n), each scaled so its
+            largest row has norm 1.
+    """
     if n < 1 or N < 1:
         raise ValueError("n and N must be positive")
-    return _direction_set(rng.standard_normal((N, n)), "gaussian")
+    Q = rng.standard_normal((T, N, n))
+    if scheme == "gaussian":
+        return Q
+    if scheme == "sphere":
+        norms = np.linalg.norm(Q, axis=-1)
+        # A zero draw has probability zero; redraw to keep the normalization sound.
+        while np.any(norms == 0.0):
+            bad = norms == 0.0
+            Q[bad] = rng.standard_normal((int(bad.sum()), n))
+            norms = np.linalg.norm(Q, axis=-1)
+        return Q / norms[..., None]
+    if scheme == "general_interp":
+        if N != n:
+            raise ValueError("interpolation frames must be square")
+        scale = np.max(np.linalg.norm(Q, axis=-1), axis=-1)
+        while np.any(scale == 0.0):  # pragma: no cover - probability zero
+            bad = scale == 0.0
+            Q[bad] = rng.standard_normal((int(bad.sum()), n, n))
+            scale = np.max(np.linalg.norm(Q, axis=-1), axis=-1)
+        return Q / scale[:, None, None]
+    raise ValueError(f"unknown direction scheme {scheme!r}")
+
+
+def gaussian_directions(n: int, N: int, rng: np.random.Generator) -> DirectionSet:
+    """N iid standard normal rows in R^n."""
+    return _direction_set(direction_stack("gaussian", n, N, 1, rng)[0], "gaussian")
 
 
 def sphere_directions(n: int, N: int, rng: np.random.Generator) -> DirectionSet:
     """N rows uniform on the unit sphere (normalized Gaussian draws)."""
-    if n < 1 or N < 1:
-        raise ValueError("n and N must be positive")
-    Q = rng.standard_normal((N, n))
-    norms = np.linalg.norm(Q, axis=1)
-    # A zero draw has probability zero; redraw to keep the normalization sound.
-    while np.any(norms == 0.0):
-        bad = norms == 0.0
-        Q[bad] = rng.standard_normal((int(bad.sum()), n))
-        norms = np.linalg.norm(Q, axis=1)
-    return _direction_set(Q / norms[:, None], "sphere")
+    return _direction_set(direction_stack("sphere", n, N, 1, rng)[0], "sphere")
 
 
 def orthonormal_directions(n: int, rng: np.random.Generator) -> DirectionSet:
     """Random n x n orthonormal matrix, Haar distributed.
 
-    Modified Gram-Schmidt on iid Gaussian rows with one reorthogonalization
-    pass. Row signs are left exactly as produced; forcing a sign convention
-    would break the Haar property. A row whose residual collapses below
-    RANK_TOL of its original norm is redrawn.
+    QR of the transpose of an iid Gaussian matrix Z, with each column of Q
+    multiplied by the sign of the matching diagonal entry of R (Mezzadri
+    2007, "How to generate random matrices from the classical compact
+    groups"); without that sign fix the factor is not Haar. The rows of the
+    result are the Gram-Schmidt orthonormalization of the rows of Z, in
+    order. A draw with some |R_ii| below RANK_TOL of its row's norm is
+    numerically rank deficient and is redrawn.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    Q = np.empty((n, n))
-    for i in range(n):
-        while True:
-            v = rng.standard_normal(n)
-            scale = np.linalg.norm(v)
-            for _ in range(2):
-                for j in range(i):
-                    v = v - (Q[j] @ v) * Q[j]
-            residual = np.linalg.norm(v)
-            if residual > RANK_TOL * scale and residual > 0.0:
-                break
-        Q[i] = v / residual
-    return _direction_set(Q, "orthonormal")
+    while True:
+        Z = rng.standard_normal((n, n))
+        Q, R = np.linalg.qr(Z.T)
+        d = np.diag(R)
+        if np.all(np.abs(d) > RANK_TOL * np.linalg.norm(Z, axis=1)):
+            break
+    return _direction_set((Q * np.sign(d)).T, "orthonormal")
 
 
 def interpolation_directions(n: int, rng: np.random.Generator) -> DirectionSet:
@@ -134,12 +157,8 @@ def interpolation_directions(n: int, rng: np.random.Generator) -> DirectionSet:
     randomized interpolation directions; it keeps max_row_norm <= 1 while
     preserving the shape (and hence conditioning) of the raw Gaussian frame.
     """
-    Q = rng.standard_normal((n, n))
-    scale = np.max(np.linalg.norm(Q, axis=1))
-    while scale == 0.0:  # pragma: no cover - probability zero
-        Q = rng.standard_normal((n, n))
-        scale = np.max(np.linalg.norm(Q, axis=1))
-    return _direction_set(Q / scale, "general_interp")
+    return _direction_set(direction_stack("general_interp", n, n, 1, rng)[0],
+                          "general_interp")
 
 
 # Chunk size for Monte Carlo accumulation; bounds the working set to a few
@@ -208,10 +227,12 @@ def monte_carlo_moment(
             w = (U @ a) * np.linalg.norm(U, axis=1) ** k
         else:
             w = np.linalg.norm(U, axis=1) ** k
-        s1 += np.einsum("i,ij,ik->jk", w, U, U)
+        # one reused (m, n) buffer: V = w u, then V = w u^2 in place
+        V = U * w[:, None]
+        s1 += V.T @ U
         if with_stderr:
-            U2 = U * U
-            s2 += np.einsum("i,ij,ik->jk", w * w, U2, U2)
+            V *= U
+            s2 += V.T @ V
         done += m
 
     mean = s1 / K

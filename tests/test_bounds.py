@@ -13,10 +13,8 @@ import pytest
 
 from conftest import assert_rate_at_most, run_with_resample
 from gradest.bounds import (
-    BoundQuery,
     bernstein_sample_size,
     chebyshev_sample_size,
-    condition_report,
     condition_table,
     deterministic_error_bound,
     error_floor,
@@ -182,15 +180,11 @@ def test_report_json_round_trip():
     assert d["N_min"] == 4
 
 
-def test_condition_report_matches_condition_table():
-    q = BoundQuery(method="BSG", n=20, theta=0.5, delta=0.1, L=2.0, M=1.0,
-                   eps_f=1e-6, grad_norm=math.sqrt(10))
-    assert condition_report(q) == condition_table(
-        "BSG", 20, 0.5, 0.1, L=2.0, M=1.0, eps_f=1e-6, grad_norm=math.sqrt(10))
-    with pytest.raises(ValueError):
-        BoundQuery(method="FFD", n=4, theta=1.0)
-    with pytest.raises(ValueError):
-        BoundQuery(method="GSG", n=4, theta=0.5, delta=1.5)
+def test_condition_table_rejects_bad_theta_and_delta():
+    with pytest.raises(ValueError, match="theta"):
+        condition_table("FFD", 4, 1.0, L=2.0, grad_norm=1.0)
+    with pytest.raises(ValueError, match="delta"):
+        condition_table("GSG", 4, 0.5, 1.5, L=2.0, grad_norm=1.0)
 
 
 def test_smoothing_requires_delta_and_small_n_guard():

@@ -8,7 +8,6 @@ import pytest
 from gradest.core import (
     NoiseModel,
     NoisyOracle,
-    eval_noisy,
     get_problem,
     make_linear,
     make_quadratic,
@@ -98,7 +97,7 @@ def test_oracle_counts_every_evaluation():
     assert oracle.eval_count == 1
     oracle.eval_batch(np.zeros((5, 4)))
     assert oracle.eval_count == 6
-    eval_noisy(oracle, np.zeros(4))
+    oracle(np.ones(4))
     assert oracle.eval_count == 7
 
 

@@ -18,6 +18,7 @@ from gradest.estimators import (
     cfd,
     cgsg,
     estimate,
+    estimate_trials,
     estimate_with_retry,
     ffd,
     gsg,
@@ -25,6 +26,7 @@ from gradest.estimators import (
     one_point_bsg,
     one_point_gsg,
     relative_error,
+    trial_directions,
 )
 from gradest.sampling import (
     DirectionSet,
@@ -88,6 +90,70 @@ def test_evaluation_accounting():
         est = run(oracle)
         assert oracle.eval_count == expected
         assert est.evals_used == expected
+
+
+@pytest.mark.parametrize("method, per_trial", [
+    ("FFD", lambda n, N: n + 1), ("CFD", lambda n, N: 2 * n),
+    ("LI", lambda n, N: n + 1), ("GSG", lambda n, N: N + 1),
+    ("cGSG", lambda n, N: 2 * N), ("BSG", lambda n, N: N + 1),
+    ("cBSG", lambda n, N: 2 * N)])
+def test_batched_cell_evaluation_accounting(method, per_trial):
+    n, N, T = 6, 9, 7
+    oracle = clean_oracle(make_sincos(n, 1.0, 2.0))
+    Q = trial_directions(method, n, N, T, RngStream(13).generator())
+    G, cond, qinv = estimate_trials(oracle, np.full(n, 0.2), method, 0.01, Q)
+    assert G.shape == (T, n)
+    assert oracle.eval_count == T * per_trial(n, N)
+    assert (cond is None) == (method != "LI")
+
+
+@pytest.mark.parametrize("method", ["FFD", "CFD", "LI", "GSG", "cGSG", "BSG", "cBSG"])
+def test_batched_core_matches_one_trial_at_a_time(method):
+    # one noisy oracle stream read in trial order: a cell of T trials in one
+    # batch equals T consecutive single estimates on the same stream, up to
+    # the objective's batch-size-dependent rounding
+    n, N, T = 6, 5, 4
+    p = make_sincos(n, 1.0, 2.0)
+    x = np.linspace(-0.3, 0.4, n)
+    noise = NoiseModel("uniform_iid", 1e-3, seed=1)
+    Q = trial_directions(method, n, N, T, RngStream(14).generator())
+    batched = NoisyOracle(p, noise, rng=RngStream(15).generator())
+    G, _, qinv = estimate_trials(batched, x, method, 0.05, Q)
+    single = NoisyOracle(p, noise, rng=RngStream(15).generator())
+    for t in range(T):
+        if method in ("FFD", "CFD"):
+            est = (ffd if method == "FFD" else cfd)(single, x, 0.05)
+        elif method == "LI":
+            frame = DirectionSet(n, n, Q[t], "general_interp", 1.0)
+            est = linear_interp(single, x, frame, 0.05)
+            assert abs(est.qinv_norm - qinv[t]) <= 1e-12 * qinv[t]
+        else:
+            fn = {"GSG": gsg, "cGSG": cgsg, "BSG": bsg, "cBSG": cbsg}[method]
+            est = fn(single, x, 0.05, N, directions=DirectionSet(n, N, Q[t], "gaussian", 1.0))
+        assert np.max(np.abs(est.g - G[t])) <= 1e-9 * max(1.0, np.max(np.abs(G[t])))
+    assert single.eval_count == batched.eval_count
+
+
+def test_batched_li_redraws_a_singular_frame_once():
+    n = 3
+    row = np.array([0.6, 0.8, 0.0])
+    singular = np.vstack([row, row, [0.0, 0.0, 1.0]])
+    good = interpolation_directions(n, RngStream(16).generator()).Q
+    Q = np.stack([good, singular])
+    p = make_linear(np.array([1.0, -2.0, 0.5]))
+    oracle = clean_oracle(p)
+    with pytest.raises(SingularDirections):
+        estimate_trials(oracle, np.zeros(n), "LI", 0.1, Q)
+    assert oracle.eval_count == 0
+    with pytest.raises(SingularDirections):
+        estimate_trials(oracle, np.zeros(n), "LI", 0.1, Q,
+                        redraw=lambda count: np.stack([singular] * count))
+    assert oracle.eval_count == 0
+    G, cond, _ = estimate_trials(oracle, np.zeros(n), "LI", 0.1, Q,
+                                 redraw=lambda count: np.stack([good] * count))
+    assert np.max(np.abs(G - p.gradient_at(np.zeros(n)))) < 1e-10
+    assert cond[0] == cond[1] < 1e12
+    assert oracle.eval_count == 2 * (n + 1)
 
 
 def test_li_on_coordinate_directions_equals_ffd():

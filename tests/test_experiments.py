@@ -1,14 +1,15 @@
 """Experiment drivers and the command-line front end.
 
-Determinism contracts (same seed, any thread count -> byte-identical CSV)
-are checked on deliberately tiny grids; statistical content of the drivers
-is covered in test_acceptance.py at full scale.
+Determinism contracts (same seed -> byte-identical CSV, at any chunk size
+of the batched trials) are checked on deliberately tiny grids; statistical
+content of the drivers is covered in test_acceptance.py at full scale.
 """
 import json
 
 import numpy as np
 import pytest
 
+from gradest import experiments
 from gradest.cli import _sibling, main
 from gradest.experiments import (BENCH_HEADER, BOUND_DET_HEADER,
                                  BOUND_PROB_HEADER, SWEEP_HEADER,
@@ -28,6 +29,9 @@ def test_spec_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown spec keys.*budgetfactor"):
         ExperimentSpec.from_dict({"experiment": "relative_error_sweep",
                                   "budgetfactor": 10})
+    with pytest.raises(ValueError, match="unknown spec keys.*threads"):
+        ExperimentSpec.from_dict({"experiment": "relative_error_sweep",
+                                  "threads": 2})
 
 
 def test_spec_rejects_wrong_typed_scalars():
@@ -37,9 +41,9 @@ def test_spec_rejects_wrong_typed_scalars():
     with pytest.raises(ValueError, match="'theta' must be a number"):
         ExperimentSpec.from_dict({"experiment": "bound_validation",
                                   "theta": "half"})
-    with pytest.raises(ValueError, match="'threads' must be an integer"):
+    with pytest.raises(ValueError, match="'n' must be an integer"):
         ExperimentSpec.from_dict({"experiment": "theta_distribution",
-                                  "threads": True})
+                                  "n": True})
 
 
 def test_spec_coerces_lists_to_tuples():
@@ -75,8 +79,6 @@ def test_spec_validation_errors():
         ExperimentSpec(experiment="nope")
     with pytest.raises(ValueError, match="trials"):
         ExperimentSpec(experiment="theta_distribution", trials=0)
-    with pytest.raises(ValueError, match="threads"):
-        ExperimentSpec(experiment="theta_distribution", threads=0)
     with pytest.raises(ValueError, match="sigmas"):
         ExperimentSpec(experiment="bound_validation", sigmas=())
 
@@ -139,9 +141,9 @@ def test_theta_distribution_shape_and_regimes(theta_table):
     assert by_N[256][7] > 0.9
 
 
-def test_theta_distribution_seed_and_threads_determinism(theta_table):
+def test_theta_distribution_seed_determinism(theta_table):
     spec = ExperimentSpec(experiment="theta_distribution", n=32,
-                          N_list=(1, 256), trials=400, seed=11, threads=3)
+                          N_list=(1, 256), trials=400, seed=11)
     again = run_theta_distribution(spec)
     assert again.text() == theta_table.text()
     other_seed = ExperimentSpec(experiment="theta_distribution", n=32,
@@ -199,10 +201,32 @@ def test_sweep_noise_hurts_and_determinism(sweep_tables):
     clean = np.mean([r[mean_col] for r in summary.rows if r[eps_col] == 0.0])
     noisy = np.mean([r[mean_col] for r in summary.rows if r[eps_col] == 1e-3])
     assert noisy > clean
-    rows2, summary2 = run_relative_error_sweep(
-        ExperimentSpec(**{**SWEEP_SPEC, "threads": 2}))
+    rows2, summary2 = run_relative_error_sweep(ExperimentSpec(**SWEEP_SPEC))
     assert rows2.text() == rows.text()
     assert summary2.text() == summary.text()
+
+
+def test_csv_bytes_do_not_depend_on_the_trial_chunk_size(monkeypatch):
+    specs = [
+        ExperimentSpec(experiment="relative_error_sweep",
+                       problems=("sincos10", "rosenbrock2"), sigmas=(0.01,),
+                       eps_fs=(0.0, 1e-3), points_per_problem=1, trials=6, seed=3),
+        ExperimentSpec(experiment="theta_distribution", n=8, N_list=(1, 16),
+                       trials=60, seed=3),
+        ExperimentSpec(experiment="bound_validation", problems=("sincos10",),
+                       eps_fs=(1e-6,), noise_kind="sinusoidal_deterministic",
+                       points_per_problem=2, trials=8, seed=3),
+    ]
+
+    def texts():
+        sweep = run_relative_error_sweep(specs[0])
+        theta = run_theta_distribution(specs[1])
+        bound = run_bound_validation(specs[2])
+        return [t.text() for t in (*sweep, theta, *bound)]
+
+    default = texts()
+    monkeypatch.setattr(experiments, "_CHUNK_COORDS", 1)   # one trial per chunk
+    assert texts() == default
 
 
 # ---------------------------------------------------------------- bound validation
@@ -346,7 +370,7 @@ def test_cli_sweep_writes_byte_identical_csv(tmp_path, capsys):
             "--trials", "3", "--sample-factor", "1", "--seed", "9"]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--out", str(out1)]) == 0
-    assert main(args + ["--out", str(out2), "--threads", "2"]) == 0
+    assert main(args + ["--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
     assert (tmp_path / "a_summary.csv").exists()
