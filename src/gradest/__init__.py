@@ -9,14 +9,11 @@ from .core import (NoiseModel, NoisyOracle, ObjectiveFunction, get_problem,
                    make_linear, make_powell_singular, make_quadratic,
                    make_rosenbrock, make_sincos, make_standard_problems,
                    make_trigonometric)
-from .sampling import (DirectionSet, RngStream, coordinate_directions,
-                       gaussian_directions, interpolation_directions,
-                       monte_carlo_moment, orthonormal_directions,
-                       sphere_directions)
+from .sampling import (DirectionSet, RngStream, monte_carlo_moment,
+                       orthonormal_directions)
 from .estimators import (METHODS, EstimatorConfig, GradientEstimate,
-                         SingularDirections, ZeroGradient, bsg, cbsg, cfd,
-                         cgsg, estimate, estimate_with_retry, ffd, gsg,
-                         linear_interp, relative_error)
+                         SingularDirections, ZeroGradient, estimate,
+                         relative_error)
 from .bounds import (BoundReport, bernstein_sample_size,
                      chebyshev_sample_size, condition_table,
                      deterministic_error_bound, error_floor,
@@ -40,13 +37,10 @@ __all__ = [
     "make_powell_singular", "make_trigonometric", "make_standard_problems",
     "get_problem",
     # sampling
-    "RngStream", "DirectionSet", "coordinate_directions",
-    "gaussian_directions", "sphere_directions", "orthonormal_directions",
-    "interpolation_directions", "monte_carlo_moment",
+    "RngStream", "DirectionSet", "orthonormal_directions", "monte_carlo_moment",
     # estimators
     "METHODS", "GradientEstimate", "EstimatorConfig", "SingularDirections",
-    "ZeroGradient", "ffd", "cfd", "linear_interp", "gsg", "cgsg", "bsg",
-    "cbsg", "relative_error", "estimate", "estimate_with_retry",
+    "ZeroGradient", "estimate", "relative_error",
     # bounds
     "BoundReport", "deterministic_error_bound",
     "smoothing_bias_bound", "variance_kappa", "chebyshev_sample_size",

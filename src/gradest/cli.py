@@ -19,11 +19,11 @@ import numpy as np
 
 from . import bounds as bnd
 from .core import NoiseModel, NoisyOracle, get_problem
-from .estimators import (METHODS, EstimatorConfig, ZeroGradient,
-                         estimate_with_retry, relative_error)
-from .experiments import (EXPERIMENTS, ExperimentSpec, run_bound_validation,
-                          run_optimizer_benchmark, run_relative_error_sweep,
-                          run_theta_distribution)
+from .estimators import (METHODS, EstimatorConfig, ZeroGradient, estimate,
+                         relative_error)
+from .experiments import (EXPERIMENTS, ExperimentSpec, bound_check_skips,
+                          run_bound_validation, run_optimizer_benchmark,
+                          run_relative_error_sweep, run_theta_distribution)
 from .optimizer import LineSearchConfig, fixed_step_dfo, run_dfo
 from .sampling import RngStream
 
@@ -88,10 +88,8 @@ def _cmd_estimate(args) -> int:
     if x.shape != (problem.n,):
         raise ValueError(f"point must have {problem.n} coordinates")
     oracle = _make_oracle(problem, args)
-    cfg = EstimatorConfig(method=args.method, sigma=args.sigma, N=args.N,
-                          seed=args.seed)
-    rng = RngStream(args.seed).generator(2)
-    est = estimate_with_retry(oracle, x, cfg, rng)
+    cfg = EstimatorConfig(method=args.method, sigma=args.sigma, N=args.N)
+    est = estimate(oracle, x, cfg, RngStream(args.seed).generator(2))
     out = {
         "problem": problem.name,
         "method": est.method,
@@ -172,6 +170,8 @@ def _cmd_bound_check(args) -> int:
         noise_kind=args.noise_kind,
         theta=args.theta, delta=args.delta,
         points_per_problem=args.points)
+    for problem, method, why in bound_check_skips(spec):
+        print(f"skipped {method} on {problem}: {why}")
     det, prob = run_bound_validation(spec)
     out = args.out or "bound_check.csv"
     det.write(out)
@@ -196,8 +196,7 @@ def _cmd_bound_check(args) -> int:
 def _cmd_optimize(args) -> int:
     problem, x0 = get_problem(args.problem)
     oracle = _make_oracle(problem, args)
-    cfg = EstimatorConfig(method=args.method, sigma=args.sigma, N=args.N,
-                          seed=args.seed)
+    cfg = EstimatorConfig(method=args.method, sigma=args.sigma, N=args.N)
     rng = RngStream(args.seed).generator(3)
     if args.step == "fixed":
         trace = fixed_step_dfo(oracle, cfg, args.alpha, x0, args.budget, rng)

@@ -68,6 +68,7 @@ __all__ = [
     "ProfileData",
     "BenchmarkResult",
     "parse_solver",
+    "bound_check_skips",
     "run_relative_error_sweep",
     "run_theta_distribution",
     "run_bound_validation",
@@ -351,6 +352,29 @@ BOUND_PROB_HEADER = ("kind", "problem", "n", "method", "sigma", "N", "theta",
                      "failures", "failure_rate", "passed")
 
 
+def _bound_problems(spec: ExperimentSpec) -> list:
+    return spec.problem_list() if spec.problems else [get_problem("sincos20")[0]]
+
+
+def _missing_constant(problem, method: str) -> str | None:
+    """Why method's bounds cannot be evaluated on problem, or None: CFD,
+    cGSG and cBSG need the Hessian's Lipschitz constant M, and the
+    condition table of cGSG and cBSG needs M > 0."""
+    M = problem.lipschitz_hessian
+    if M is None and method in ("CFD", "cGSG", "cBSG"):
+        return "the problem declares no Hessian Lipschitz constant M"
+    if M == 0 and method in ("cGSG", "cBSG"):
+        return "the condition table needs M > 0, the problem has M = 0"
+    return None
+
+
+def bound_check_skips(spec: ExperimentSpec) -> list[tuple[str, str, str]]:
+    """(problem, method, reason) for each pair of spec that
+    run_bound_validation skips and writes no rows for."""
+    return [(p.name, m, why) for p in _bound_problems(spec) for m in spec.methods
+            if (why := _missing_constant(p, m)) is not None]
+
+
 def run_bound_validation(spec: ExperimentSpec):
     """Measured estimator errors against the closed-form guarantees.
 
@@ -363,8 +387,10 @@ def run_bound_validation(spec: ExperimentSpec):
     Probabilistic rows (GSG/cGSG/BSG/cBSG): sigma and N from condition_table
     at (theta, delta); empirical rate of norm-condition failures over the
     trials at the problem's x0, passing when rate <= delta + 0.05.
+
+    Pairs listed by bound_check_skips get no rows.
     """
-    problems = spec.problem_list() if spec.problems else [get_problem("sincos20")[0]]
+    problems = _bound_problems(spec)
     trials = spec.resolved_trials()
     det_methods = [m for m in spec.methods if m in bnd.DETERMINISTIC]
     smooth_methods = [m for m in spec.methods if m in bnd.SMOOTHING]
@@ -377,6 +403,8 @@ def run_bound_validation(spec: ExperimentSpec):
         n, L, M = problem.n, problem.lipschitz_gradient, problem.lipschitz_hessian
         points = _problem_points(problem, spec, p_idx)
         for m_idx, method in enumerate(det_methods):
+            if _missing_constant(problem, method) is not None:
+                continue
             for s_idx, sigma in enumerate(spec.sigmas):
                 for e_idx, eps_f in enumerate(spec.eps_fs):
                     key = (p_idx, m_idx, s_idx, e_idx)
@@ -405,6 +433,8 @@ def run_bound_validation(spec: ExperimentSpec):
         grad_true = problem.gradient_at(x0)
         grad_norm = float(np.linalg.norm(grad_true))
         for m_idx, method in enumerate(smooth_methods):
+            if _missing_constant(problem, method) is not None:
+                continue
             for e_idx, eps_f in enumerate(spec.eps_fs):
                 report = bnd.condition_table(method, n, spec.theta, spec.delta,
                                              L, M, eps_f, grad_norm)

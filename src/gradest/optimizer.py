@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import Array, NoisyOracle
-from .estimators import EstimatorConfig, estimate_with_retry
-from .sampling import RngStream
+from .estimators import EstimatorConfig, estimate
 
 # curvature pairs with s'y below this relative threshold are skipped
 CURVATURE_GUARD = 1e-10
@@ -90,15 +90,16 @@ class IterationRecord:
     grad_est_norm and slope belong to the estimate that drove the step
     (computed at the departure point); x, f, and true_grad_norm describe the
     accepted arrival point. Rows with alpha = 0 are in-place: a rejected
-    step (backtracks = max_backtracks + 1) or the terminal gradient-norm
-    stop. fixed_step_dfo rows instead describe the iterate before its step.
+    step (backtracks = max_backtracks + 1), the terminal gradient-norm stop,
+    or the terminal non-finite estimate. fixed_step_dfo rows instead
+    describe the iterate before its step.
     """
 
     iteration: int
     x: Array
     f: float
     grad_est_norm: float
-    true_grad_norm: float | None
+    true_grad_norm: float
     alpha: float
     evals_cumulative: int
     backtracks: int
@@ -124,10 +125,7 @@ class OptimizationTrace:
 
     def column(self, name: str) -> np.ndarray:
         attr = {"iter": "iteration", "evals": "evals_cumulative"}.get(name, name)
-        vals = [getattr(r, attr) for r in self.records]
-        if name == "true_grad_norm":
-            vals = [np.nan if v is None else v for v in vals]
-        return np.asarray(vals)
+        return np.asarray([getattr(r, attr) for r in self.records])
 
     def to_csv(self, path_or_file) -> None:
         """Write the trace with the stable column set, one row per record."""
@@ -136,9 +134,9 @@ class OptimizationTrace:
         try:
             fh.write(",".join(TRACE_COLUMNS) + "\n")
             for r in self.records:
-                tg = "nan" if r.true_grad_norm is None else f"{r.true_grad_norm:.17g}"
                 fh.write(f"{r.iteration},{r.f:.17g},{r.grad_est_norm:.17g},"
-                         f"{tg},{r.alpha:.17g},{r.evals_cumulative},{r.backtracks}\n")
+                         f"{r.true_grad_norm:.17g},{r.alpha:.17g},"
+                         f"{r.evals_cumulative},{r.backtracks}\n")
         finally:
             if closing:
                 fh.close()
@@ -156,10 +154,11 @@ def armijo_search(oracle: NoisyOracle, x: Array, d: Array, g: Array,
         f(x + alpha d) <= f_x + c1 * alpha * g'd + relaxation.
 
     Returns (alpha, x_new, f_new, backtracks). Raises NotDescent when
-    g'd >= 0 and StepFailure when max_backtracks is exhausted.
+    g'd is not negative (NaN included) and StepFailure when max_backtracks
+    is exhausted.
     """
     slope = float(np.dot(g, d))
-    if slope >= 0.0:
+    if not slope < 0.0:
         raise NotDescent(f"g'd = {slope:.3e} is not a descent slope")
     relax = cfg.noise_relaxation
     if relax is None:
@@ -207,11 +206,8 @@ def lbfgs_direction(history, g: Array) -> Array:
     return d
 
 
-def _true_grad_norm(oracle: NoisyOracle, x: Array) -> float | None:
-    grad = oracle.objective.gradient_at
-    if grad is None:
-        return None
-    return float(np.linalg.norm(grad(x)))
+def _true_grad_norm(oracle: NoisyOracle, x: Array) -> float:
+    return float(np.linalg.norm(oracle.objective.gradient_at(x)))
 
 
 def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
@@ -220,7 +216,11 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
     """Line-search descent with the configured estimator and direction rule.
 
     Terminates on eval_budget, max_iters, grad_norm_stop (tested on the
-    estimate g, not the true gradient), or three consecutive StepFailures.
+    estimate g, not the true gradient), nonfinite (an estimate whose norm is
+    not finite, from a NaN or infinite entry; recorded in place), or three
+    consecutive StepFailures.
+    rng feeds the estimator's direction draws; FFD and CFD need none, and
+    the other methods raise ValueError without rng or a direction_source.
     On a StepFailure the gradient is re-estimated at the same point (fresh
     randomness) and the local alpha0 is halved; an accepted step restores it.
     Every iteration appends a record, so the final record's cumulative
@@ -228,8 +228,6 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
     """
     if ls_cfg.eval_budget is None and ls_cfg.max_iters is None:
         raise ValueError("need at least one of eval_budget, max_iters")
-    if rng is None:
-        rng = RngStream(estimator_cfg.seed).generator()
     x = np.array(x0, dtype=float)
     trace = OptimizationTrace()
     f_x = oracle(x)
@@ -249,9 +247,14 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
             trace.termination = "max_iters"
             break
 
-        est = estimate_with_retry(oracle, x, estimator_cfg, rng)
-        g = est.g
+        g = estimate(oracle, x, estimator_cfg, rng).g
         g_norm = float(np.linalg.norm(g))
+        if not math.isfinite(g_norm):
+            trace.records.append(IterationRecord(
+                k, x.copy(), f_x, g_norm, _true_grad_norm(oracle, x),
+                0.0, oracle.eval_count, 0, 0.0))
+            trace.termination = "nonfinite"
+            break
         if stop_norm is None:
             stop_norm = 1e-6 * g_norm
 
@@ -307,14 +310,12 @@ def fixed_step_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
 
     One extra oracle call per iteration records f(x_k). Terminates on the
     evaluation budget, or flags divergence after 5 consecutive increases in
-    f or a nonfinite iterate.
+    f or a nonfinite iterate. rng is used as in run_dfo.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     if budget < 1:
         raise ValueError("budget must be positive")
-    if rng is None:
-        rng = RngStream(estimator_cfg.seed).generator()
     x = np.array(x0, dtype=float)
     trace = OptimizationTrace()
     f_prev = None
@@ -331,8 +332,7 @@ def fixed_step_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
                 alpha, oracle.eval_count, 0, 0.0))
             trace.termination = "divergence"
             break
-        est = estimate_with_retry(oracle, x, estimator_cfg, rng)
-        g = est.g
+        g = estimate(oracle, x, estimator_cfg, rng).g
         g_norm = float(np.linalg.norm(g))
         trace.records.append(IterationRecord(
             k, x.copy(), f_x, g_norm, _true_grad_norm(oracle, x),

@@ -1,8 +1,9 @@
 """Direction sampling and Monte Carlo moment utilities.
 
-Direction sets feed the estimators: coordinate axes, random orthonormal
-frames, raw Gaussian rows, rows uniform on the unit sphere, and max-norm
-scaled Gaussian rows for interpolation. monte_carlo_moment estimates matrices
+Direction sets feed the estimators: direction_stack draws stacks of raw
+Gaussian rows, rows uniform on the unit sphere, or max-norm scaled Gaussian
+frames for interpolation, and orthonormal_directions draws Haar frames; a
+DirectionSet holds one fixed set. monte_carlo_moment estimates matrices
 of the form E[w(u) u u^T], which is what the variance analysis of the
 smoothing estimators reduces to.
 """
@@ -24,12 +25,8 @@ __all__ = [
     "Array",
     "DirectionSet",
     "RngStream",
-    "coordinate_directions",
     "direction_stack",
-    "gaussian_directions",
-    "sphere_directions",
     "orthonormal_directions",
-    "interpolation_directions",
     "monte_carlo_moment",
 ]
 
@@ -60,26 +57,20 @@ class RngStream:
 class DirectionSet:
     """N direction vectors stored as the rows of Q (N x n)."""
 
-    n: int
-    N: int
     Q: Array
     scheme: str  # coordinate | orthonormal | general_interp | gaussian | sphere
-    max_row_norm: float
 
     def __post_init__(self) -> None:
-        if self.Q.shape != (self.N, self.n):
-            raise ValueError(f"Q has shape {self.Q.shape}, expected ({self.N}, {self.n})")
+        if np.ndim(self.Q) != 2:
+            raise ValueError(f"Q must be an N x n matrix, got shape {np.shape(self.Q)}")
 
+    @property
+    def N(self) -> int:
+        return self.Q.shape[0]
 
-def _direction_set(Q: Array, scheme: str) -> DirectionSet:
-    N, n = Q.shape
-    return DirectionSet(n=n, N=N, Q=Q, scheme=scheme,
-                        max_row_norm=float(np.max(np.linalg.norm(Q, axis=1))))
-
-
-def coordinate_directions(n: int) -> DirectionSet:
-    """The n coordinate axes; the identity as a direction matrix."""
-    return _direction_set(np.eye(n), "coordinate")
+    @property
+    def n(self) -> int:
+        return self.Q.shape[1]
 
 
 def direction_stack(scheme: str, n: int, N: int, T: int,
@@ -118,16 +109,6 @@ def direction_stack(scheme: str, n: int, N: int, T: int,
     raise ValueError(f"unknown direction scheme {scheme!r}")
 
 
-def gaussian_directions(n: int, N: int, rng: np.random.Generator) -> DirectionSet:
-    """N iid standard normal rows in R^n."""
-    return _direction_set(direction_stack("gaussian", n, N, 1, rng)[0], "gaussian")
-
-
-def sphere_directions(n: int, N: int, rng: np.random.Generator) -> DirectionSet:
-    """N rows uniform on the unit sphere (normalized Gaussian draws)."""
-    return _direction_set(direction_stack("sphere", n, N, 1, rng)[0], "sphere")
-
-
 def orthonormal_directions(n: int, rng: np.random.Generator) -> DirectionSet:
     """Random n x n orthonormal matrix, Haar distributed.
 
@@ -147,18 +128,7 @@ def orthonormal_directions(n: int, rng: np.random.Generator) -> DirectionSet:
         d = np.diag(R)
         if np.all(np.abs(d) > RANK_TOL * np.linalg.norm(Z, axis=1)):
             break
-    return _direction_set((Q * np.sign(d)).T, "orthonormal")
-
-
-def interpolation_directions(n: int, rng: np.random.Generator) -> DirectionSet:
-    """Square Gaussian direction set scaled so the largest row has norm 1.
-
-    This is the max-norm normalization u_i <- u_i / max_j ||u_j|| used for
-    randomized interpolation directions; it keeps max_row_norm <= 1 while
-    preserving the shape (and hence conditioning) of the raw Gaussian frame.
-    """
-    return _direction_set(direction_stack("general_interp", n, n, 1, rng)[0],
-                          "general_interp")
+    return DirectionSet((Q * np.sign(d)).T, "orthonormal")
 
 
 # Chunk size for Monte Carlo accumulation; bounds the working set to a few

@@ -15,13 +15,10 @@ from conftest import assert_matrix_within, run_with_resample
 from gradest.bounds import condition_table, deterministic_error_bound
 from gradest.core import (NoiseModel, NoisyOracle, get_problem, make_linear,
                           make_quadratic)
-from gradest.estimators import (EstimatorConfig, bsg, cbsg, cfd, cgsg,
-                                estimate_with_retry, ffd, gsg, linear_interp,
-                                relative_error)
+from gradest.estimators import EstimatorConfig, estimate, relative_error
 from gradest.experiments import ExperimentSpec, run_optimizer_benchmark, run_theta_distribution
 from gradest.optimizer import LineSearchConfig, run_dfo
-from gradest.sampling import (DirectionSet, RngStream, coordinate_directions,
-                              interpolation_directions, monte_carlo_moment)
+from gradest.sampling import DirectionSet, RngStream, monte_carlo_moment
 
 SEED = 0
 
@@ -84,8 +81,8 @@ def test_ac02_gsg_second_moment_identity():
     problem = make_linear(np.ones(4))
     x = np.zeros(4)
     for t in range(5):
-        est = gsg(NoisyOracle(problem), x, 1.0, 2,
-                  RngStream(SEED).generator(203, t))
+        est = estimate(NoisyOracle(problem), x, EstimatorConfig("GSG", 1.0, 2),
+                       RngStream(SEED).generator(203, t))
         U = RngStream(SEED).generator(203, t).standard_normal((2, 4))
         manual = np.mean((U @ np.ones(4))[:, None] * U, axis=0)
         assert np.linalg.norm(est.g - manual) < 1e-10
@@ -159,14 +156,10 @@ def test_ac05_deterministic_bounds_hold_everywhere():
                     noise = NoiseModel("uniform_iid", eps_f, SEED)
                     oracle = NoisyOracle(problem, noise, rng=RngStream(SEED)
                                          .generator(302, m_idx, p_idx, s_idx, t))
-                    if method == "FFD":
-                        est = ffd(oracle, x, sigma)
-                    elif method == "CFD":
-                        est = cfd(oracle, x, sigma)
-                    else:
+                    rng = None
+                    if method == "LI":
                         rng = RngStream(SEED).generator(303, p_idx, s_idx, t)
-                        est = estimate_with_retry(
-                            oracle, x, EstimatorConfig("LI", sigma), rng)
+                    est = estimate(oracle, x, EstimatorConfig(method, sigma), rng)
                     bound = deterministic_error_bound(
                         method, n, L, M, sigma, eps_f, cond_qinv=est.qinv_norm)
                     err = float(np.linalg.norm(est.g - grad_true))
@@ -184,7 +177,6 @@ def test_ac06_condition_table_failure_rates():
     grad_true = problem.gradient_at(x0)
     grad_norm = float(np.linalg.norm(grad_true))
     frozen_N = {"GSG": 4007, "cGSG": 3985, "BSG": 1832, "cBSG": 1806}
-    samplers = {"GSG": gsg, "cGSG": cgsg, "BSG": bsg, "cBSG": cbsg}
     eps_f = 1e-6
     trials = 1000
     reports = []
@@ -200,7 +192,7 @@ def test_ac06_condition_table_failure_rates():
             oracle = NoisyOracle(problem, noise,
                                  rng=RngStream(SEED).generator(401, m_idx, t))
             rng = RngStream(SEED).generator(402, m_idx, t)
-            est = samplers[method](oracle, x0, sigma, rep.n_min, rng)
+            est = estimate(oracle, x0, EstimatorConfig(method, sigma, rep.n_min), rng)
             if relative_error(est, grad_true) > 0.5:
                 failures += 1
         rate = failures / trials
@@ -213,15 +205,17 @@ def test_ac07_estimator_identities():
     # (a) interpolation on the coordinate frame is forward differencing
     problem, _ = get_problem("sincos20")
     x = RngStream(SEED).generator(501).uniform(-1, 1, 20)
-    g_ffd = ffd(NoisyOracle(problem), x, 0.01).g
-    g_li = linear_interp(NoisyOracle(problem), x, coordinate_directions(20), 0.01).g
+    g_ffd = estimate(NoisyOracle(problem), x, EstimatorConfig("FFD", 0.01)).g
+    coordinate = DirectionSet(np.eye(20), "coordinate")
+    g_li = estimate(NoisyOracle(problem), x,
+                    EstimatorConfig("LI", 0.01, direction_source=coordinate)).g
     d_coord = float(np.linalg.norm(g_li - g_ffd))
     assert d_coord < 1e-12
 
     # (b) interpolation is exact on a linear function, any invertible frame
     a = RngStream(SEED).generator(502).standard_normal(8)
-    frame = interpolation_directions(8, RngStream(SEED).generator(503))
-    g_lin = linear_interp(NoisyOracle(make_linear(a)), np.zeros(8), frame, 0.3).g
+    g_lin = estimate(NoisyOracle(make_linear(a)), np.zeros(8), EstimatorConfig("LI", 0.3),
+                     RngStream(SEED).generator(503)).g
     d_lin = float(np.linalg.norm(g_lin - a))
     assert d_lin < 1e-10
 
@@ -230,7 +224,7 @@ def test_ac07_estimator_identities():
     B = rng.standard_normal((6, 6))
     problem_q = make_quadratic(B + B.T + 12 * np.eye(6), rng.standard_normal(6))
     xq = rng.standard_normal(6)
-    g_cfd = cfd(NoisyOracle(problem_q), xq, 0.5).g
+    g_cfd = estimate(NoisyOracle(problem_q), xq, EstimatorConfig("CFD", 0.5)).g
     d_quad = float(np.linalg.norm(g_cfd - problem_q.gradient_at(xq)))
     assert d_quad < 1e-10
 
@@ -239,10 +233,11 @@ def test_ac07_estimator_identities():
     problem10, _ = get_problem("sincos10")
     x10 = RngStream(SEED).generator(505).uniform(-1, 1, 10)
     Q = RngStream(SEED).generator(506).standard_normal((10, 10))
-    ds = DirectionSet(10, 10, Q, "gaussian",
-                      float(np.linalg.norm(Q, axis=1).max()))
-    g_gsg = gsg(NoisyOracle(problem10), x10, 1e-4, 10, directions=ds).g
-    g_li10 = linear_interp(NoisyOracle(problem10), x10, ds, 1e-4).g
+    ds = DirectionSet(Q, "gaussian")
+    g_gsg = estimate(NoisyOracle(problem10), x10,
+                     EstimatorConfig("GSG", 1e-4, 10, direction_source=ds)).g
+    g_li10 = estimate(NoisyOracle(problem10), x10,
+                      EstimatorConfig("LI", 1e-4, direction_source=ds)).g
     d_pair = float(np.linalg.norm(g_gsg - (Q.T @ Q @ g_li10) / 10))
     assert d_pair < 1e-10
     print(f"PASS AC7 identities [coord-LI vs FFD {d_coord:.2e}; linear LI "
@@ -263,7 +258,8 @@ def test_ac08_noise_makes_sigma_choice_u_shaped():
             noise = NoiseModel("uniform_iid", eps_f, SEED)
             oracle = NoisyOracle(problem, noise,
                                  rng=RngStream(SEED).generator(601, s_idx, t))
-            thetas[t] = relative_error(ffd(oracle, x0, sigma), grad_true)
+            thetas[t] = relative_error(estimate(oracle, x0, EstimatorConfig("FFD", sigma)),
+                                       grad_true)
         means[sigma] = float(thetas.mean())
     assert means[sigma_star] < means[1e-4]
     assert means[sigma_star] < means[1.0]

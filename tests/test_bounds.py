@@ -23,8 +23,8 @@ from gradest.bounds import (
     variance_kappa,
 )
 from gradest.core import NoiseModel, NoisyOracle, make_linear, make_quadratic
-from gradest.estimators import bsg, cbsg, cfd, cgsg, ffd, gsg, linear_interp
-from gradest.sampling import RngStream, interpolation_directions
+from gradest.estimators import EstimatorConfig, estimate
+from gradest.sampling import RngStream
 
 
 # ------------------------------------------------------------- point values
@@ -293,12 +293,11 @@ def test_deterministic_bounds_dominate_measured_error():
             x = rng.uniform(-1, 1, 10)
             grad = p.gradient_at(x)
             oracle = NoisyOracle(p, noise, rng=RngStream(33).generator())
-            err = np.linalg.norm(ffd(oracle, x, sigma).g - grad)
+            err = np.linalg.norm(estimate(oracle, x, EstimatorConfig("FFD", sigma)).g - grad)
             assert err <= deterministic_error_bound("FFD", 10, 2.0, None, sigma, 1e-4)
-            err = np.linalg.norm(cfd(oracle, x, sigma).g - grad)
+            err = np.linalg.norm(estimate(oracle, x, EstimatorConfig("CFD", sigma)).g - grad)
             assert err <= deterministic_error_bound("CFD", 10, None, 1.0, sigma, 1e-4)
-            frame = interpolation_directions(10, rng)
-            est = linear_interp(oracle, x, frame, sigma)
+            est = estimate(oracle, x, EstimatorConfig("LI", sigma), rng)
             bound = deterministic_error_bound("LI", 10, 2.0, None, sigma, 1e-4,
                                               cond_qinv=est.qinv_norm)
             assert np.linalg.norm(est.g - grad) <= bound
@@ -307,7 +306,7 @@ def test_deterministic_bounds_dominate_measured_error():
 def test_variance_kappa_dominates_per_coordinate_mc_variance():
     """Per-coordinate sample variance of each smoothing estimator stays below
     kappa, on linear and quadratic phi, with and without noise."""
-    methods = (("GSG", gsg), ("cGSG", cgsg), ("BSG", bsg), ("cBSG", cbsg))
+    methods = ("GSG", "cGSG", "BSG", "cBSG")
     lin = make_linear(np.array([1.0, -1.0, 0.5, 2.0]))
     quad = make_quadratic(np.diag([1.0, 2.0, 3.0, 4.0]), np.ones(4), name="q4")
     x = np.array([0.3, -0.2, 0.1, 0.4])
@@ -317,10 +316,10 @@ def test_variance_kappa_dominates_per_coordinate_mc_variance():
         g_norm = float(np.linalg.norm(problem.gradient_at(x)))
         noise = (NoiseModel("uniform_iid", eps_f, seed=41) if eps_f
                  else NoiseModel())
-        for m_idx, (name, fn) in enumerate(methods):
+        for m_idx, name in enumerate(methods):
             kappa = variance_kappa(name, 4, N, L, M, sigma, eps_f, g_norm)
 
-            def check(factor, fn=fn, name=name, problem=problem, noise=noise,
+            def check(factor, name=name, problem=problem, noise=noise,
                       kappa=kappa, p_idx=p_idx, m_idx=m_idx):
                 trials = 3000 * factor
                 G = np.empty((trials, 4))
@@ -328,7 +327,7 @@ def test_variance_kappa_dominates_per_coordinate_mc_variance():
                     oracle = NoisyOracle(problem, noise,
                                          rng=RngStream(42).generator(p_idx, m_idx, t))
                     rng = RngStream(43).generator(p_idx, m_idx, factor, t)
-                    G[t] = fn(oracle, x, sigma, N, rng).g
+                    G[t] = estimate(oracle, x, EstimatorConfig(name, sigma, N), rng).g
                 var = G.var(axis=0, ddof=1)
                 se_var = var * math.sqrt(2.0 / (trials - 1))
                 assert np.all(var - 4.0 * se_var <= kappa), (
@@ -353,7 +352,8 @@ def test_variance_cap_spec_example_gsg_n4():
         se_var = var * math.sqrt(2.0 / (trials - 1))
         assert np.all(var - 4.0 * se_var <= kappa)
         # sanity: the estimator path agrees with the closed form sample
-        est = gsg(NoisyOracle(p), np.zeros(4), 1.0, 1, RngStream(44).generator(9))
+        est = estimate(NoisyOracle(p), np.zeros(4), EstimatorConfig("GSG", 1.0, 1),
+                       RngStream(44).generator(9))
         assert est.g.shape == (4,)
 
     run_with_resample(check)
@@ -369,20 +369,20 @@ def test_sample_size_formulas_hit_failure_target_on_linear():
     r, delta = 1.0, 0.2
     kw = dict(L=0.0, M=0.0, sigma=0.5, eps_f=0.0, grad_norm=g_norm)
     plan = [
-        ("GSG", gsg, chebyshev_sample_size("GSG", 4, delta, r, **kw)),
-        ("cGSG", cgsg, chebyshev_sample_size("cGSG", 4, delta, r, **kw)),
-        ("BSG", bsg, bernstein_sample_size("BSG", 4, delta, r, **kw)),
-        ("cBSG", cbsg, bernstein_sample_size("cBSG", 4, delta, r, **kw)),
+        ("GSG", chebyshev_sample_size("GSG", 4, delta, r, **kw)),
+        ("cGSG", chebyshev_sample_size("cGSG", 4, delta, r, **kw)),
+        ("BSG", bernstein_sample_size("BSG", 4, delta, r, **kw)),
+        ("cBSG", bernstein_sample_size("cBSG", 4, delta, r, **kw)),
     ]
-    for idx, (name, fn, N) in enumerate(plan):
+    for idx, (name, N) in enumerate(plan):
         assert N >= 1
 
-        def check(factor, fn=fn, N=N, idx=idx, name=name):
+        def check(factor, N=N, idx=idx, name=name):
             trials = 1000 * factor
             fails = 0
             for t in range(trials):
                 rng = RngStream(45).generator(idx, factor, t)
-                est = fn(NoisyOracle(p), x, 0.5, N, rng)
+                est = estimate(NoisyOracle(p), x, EstimatorConfig(name, 0.5, N), rng)
                 if np.linalg.norm(est.g - a) > r:
                     fails += 1
             assert_rate_at_most(fails, trials, delta, label=name)

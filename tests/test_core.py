@@ -1,10 +1,13 @@
-"""Objectives, noise models, and the counting oracle."""
+"""Objectives, noise models, the counting oracle, and the package exports."""
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import gradest
 from gradest.core import (
     NoiseModel,
     NoisyOracle,
@@ -172,3 +175,11 @@ def test_batch_and_scalar_noise_share_one_stream_position():
     batch = a.eval_batch(X)
     singles = np.array([b(x) for x in X])
     assert np.allclose(batch, singles, atol=1e-15)
+
+
+@pytest.mark.parametrize("module", ["gradest"] + [
+    info.name for info in pkgutil.iter_modules(gradest.__path__, "gradest.")])
+def test_every_export_exists(module):
+    # a stale __all__ entry otherwise fails only under `import *`
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

@@ -13,29 +13,12 @@ from gradest.estimators import (
     EstimatorConfig,
     SingularDirections,
     ZeroGradient,
-    bsg,
-    cbsg,
-    cfd,
-    cgsg,
     estimate,
     estimate_trials,
-    estimate_with_retry,
-    ffd,
-    gsg,
-    linear_interp,
-    one_point_bsg,
-    one_point_gsg,
     relative_error,
     trial_directions,
 )
-from gradest.sampling import (
-    DirectionSet,
-    RngStream,
-    coordinate_directions,
-    gaussian_directions,
-    interpolation_directions,
-    orthonormal_directions,
-)
+from gradest.sampling import DirectionSet, RngStream, orthonormal_directions
 
 
 def clean_oracle(problem):
@@ -45,8 +28,8 @@ def clean_oracle(problem):
 def test_ffd_cfd_exact_on_linear():
     p = make_linear(np.array([2.0, -1.0, 0.5]))
     x = np.array([0.3, 1.0, -2.0])
-    for fn in (ffd, cfd):
-        est = fn(clean_oracle(p), x, 0.1)
+    for method in ("FFD", "CFD"):
+        est = estimate(clean_oracle(p), x, EstimatorConfig(method, 0.1))
         assert np.max(np.abs(est.g - p.gradient_at(x))) < 1e-12
 
 
@@ -54,7 +37,7 @@ def test_cfd_exact_on_quadratics():
     A = np.array([[3.0, 1.0], [1.0, 2.0]])
     p = make_quadratic(A, np.array([1.0, -1.0]))
     x = np.array([0.7, -0.4])
-    est = cfd(clean_oracle(p), x, 0.05)
+    est = estimate(clean_oracle(p), x, EstimatorConfig("CFD", 0.05))
     assert np.max(np.abs(est.g - p.gradient_at(x))) < 1e-10
 
 
@@ -64,7 +47,7 @@ def test_ffd_bias_on_quadratic_is_half_sigma_diag():
     p = make_quadratic(A, np.zeros(3))
     x = np.array([0.2, -0.1, 0.5])
     sigma = 0.01
-    est = ffd(clean_oracle(p), x, sigma)
+    est = estimate(clean_oracle(p), x, EstimatorConfig("FFD", sigma))
     bias = est.g - p.gradient_at(x)
     assert np.max(np.abs(bias - sigma * np.diag(A) / 2)) < 1e-10
 
@@ -74,20 +57,19 @@ def test_evaluation_accounting():
     p = make_sincos(n, 1.0, 2.0)
     x = np.full(n, 0.2)
     rng = RngStream(3).generator()
+    coordinate = DirectionSet(np.eye(n), "coordinate")
     cases = [
-        (lambda o: ffd(o, x, 0.01), n + 1),
-        (lambda o: cfd(o, x, 0.01), 2 * n),
-        (lambda o: linear_interp(o, x, coordinate_directions(n), 0.01), n + 1),
-        (lambda o: gsg(o, x, 0.01, N, rng), N + 1),
-        (lambda o: cgsg(o, x, 0.01, N, rng), 2 * N),
-        (lambda o: bsg(o, x, 0.01, N, rng), N + 1),
-        (lambda o: cbsg(o, x, 0.01, N, rng), 2 * N),
-        (lambda o: one_point_gsg(o, x, 0.01, N, rng, pedagogical=True), N),
-        (lambda o: one_point_bsg(o, x, 0.01, N, rng, pedagogical=True), N),
+        (EstimatorConfig("FFD", 0.01), n + 1),
+        (EstimatorConfig("CFD", 0.01), 2 * n),
+        (EstimatorConfig("LI", 0.01, direction_source=coordinate), n + 1),
+        (EstimatorConfig("GSG", 0.01, N), N + 1),
+        (EstimatorConfig("cGSG", 0.01, N), 2 * N),
+        (EstimatorConfig("BSG", 0.01, N), N + 1),
+        (EstimatorConfig("cBSG", 0.01, N), 2 * N),
     ]
-    for run, expected in cases:
+    for cfg, expected in cases:
         oracle = clean_oracle(p)
-        est = run(oracle)
+        est = estimate(oracle, x, cfg, rng)
         assert oracle.eval_count == expected
         assert est.evals_used == expected
 
@@ -121,15 +103,11 @@ def test_batched_core_matches_one_trial_at_a_time(method):
     G, _, qinv = estimate_trials(batched, x, method, 0.05, Q)
     single = NoisyOracle(p, noise, rng=RngStream(15).generator())
     for t in range(T):
-        if method in ("FFD", "CFD"):
-            est = (ffd if method == "FFD" else cfd)(single, x, 0.05)
-        elif method == "LI":
-            frame = DirectionSet(n, n, Q[t], "general_interp", 1.0)
-            est = linear_interp(single, x, frame, 0.05)
+        scheme = "general_interp" if method == "LI" else "gaussian"
+        source = None if method in ("FFD", "CFD") else DirectionSet(Q[t], scheme)
+        est = estimate(single, x, EstimatorConfig(method, 0.05, N, direction_source=source))
+        if method == "LI":
             assert abs(est.qinv_norm - qinv[t]) <= 1e-12 * qinv[t]
-        else:
-            fn = {"GSG": gsg, "cGSG": cgsg, "BSG": bsg, "cBSG": cbsg}[method]
-            est = fn(single, x, 0.05, N, directions=DirectionSet(n, N, Q[t], "gaussian", 1.0))
         assert np.max(np.abs(est.g - G[t])) <= 1e-9 * max(1.0, np.max(np.abs(G[t])))
     assert single.eval_count == batched.eval_count
 
@@ -138,7 +116,7 @@ def test_batched_li_redraws_a_singular_frame_once():
     n = 3
     row = np.array([0.6, 0.8, 0.0])
     singular = np.vstack([row, row, [0.0, 0.0, 1.0]])
-    good = interpolation_directions(n, RngStream(16).generator()).Q
+    good = trial_directions("LI", n, n, 1, RngStream(16).generator())[0]
     Q = np.stack([good, singular])
     p = make_linear(np.array([1.0, -2.0, 0.5]))
     oracle = clean_oracle(p)
@@ -160,8 +138,10 @@ def test_li_on_coordinate_directions_equals_ffd():
     p = make_sincos(8, 1.0, 2.0)
     x = np.linspace(-0.5, 0.5, 8)
     sigma = 0.02
-    g_ffd = ffd(clean_oracle(p), x, sigma).g
-    est = linear_interp(clean_oracle(p), x, coordinate_directions(8), sigma)
+    g_ffd = estimate(clean_oracle(p), x, EstimatorConfig("FFD", sigma)).g
+    coordinate = DirectionSet(np.eye(8), "coordinate")
+    est = estimate(clean_oracle(p), x,
+                   EstimatorConfig("LI", sigma, direction_source=coordinate))
     assert np.max(np.abs(est.g - g_ffd)) < 1e-12
     assert est.cond_Q == 1.0 and est.qinv_norm == 1.0
 
@@ -169,15 +149,17 @@ def test_li_on_coordinate_directions_equals_ffd():
 def test_li_exact_on_linear_with_general_frame():
     a = np.array([1.0, -2.0, 0.25, 3.0])
     p = make_linear(a)
-    frame = interpolation_directions(4, RngStream(4).generator())
-    est = linear_interp(clean_oracle(p), np.zeros(4), frame, 0.1)
+    est = estimate(clean_oracle(p), np.zeros(4), EstimatorConfig("LI", 0.1),
+                   RngStream(4).generator())
     assert np.max(np.abs(est.g - a)) < 1e-10
 
 
 def test_li_qinv_and_cond_match_svd():
-    frame = interpolation_directions(5, RngStream(5).generator())
+    frame = DirectionSet(trial_directions("LI", 5, 5, 1, RngStream(5).generator())[0],
+                         "general_interp")
     p = make_linear(np.ones(5))
-    est = linear_interp(clean_oracle(p), np.zeros(5), frame, 0.1)
+    est = estimate(clean_oracle(p), np.zeros(5),
+                   EstimatorConfig("LI", 0.1, direction_source=frame))
     svals = np.linalg.svd(frame.Q, compute_uv=False)
     assert abs(est.cond_Q - svals[0] / svals[-1]) < 1e-10
     assert abs(est.qinv_norm - 1.0 / svals[-1]) < 1e-10
@@ -186,17 +168,19 @@ def test_li_qinv_and_cond_match_svd():
 def test_li_singular_frame_rejected_before_any_evaluation():
     row = np.array([0.6, 0.8, 0.0])
     Q = np.vstack([row, row, [0.0, 0.0, 1.0]])
-    frame = DirectionSet(n=3, N=3, Q=Q, scheme="general_interp", max_row_norm=1.0)
+    frame = DirectionSet(Q, "general_interp")
     oracle = clean_oracle(make_linear(np.ones(3)))
     with pytest.raises(SingularDirections):
-        linear_interp(oracle, np.zeros(3), frame, 0.1)
+        estimate(oracle, np.zeros(3), EstimatorConfig("LI", 0.1, direction_source=frame))
     assert oracle.eval_count == 0
 
 
 def test_li_requires_square_frame():
-    frame = gaussian_directions(3, 5, RngStream(6).generator())
+    frame = DirectionSet(trial_directions("GSG", 3, 5, 1, RngStream(6).generator())[0],
+                         "gaussian")
     with pytest.raises(ValueError):
-        linear_interp(clean_oracle(make_linear(np.ones(3))), np.zeros(3), frame, 0.1)
+        estimate(clean_oracle(make_linear(np.ones(3))), np.zeros(3),
+                 EstimatorConfig("LI", 0.1, direction_source=frame))
 
 
 def test_gsg_li_shared_direction_identity():
@@ -204,10 +188,12 @@ def test_gsg_li_shared_direction_identity():
     n = 6
     p = make_sincos(n, 1.0, 2.0)
     x = np.full(n, 0.1)
-    frame = gaussian_directions(n, n, RngStream(7).generator())
+    frame = DirectionSet(trial_directions("GSG", n, n, 1, RngStream(7).generator())[0],
+                         "gaussian")
     sigma = 0.05
-    g_li = linear_interp(clean_oracle(p), x, frame, sigma).g
-    g_gsg = gsg(clean_oracle(p), x, sigma, n, directions=frame).g
+    g_li = estimate(clean_oracle(p), x, EstimatorConfig("LI", sigma, direction_source=frame)).g
+    g_gsg = estimate(clean_oracle(p), x,
+                     EstimatorConfig("GSG", sigma, n, direction_source=frame)).g
     assert np.max(np.abs(g_gsg - (frame.Q.T @ frame.Q) @ g_li / n)) < 1e-10
 
 
@@ -215,40 +201,17 @@ def test_smoothing_estimators_are_unbiased_on_linear():
     a = np.array([1.0, -1.0, 2.0])
     p = make_linear(a)
     x = np.zeros(3)
-    for name, fn in (("GSG", gsg), ("cGSG", cgsg), ("BSG", bsg), ("cBSG", cbsg)):
-        def check(factor, fn=fn, name=name):
+    for name in ("GSG", "cGSG", "BSG", "cBSG"):
+        def check(factor, name=name):
             trials = 2000 * factor
             err = np.empty((trials, 3))
             for t in range(trials):
                 rng = RngStream(8).generator(trials, t)
-                err[t] = fn(clean_oracle(p), x, 0.5, 4, rng).g - a
+                err[t] = estimate(clean_oracle(p), x, EstimatorConfig(name, 0.5, 4), rng).g - a
             for i in range(3):
                 assert_mean_within(err[:, i], 0.0, label=f"{name}[{i}]")
 
         run_with_resample(check)
-
-
-def test_one_point_forms_require_acknowledgement():
-    p = make_linear(np.ones(2))
-    rng = RngStream(9).generator()
-    with pytest.raises(ValueError, match="pedagogical"):
-        one_point_gsg(clean_oracle(p), np.zeros(2), 0.1, 4, rng)
-    with pytest.raises(ValueError, match="pedagogical"):
-        one_point_bsg(clean_oracle(p), np.zeros(2), 0.1, 4, rng)
-
-
-def test_one_point_variance_blows_up_as_sigma_shrinks():
-    # the f(x)^2/sigma^2 term: shrinking sigma inflates the estimate scale
-    p = make_linear(np.ones(4))
-    x = np.ones(4)  # f(x) = 4 != 0
-    norms = {}
-    for sigma in (1.0, 1e-3):
-        rng = RngStream(10).generator()
-        vals = [np.linalg.norm(one_point_gsg(clean_oracle(p), x, sigma, 8, rng,
-                                             pedagogical=True).g)
-                for _ in range(50)]
-        norms[sigma] = np.mean(vals)
-    assert norms[1e-3] > 100 * norms[1.0]
 
 
 def test_relative_error_values_and_zero_gradient():
@@ -266,6 +229,9 @@ def test_estimator_config_validation():
         EstimatorConfig(method="FFD", sigma=0.0)
     with pytest.raises(ValueError):
         EstimatorConfig(method="GSG", sigma=0.1, N=0)
+    with pytest.raises(ValueError, match="direction_source"):
+        EstimatorConfig(method="FFD", sigma=0.1,
+                        direction_source=DirectionSet(np.eye(2), "coordinate"))
 
 
 def test_estimate_dispatcher_contracts():
@@ -275,6 +241,11 @@ def test_estimate_dispatcher_contracts():
         estimate(clean_oracle(p), x, EstimatorConfig(method="GSG", sigma=0.1))
     with pytest.raises(ValueError, match="direction_source"):
         estimate(clean_oracle(p), x, EstimatorConfig(method="LI", sigma=0.1))
+    # no seed fallback: a method that draws needs rng or fixed directions
+    oracle = clean_oracle(p)
+    with pytest.raises(ValueError, match="rng"):
+        estimate(oracle, x, EstimatorConfig(method="GSG", sigma=0.1, N=3))
+    assert oracle.eval_count == 0
     est = estimate(clean_oracle(p), x, EstimatorConfig(method="CFD", sigma=0.01))
     assert est.method == "CFD"
     frame = orthonormal_directions(4, RngStream(11).generator())
@@ -283,13 +254,13 @@ def test_estimate_dispatcher_contracts():
     assert est.method == "LI"
 
 
-def test_estimate_with_retry_draws_fresh_li_frames():
+def test_estimate_draws_fresh_li_frames():
     p = make_sincos(4, 1.0, 2.0)
     cfg = EstimatorConfig(method="LI", sigma=0.01)
     oracle = clean_oracle(p)
     rng = RngStream(12).generator()
-    e1 = estimate_with_retry(oracle, np.zeros(4), cfg, rng)
-    e2 = estimate_with_retry(oracle, np.zeros(4), cfg, rng)
+    e1 = estimate(oracle, np.zeros(4), cfg, rng)
+    e2 = estimate(oracle, np.zeros(4), cfg, rng)
     assert oracle.eval_count == 10  # (n+1) twice
     assert e1.cond_Q != e2.cond_Q   # different random frames
 
@@ -298,7 +269,7 @@ def test_sigma_validation_everywhere():
     p = make_linear(np.ones(2))
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError):
-            ffd(clean_oracle(p), np.zeros(2), bad)
+            estimate(clean_oracle(p), np.zeros(2), EstimatorConfig("FFD", bad))
 
 
 @settings(max_examples=40, deadline=None)
@@ -313,7 +284,7 @@ def test_ffd_error_within_deterministic_bound_on_quadratics(diag, sigma, scale):
     A = np.diag(diag)
     p = make_quadratic(A, np.zeros(n))
     x = np.full(n, scale)
-    est = ffd(clean_oracle(p), x, sigma)
+    est = estimate(clean_oracle(p), x, EstimatorConfig("FFD", sigma))
     err = np.linalg.norm(est.g - p.gradient_at(x))
     bound = math.sqrt(n) * max(diag) * sigma / 2
     # rounding of f in the difference quotient costs up to eps |f| / sigma

@@ -400,6 +400,25 @@ def test_cli_bound_check_exit_codes(tmp_path, capsys):
     assert (tmp_path / "bc_probabilistic.csv").exists()
 
 
+def test_cli_bound_check_skips_pairs_without_constants(tmp_path, capsys):
+    # quadratic has M = 0 (no cGSG/cBSG condition table) and rosenbrock2 no
+    # M at all (no CFD/cGSG/cBSG bound): those pairs are skipped, not errors
+    out = tmp_path / "bc.csv"
+    rc = main(["bound-check", "--problems", "quadratic,rosenbrock2",
+               "--trials", "20", "--out", str(out)])
+    captured = capsys.readouterr().out
+    assert rc in (0, 1)
+    skipped = {("quadratic", "cGSG"), ("quadratic", "cBSG"), ("rosenbrock2", "CFD"),
+               ("rosenbrock2", "cGSG"), ("rosenbrock2", "cBSG")}
+    for problem, method in skipped:
+        assert f"skipped {method} on {problem}:" in captured
+    pairs = {tuple(line.split(",")[1:4:2])
+             for path in (out, tmp_path / "bc_probabilistic.csv")
+             for line in path.read_text().splitlines()[1:]}
+    assert pairs.isdisjoint(skipped)
+    assert len(pairs) == 2 * 7 - len(skipped)
+
+
 def test_cli_optimize_writes_trace(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     rc = main(["optimize", "--problem", "rosenbrock2", "--method", "FFD",

@@ -10,6 +10,7 @@ from gradest.bounds import condition_table
 from gradest.core import (
     NoiseModel,
     NoisyOracle,
+    ObjectiveFunction,
     get_problem,
     make_linear,
     make_quadratic,
@@ -66,6 +67,9 @@ def test_armijo_rejects_non_descent():
     x = np.ones(2)
     with pytest.raises(NotDescent):
         armijo_search(oracle, x, x.copy(), x.copy(), 1.0, LineSearchConfig())
+    with pytest.raises(NotDescent):  # a NaN slope is no descent either
+        armijo_search(oracle, x, -x, np.array([np.nan, 1.0]), 1.0, LineSearchConfig())
+    assert oracle.eval_count == 0
 
 
 def test_armijo_step_failure_and_eval_count():
@@ -161,6 +165,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         run_dfo(quad_oracle([1.0]), EstimatorConfig(method="CFD", sigma=1e-4),
                 LineSearchConfig(max_iters=None, eval_budget=None), np.ones(1))
+    with pytest.raises(ValueError, match="rng"):  # GSG draws: no seed fallback
+        run_dfo(quad_oracle([1.0]), EstimatorConfig(method="GSG", sigma=1e-4, N=2),
+                LineSearchConfig(max_iters=5), np.ones(1))
 
 
 def test_lbfgs_terminates_fast_on_quadratics():
@@ -251,6 +258,25 @@ def test_step_failure_terminates_after_three_strikes():
         assert all(r.backtracks == 4 for r in tail)  # max_backtracks + 1 marker
 
 
+def test_nonfinite_estimate_stops_in_place():
+    # phi leaves its domain at x[0] > 1; from x0[0] = 0.995 the FFD probe
+    # along e_0 crosses that line, so the first estimate carries a NaN
+    def value(x):
+        return math.nan if x[0] > 1 else float(x @ x)
+
+    p = ObjectiveFunction(name="edge", n=3, value_at=value,
+                          gradient_at=lambda x: 2 * x, lipschitz_gradient=2.0)
+    oracle = NoisyOracle(p)
+    x0 = np.array([0.995, 0.3, -0.2])
+    trace = run_dfo(oracle, EstimatorConfig(method="FFD", sigma=1e-2),
+                    LineSearchConfig(max_iters=50), x0)
+    assert trace.termination == "nonfinite"
+    assert oracle.eval_count == 1 + (3 + 1)  # f(x0), then one FFD estimate
+    [rec] = trace.records
+    assert rec.alpha == 0.0 and rec.evals_cumulative == oracle.eval_count
+    assert np.array_equal(rec.x, x0)
+
+
 def test_grad_norm_stop_writes_terminal_row():
     oracle = quad_oracle([2.0, 2.0])
     trace = run_dfo(
@@ -283,14 +309,11 @@ def test_norm_condition_sufficiency_along_trajectory(base_seed):
     sigma = math.sqrt(rep.sigma_lo * rep.sigma_hi)
     noise = NoiseModel("uniform_iid", eps_f, seed=base_seed)
     oracle = NoisyOracle(problem, noise, rng=RngStream(base_seed).generator(0))
-    est_cfg = EstimatorConfig(method="GSG", sigma=sigma, N=rep.n_min,
-                              seed=base_seed)
+    est_cfg = EstimatorConfig(method="GSG", sigma=sigma, N=rep.n_min)
     trace = run_dfo(oracle, est_cfg,
                     LineSearchConfig(max_iters=40, grad_norm_stop=1e-12),
                     np.zeros(20), rng=RngStream(base_seed).generator(1))
-    eligible = [r.x for r in trace.records
-                if r.true_grad_norm is not None
-                and r.true_grad_norm >= rep.grad_norm_min]
+    eligible = [r.x for r in trace.records if r.true_grad_norm >= rep.grad_norm_min]
     assert len(eligible) >= 3, "trajectory left the guarantee region too fast"
     samples, fails = 0, 0
     per_point = max(1, math.ceil(1000 / len(eligible)))
@@ -353,8 +376,7 @@ def test_fixed_step_gsg_smoke_on_rosenbrock():
 # ------------------------------------------------------------------ trace
 
 def test_trace_csv_format_and_nan_handling():
-    p = make_quadratic(np.diag([1.0, 2.0]), np.zeros(2), name="nograd")
-    object.__setattr__(p, "gradient_at", None)
+    p = make_quadratic(np.diag([1.0, 2.0]), np.zeros(2), name="q2")
     oracle = NoisyOracle(p)
     trace = fixed_step_dfo(
         oracle, EstimatorConfig(method="CFD", sigma=1e-6), 0.2,
@@ -362,10 +384,14 @@ def test_trace_csv_format_and_nan_handling():
     text = trace.to_csv_text()
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(TRACE_COLUMNS)
-    assert ",nan," in lines[1]  # true_grad_norm slot when no gradient oracle
+    assert lines[1].split(",")[3] == f"{trace.records[0].true_grad_norm:.17g}"
     buf = io.StringIO()
     trace.to_csv(buf)
     assert buf.getvalue() == text
     col = trace.column("true_grad_norm")
-    assert np.all(np.isnan(col))
+    assert np.array_equal(col, [r.true_grad_norm for r in trace.records])
     assert np.all(trace.column("f") == np.array([r.f for r in trace.records]))
+    # non-finite values render as nan, like every other float
+    nan_row = OptimizationTrace([IterationRecord(0, np.ones(2), 1.0, math.nan, math.nan,
+                                                 0.0, 3, 0, 0.0)])
+    assert nan_row.to_csv_text().split("\n")[1] == "0,1,nan,nan,0,3,0"

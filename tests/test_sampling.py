@@ -9,12 +9,9 @@ from conftest import assert_matrix_within, assert_mean_within, run_with_resample
 from gradest.sampling import (
     DirectionSet,
     RngStream,
-    coordinate_directions,
-    gaussian_directions,
-    interpolation_directions,
+    direction_stack,
     monte_carlo_moment,
     orthonormal_directions,
-    sphere_directions,
 )
 
 
@@ -29,34 +26,31 @@ def test_rngstream_substreams_are_reproducible_and_distinct():
 
 
 def test_coordinate_directions_are_identity():
-    ds = coordinate_directions(5)
+    ds = DirectionSet(np.eye(5), "coordinate")
     assert ds.scheme == "coordinate"
-    assert np.array_equal(ds.Q, np.eye(5))
-    assert ds.max_row_norm == 1.0
+    assert ds.n == ds.N == 5
 
 
 def test_gaussian_directions_shape_and_determinism():
-    ds1 = gaussian_directions(3, 7, RngStream(42).generator())
-    ds2 = gaussian_directions(3, 7, RngStream(42).generator())
-    assert ds1.Q.shape == (7, 3)
-    assert ds1.scheme == "gaussian"
-    assert np.array_equal(ds1.Q, ds2.Q)
+    Q1 = direction_stack("gaussian", 3, 7, 1, RngStream(42).generator())[0]
+    Q2 = direction_stack("gaussian", 3, 7, 1, RngStream(42).generator())[0]
+    assert Q1.shape == (7, 3)
+    assert np.array_equal(Q1, Q2)
 
 
 def test_gaussian_directions_first_moments():
     rng = RngStream(1).generator(2)
-    Q = gaussian_directions(5, 10**6, rng).Q
+    Q = direction_stack("gaussian", 5, 10**6, 1, rng)[0]
     assert np.all(np.abs(Q.mean(axis=0)) < 4.0 / math.sqrt(10**6))
     assert_mean_within(np.sum(Q * Q, axis=1), 5.0, label="E||u||^2 = n")
 
 
 def test_sphere_rows_unit_norm_and_moments():
     rng = RngStream(2).generator(1)
-    ds = sphere_directions(3, 2000, rng)
-    assert ds.scheme == "sphere"
-    norms = np.linalg.norm(ds.Q, axis=1)
+    Q = direction_stack("sphere", 3, 2000, 1, rng)[0]
+    norms = np.linalg.norm(Q, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
-    big = sphere_directions(2, 10**6, RngStream(2).generator(2)).Q
+    big = direction_stack("sphere", 2, 10**6, 1, RngStream(2).generator(2))[0]
     assert_mean_within(big[:, 0], 0.0, label="sphere odd moment")
     assert_mean_within(big[:, 0] ** 2, 0.5, label="E u1^2 = 1/n on sphere")
 
@@ -96,17 +90,15 @@ def test_orthonormal_first_entry_matches_haar_marginal():
 
 def test_interpolation_directions_max_norm_scaling():
     for n in (2, 8, 33):
-        ds = interpolation_directions(n, RngStream(9).generator(n))
-        assert ds.scheme == "general_interp"
-        norms = np.linalg.norm(ds.Q, axis=1)
+        Q = direction_stack("general_interp", n, n, 1, RngStream(9).generator(n))[0]
+        norms = np.linalg.norm(Q, axis=1)
         assert norms.max() <= 1.0 + 1e-12
         assert abs(norms.max() - 1.0) < 1e-12  # scaled BY the max, not below it
 
 
 def test_direction_set_shape_validation():
     with pytest.raises(ValueError):
-        DirectionSet(n=3, N=2, Q=np.zeros((3, 3)), scheme="gaussian",
-                     max_row_norm=1.0)
+        DirectionSet(np.zeros(3), "gaussian")
 
 
 # ---------------------------------------------------------------- moments
