@@ -19,9 +19,10 @@ from .bounds import (BoundReport, bernstein_sample_size,
                      deterministic_error_bound, error_floor,
                      ffd_exact_sigma_interval, smoothing_bias_bound,
                      variance_kappa)
-from .optimizer import (IterationRecord, LineSearchConfig, NotDescent,
-                        OptimizationTrace, StepFailure, armijo_search,
-                        fixed_step_dfo, lbfgs_direction, run_dfo)
+from .optimizer import (CurvaturePair, IterationRecord, LineSearchConfig,
+                        NotDescent, OptimizationTrace, StepFailure,
+                        armijo_search, fixed_step_dfo, lbfgs_direction,
+                        run_dfo)
 from .experiments import (ExperimentSpec, ProfileData, SolverSpec,
                           parse_solver, run_bound_validation,
                           run_optimizer_benchmark, run_relative_error_sweep,
@@ -48,7 +49,7 @@ __all__ = [
     "error_floor",
     # optimizer
     "LineSearchConfig", "IterationRecord", "OptimizationTrace", "NotDescent",
-    "StepFailure", "armijo_search", "lbfgs_direction", "run_dfo",
+    "StepFailure", "CurvaturePair", "armijo_search", "lbfgs_direction", "run_dfo",
     "fixed_step_dfo",
     # experiments
     "ExperimentSpec", "SolverSpec", "ProfileData", "parse_solver",

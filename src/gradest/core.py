@@ -111,8 +111,9 @@ class NoisyOracle:
     """Counting oracle for f(x) = phi(x) + eps(x).
 
     Each scalar evaluation increments eval_count by exactly one; batch
-    evaluation of K rows increments it by K. Not thread-safe: concurrent
-    harnesses must give each worker its own clone() and merge counters.
+    evaluation of K rows increments it by K. clone() gives an oracle on the
+    same objective and noise model with a zero counter and, for uniform_iid
+    noise, an independent noise substream.
     """
 
     def __init__(self, objective: ObjectiveFunction, noise: NoiseModel | None = None,
@@ -149,6 +150,12 @@ class NoisyOracle:
             raise ValueError(f"point has shape {x.shape}, expected ({self.objective.n},)")
         self.eval_count += 1
         phi = float(self.objective.value_at(x))
+        level = self.noise.level
+        if level == 0.0:
+            return phi + 0.0   # + 0.0 turns a -0.0 value into +0.0, as a batch row does
+        if self._rng is not None:
+            # the same double as the batch path's uniform(-level, level, 1)[0]
+            return phi + self._rng.uniform(-level, level)
         return phi + float(self._noise_batch(x[None, :])[0])
 
     def eval_batch(self, X: Array) -> Array:

@@ -30,7 +30,7 @@ from . import bounds as bnd
 from .core import NoiseModel, NoisyOracle, get_problem, make_linear, make_standard_problems
 from .estimators import (CENTRAL, EstimatorConfig, estimate_trials,
                          trial_directions)
-from .optimizer import LineSearchConfig, fixed_step_dfo, run_dfo
+from .optimizer import LineSearchConfig, OptimizationTrace, fixed_step_dfo, run_dfo
 from .sampling import RngStream
 
 # Substream tags: one fixed integer per random role, so no two roles ever
@@ -358,8 +358,11 @@ def _bound_problems(spec: ExperimentSpec) -> list:
 
 def _missing_constant(problem, method: str) -> str | None:
     """Why method's bounds cannot be evaluated on problem, or None: CFD,
-    cGSG and cBSG need the Hessian's Lipschitz constant M, and the
-    condition table of cGSG and cBSG needs M > 0."""
+    cGSG and cBSG need the Hessian's Lipschitz constant M, the condition
+    table of cGSG and cBSG needs M > 0, and that of GSG and BSG L > 0."""
+    if method in ("GSG", "BSG") and not problem.lipschitz_gradient > 0:
+        return ("the condition table needs L > 0, the problem has "
+                f"L = {problem.lipschitz_gradient:g}")
     M = problem.lipschitz_hessian
     if M is None and method in ("CFD", "cGSG", "cBSG"):
         return "the problem declares no Hessian Lipschitz constant M"
@@ -567,12 +570,14 @@ class BenchmarkResult:
 
 
 BENCH_HEADER = ("problem", "n", "solver", "tau", "trial", "seed", "budget",
-                "evals_to_solve", "f0", "f_ref", "f_best")
+                "evals_to_solve", "f0", "f_ref", "f_best", "termination",
+                "iters", "evals_used")
 
 
 def _run_solver(problem, solver: SolverSpec, spec: ExperimentSpec, budget: int,
-                rng_indices) -> tuple[np.ndarray, np.ndarray]:
-    """One solver run; returns (cumulative evals, true phi) per iterate."""
+                rng_indices) -> tuple[OptimizationTrace, np.ndarray, np.ndarray]:
+    """One solver run; returns the trace and (cumulative evals, true phi)
+    per iterate."""
     eps_f = spec.eps_fs[0]
     oracle = _make_oracle(problem, spec, eps_f, *rng_indices)
     rng = RngStream(spec.seed).generator(_TAG_BENCH, *rng_indices)
@@ -586,11 +591,11 @@ def _run_solver(problem, solver: SolverSpec, spec: ExperimentSpec, budget: int,
                               max_iters=10_000_000)
         trace = run_dfo(oracle, cfg, ls, x0, rng)
     if not trace.records:
-        return np.empty(0, dtype=int), np.empty(0)
+        return trace, np.empty(0, dtype=int), np.empty(0)
     X = np.stack([r.x for r in trace.records])
     phi = problem.batch_value(X)
     evals = np.array([r.evals_cumulative for r in trace.records])
-    return evals, phi
+    return trace, evals, phi
 
 
 def run_optimizer_benchmark(spec: ExperimentSpec) -> BenchmarkResult:
@@ -636,21 +641,22 @@ def run_optimizer_benchmark(spec: ExperimentSpec) -> BenchmarkResult:
             for t in range(trials):
                 best = math.inf
                 for s_idx in range(n_solvers):
-                    _, phi = runs[(p_idx, s_idx, t)]
+                    _, _, phi = runs[(p_idx, s_idx, t)]
                     if phi.size:
                         best = min(best, float(np.min(phi)))
-                _, ref_phi = refs[(p_idx, t)]
+                _, _, ref_phi = refs[(p_idx, t)]
                 if ref_phi.size:
                     best = min(best, float(np.min(ref_phi)))
                 target = f0 - (1.0 - tau) * (f0 - best)
                 for s_idx, solver in enumerate(solvers):
-                    evals, phi = runs[(p_idx, s_idx, t)]
+                    trace, evals, phi = runs[(p_idx, s_idx, t)]
                     hit = np.nonzero(phi <= target)[0] if phi.size else []
                     solved_at = float(evals[hit[0]]) if len(hit) else math.inf
                     t_solve[(tau, p_idx, t, s_idx)] = solved_at
                     raw.add(problem.name, problem.n, solver.label, tau, t,
                             spec.seed, budget, solved_at, f0, best,
-                            float(np.min(phi)) if phi.size else math.nan)
+                            float(np.min(phi)) if phi.size else math.nan,
+                            trace.termination, len(trace.records), trace.evals_used)
 
     data_profiles = {}
     perf_profiles = {}

@@ -15,6 +15,7 @@ import dataclasses
 import io
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
     "LineSearchConfig",
     "IterationRecord",
     "OptimizationTrace",
+    "CurvaturePair",
     "armijo_search",
     "lbfgs_direction",
     "run_dfo",
@@ -116,10 +118,6 @@ class OptimizationTrace:
         return self.records[-1].x
 
     @property
-    def final_f(self) -> float:
-        return self.records[-1].f
-
-    @property
     def evals_used(self) -> int:
         return self.records[-1].evals_cumulative if self.records else 0
 
@@ -173,31 +171,48 @@ def armijo_search(oracle: NoisyOracle, x: Array, d: Array, g: Array,
     raise StepFailure(f"no acceptable step within {cfg.max_backtracks} backtracks")
 
 
-def lbfgs_direction(history, g: Array) -> Array:
-    """Two-loop recursion over the stored (s, y) pairs, oldest first.
+class CurvaturePair(NamedTuple):
+    """An L-BFGS pair (s, y) with its g-independent scalars: sy = s'y,
+    y_norm = ||y||, and curved, the verdict s'y > CURVATURE_GUARD ||s|| ||y||.
+    Build it with CurvaturePair.of(s, y), which computes them once."""
 
-    Pairs with s'y <= CURVATURE_GUARD * ||s|| ||y|| are skipped, as are
-    pairs whose ||y|| is below 1e-8 ||g||: estimated gradients carry
-    difference-quotient rounding, and "curvature" at that scale is noise
-    whose gamma = s'y / y'y would blow up the initial scaling (on an exactly
-    linear objective it reaches 1e10). Empty usable history gives -g. The
-    initial scaling comes from the newest usable pair.
+    s: Array
+    y: Array
+    sy: float
+    y_norm: float
+    curved: bool
+
+    @classmethod
+    def of(cls, s: Array, y: Array) -> "CurvaturePair":
+        sy = np.dot(s, y)
+        y_norm = np.linalg.norm(y)
+        return cls(s, y, float(sy), float(y_norm),
+                   bool(sy > CURVATURE_GUARD * np.linalg.norm(s) * y_norm))
+
+
+def lbfgs_direction(history: list[CurvaturePair], g: Array) -> Array:
+    """Two-loop recursion over the stored curvature pairs, oldest first.
+
+    Pairs that are not curved (s'y <= CURVATURE_GUARD * ||s|| ||y||) are
+    skipped, as are pairs whose ||y|| is below 1e-8 ||g||: estimated
+    gradients carry difference-quotient rounding, and "curvature" at that
+    scale is noise whose gamma = s'y / y'y would blow up the initial scaling
+    (on an exactly linear objective it reaches 1e10). Empty usable history
+    gives -g. The initial scaling comes from the newest usable pair.
     """
     g_scale = 1e-8 * float(np.linalg.norm(g))
-    usable = [(s, y, float(np.dot(s, y))) for s, y in history
-              if np.linalg.norm(y) > g_scale
-              and np.dot(s, y) > CURVATURE_GUARD * np.linalg.norm(s) * np.linalg.norm(y)]
+    usable = [p for p in history if p.curved and p.y_norm > g_scale]
     if not usable:
         return -np.asarray(g, dtype=float)
     q = np.array(g, dtype=float)
     alphas = []
-    for s, y, sy in reversed(usable):
+    for s, y, sy, _, _ in reversed(usable):
         a = np.dot(s, q) / sy
         alphas.append(a)
         q -= a * y
-    s_new, y_new, sy_new = usable[-1]
-    q *= sy_new / float(np.dot(y_new, y_new))
-    for (s, y, sy), a in zip(usable, reversed(alphas)):
+    newest = usable[-1]
+    q *= newest.sy / float(np.dot(newest.y, newest.y))
+    for (s, y, sy, _, _), a in zip(usable, reversed(alphas)):
         b = np.dot(y, q) / sy
         q += (a - b) * s
     d = -q
@@ -232,7 +247,7 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
     trace = OptimizationTrace()
     f_x = oracle(x)
 
-    history: list[tuple[Array, Array]] = []
+    history: list[CurvaturePair] = []
     prev_x = prev_g = None
     stop_norm = ls_cfg.grad_norm_stop
     alpha0_local = ls_cfg.alpha0
@@ -259,7 +274,7 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
             stop_norm = 1e-6 * g_norm
 
         if ls_cfg.direction == "lbfgs" and prev_g is not None and np.any(x != prev_x):
-            history.append((x - prev_x, g - prev_g))
+            history.append(CurvaturePair.of(x - prev_x, g - prev_g))
             if len(history) > ls_cfg.memory:
                 history.pop(0)
         prev_x, prev_g = x, g
@@ -278,7 +293,8 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
         slope = float(np.dot(g, d))
 
         try:
-            cfg_k = dataclasses.replace(ls_cfg, alpha0=alpha0_local)
+            cfg_k = (ls_cfg if alpha0_local == ls_cfg.alpha0
+                     else dataclasses.replace(ls_cfg, alpha0=alpha0_local))
             alpha, x_new, f_new, backtracks = armijo_search(oracle, x, d, g, f_x, cfg_k)
         except StepFailure:
             consecutive_failures += 1

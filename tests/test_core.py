@@ -11,6 +11,7 @@ import gradest
 from gradest.core import (
     NoiseModel,
     NoisyOracle,
+    ObjectiveFunction,
     get_problem,
     make_linear,
     make_quadratic,
@@ -175,6 +176,37 @@ def test_batch_and_scalar_noise_share_one_stream_position():
     batch = a.eval_batch(X)
     singles = np.array([b(x) for x in X])
     assert np.allclose(batch, singles, atol=1e-15)
+
+
+ZERO = ObjectiveFunction(name="zero", n=3, value_at=lambda x: 0.0,
+                         gradient_at=lambda x: np.zeros(3), lipschitz_gradient=0.0,
+                         value_batch=lambda X: np.zeros(X.shape[0]))
+
+
+@pytest.mark.parametrize("kind", ["uniform_iid", "sinusoidal_deterministic"])
+def test_scalar_call_draws_the_noise_of_a_one_row_batch(kind):
+    # phi = 0 exposes the noise itself: a scalar call and a twin oracle's
+    # one-row batch must give the same doubles, draw after draw
+    noise = NoiseModel(kind, 1e-3, seed=5)
+    a = NoisyOracle(ZERO, noise, rng=RngStream(5).generator(1))
+    b = NoisyOracle(ZERO, noise, rng=RngStream(5).generator(1))
+    X = RngStream(6).generator().uniform(-2.0, 2.0, (200, 3))
+    scalar = np.array([a(x) for x in X])
+    rows = np.array([b.eval_batch(x[None])[0] for x in X])
+    assert np.all(scalar != 0.0)
+    assert scalar.tobytes() == rows.tobytes()
+    assert a.eval_count == b.eval_count == len(X)
+
+
+@pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel("uniform_iid", 0.0)])
+def test_noiseless_scalar_call_writes_positive_zero(noise):
+    # the trace CSV would otherwise write -0 where a batch row gives 0
+    minus_zero = ObjectiveFunction(name="minus_zero", n=2, value_at=lambda x: -0.0,
+                                   gradient_at=lambda x: np.zeros(2),
+                                   lipschitz_gradient=0.0)
+    value = NoisyOracle(minus_zero, noise)(np.zeros(2))
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    assert f"{value:.17g}" == "0"
 
 
 @pytest.mark.parametrize("module", ["gradest"] + [

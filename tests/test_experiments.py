@@ -277,6 +277,11 @@ def test_bound_validation_probabilistic_rows_and_empty_interval():
 # ---------------------------------------------------------------- benchmark
 
 
+# the termination values the README documents for bench rows
+BENCH_TERMINATIONS = {"eval_budget", "max_iters", "grad_norm_stop", "step_failure",
+                      "nonfinite", "divergence"}
+
+
 @pytest.fixture(scope="module")
 def bench_result():
     spec = ExperimentSpec(experiment="optimizer_benchmark",
@@ -296,6 +301,15 @@ def test_benchmark_raw_table(bench_result):
         assert r["evals_to_solve"] == np.inf or r["evals_to_solve"] <= r["budget"]
         assert r["f_best"] <= r["f0"]
         assert r["f_ref"] <= r["f_best"] + 1e-12
+        # the budget is tested before each iteration, so a run may finish
+        # the iteration it started: at most n + 1 estimate evaluations
+        # (N = n for gsg:n) and max_backtracks + 1 line-search ones past it
+        assert r["termination"] in BENCH_TERMINATIONS
+        assert r["iters"] >= 1
+        assert r["evals_to_solve"] == np.inf or r["evals_to_solve"] <= r["evals_used"]
+        assert r["evals_used"] <= r["budget"] + r["n"] + 1 + 31
+        if r["termination"] == "eval_budget":
+            assert r["evals_used"] >= r["budget"]
 
 
 def test_benchmark_profiles_are_monotone_fractions(bench_result):
@@ -417,6 +431,21 @@ def test_cli_bound_check_skips_pairs_without_constants(tmp_path, capsys):
              for line in path.read_text().splitlines()[1:]}
     assert pairs.isdisjoint(skipped)
     assert len(pairs) == 2 * 7 - len(skipped)
+
+
+def test_bound_check_skips_smoothing_pairs_without_positive_L(tmp_path, capsys):
+    # linear declares L = M = 0: the condition tables of GSG and BSG need
+    # L > 0 and those of cGSG and cBSG M > 0, so all four are skipped
+    spec = ExperimentSpec(experiment="bound_validation", problems=("linear",))
+    skipped = {(p, m) for p, m, _ in experiments.bound_check_skips(spec)}
+    assert skipped == {("linear", m) for m in ("GSG", "BSG", "cGSG", "cBSG")}
+    out = tmp_path / "bc.csv"
+    rc = main(["bound-check", "--problems", "linear", "--trials", "5",
+               "--out", str(out)])
+    captured = capsys.readouterr().out
+    assert rc in (0, 1)
+    assert "skipped GSG on linear: the condition table needs L > 0" in captured
+    assert "skipped BSG on linear: the condition table needs L > 0" in captured
 
 
 def test_cli_optimize_writes_trace(tmp_path, capsys):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gradest.bounds import condition_table
 from gradest.core import (
@@ -18,7 +20,9 @@ from gradest.core import (
 )
 from gradest.estimators import EstimatorConfig, estimate, relative_error
 from gradest.optimizer import (
+    CURVATURE_GUARD,
     TRACE_COLUMNS,
+    CurvaturePair,
     IterationRecord,
     LineSearchConfig,
     NotDescent,
@@ -120,7 +124,7 @@ def test_lbfgs_empty_history_is_steepest_descent():
 def test_lbfgs_recovers_newton_direction_on_diagonal_quadratic():
     diag = np.array([1.0, 3.0, 10.0])
     eye = np.eye(3)
-    history = [(eye[i], diag[i] * eye[i]) for i in range(3)]  # s=e_i, y=As
+    history = [CurvaturePair.of(eye[i], diag[i] * eye[i]) for i in range(3)]  # s=e_i, y=As
     g = np.array([2.0, -1.5, 5.0])
     d = lbfgs_direction(history, g)
     assert np.max(np.abs(d + g / diag)) < 1e-10
@@ -130,7 +134,7 @@ def test_lbfgs_skips_flat_pairs():
     g = np.array([1.0, 1.0])
     s = np.array([1.0, 0.0])
     y = np.array([-1.0, 0.0])  # s'y < 0: not a curvature pair
-    assert np.array_equal(lbfgs_direction([(s, y)], g), -g)
+    assert np.array_equal(lbfgs_direction([CurvaturePair.of(s, y)], g), -g)
 
 
 def test_lbfgs_direction_is_descent_for_positive_pairs():
@@ -143,12 +147,72 @@ def test_lbfgs_direction_is_descent_for_positive_pairs():
             y = rng.standard_normal(n)
             if np.dot(s, y) <= 1e-8:
                 y = s + 0.1 * y if np.dot(s, s + 0.1 * y) > 1e-8 else s
-            history.append((s, y))
+            history.append(CurvaturePair.of(s, y))
         g = rng.standard_normal(n)
         if np.linalg.norm(g) < 1e-12:
             continue
         d = lbfgs_direction(history, g)
         assert np.dot(g, d) < 0
+
+
+def reference_lbfgs_direction(history, g):
+    """The two-loop recursion on raw (s, y) pairs, every norm and s'y
+    recomputed on each call."""
+    g_scale = 1e-8 * float(np.linalg.norm(g))
+    usable = [(s, y, float(np.dot(s, y))) for s, y in history
+              if np.linalg.norm(y) > g_scale
+              and np.dot(s, y) > CURVATURE_GUARD * np.linalg.norm(s) * np.linalg.norm(y)]
+    if not usable:
+        return -np.asarray(g, dtype=float)
+    q = np.array(g, dtype=float)
+    alphas = []
+    for s, y, sy in reversed(usable):
+        a = np.dot(s, q) / sy
+        alphas.append(a)
+        q -= a * y
+    s_new, y_new, sy_new = usable[-1]
+    q *= sy_new / float(np.dot(y_new, y_new))
+    for (s, y, sy), a in zip(usable, reversed(alphas)):
+        b = np.dot(y, q) / sy
+        q += (a - b) * s
+    d = -q
+    if np.dot(g, d) >= 0.0:
+        return -np.asarray(g, dtype=float)
+    return d
+
+
+def _pair(kind, n, g_norm, rng):
+    s = rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 2)
+    if kind == "curved":        # y = Ds with a positive diagonal D
+        return s, s * rng.uniform(0.01, 100.0, n)
+    if kind == "anti":          # s'y < 0: fails the curvature guard
+        return s, -s * rng.uniform(0.01, 100.0, n)
+    if kind == "tiny":          # curved, but ||y|| far below 1e-8 ||g||
+        return s, s / np.linalg.norm(s) * g_norm * 1e-8 * rng.uniform(1e-6, 0.99)
+    # "edge": s'y within a factor 2 of the guard's threshold, either side
+    z = rng.standard_normal(n)
+    z -= np.dot(z, s) / np.dot(s, s) * s
+    y = z + rng.uniform(0.5, 2.0) * CURVATURE_GUARD * np.linalg.norm(z) / np.linalg.norm(s) * s
+    return s, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    kinds=st.lists(st.sampled_from(["curved", "anti", "tiny", "edge"]), max_size=10),
+    g_exp=st.floats(-6.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3, kinds=[], g_exp=0.0, seed=0)
+@example(n=3, kinds=["anti", "tiny", "anti"], g_exp=0.0, seed=1)
+def test_lbfgs_on_cached_pairs_matches_reference_bitwise(n, kinds, g_exp, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(n) * 10.0 ** g_exp
+    raw = [_pair(kind, n, float(np.linalg.norm(g)), rng) for kind in kinds]
+    d = lbfgs_direction([CurvaturePair.of(s, y) for s, y in raw], g)
+    ref = reference_lbfgs_direction(raw, g)
+    assert d.dtype == ref.dtype and d.shape == ref.shape
+    assert d.tobytes() == ref.tobytes()
 
 
 # ----------------------------------------------------------------- run_dfo
