@@ -1,27 +1,31 @@
 """Command-line driver.
 
 Subcommands: estimate, bounds, sweep, theta-dist, bound-check, optimize,
-bench. Global flags --seed/--out/--trials apply to every subcommand;
-experiment subcommands also accept --spec pointing at a JSON file whose keys
-are ExperimentSpec fields (flags override file values). The experiment
-subcommands run single-threaded: each cell's trials go through the batched
-estimator core with their own direction and noise streams, so the same seed
-always writes the same bytes.
+bench. Every subcommand takes --out and --seed. The experiment subcommands
+(sweep, theta-dist, bound-check, bench) build one ExperimentSpec: each of
+their flags is stored under its ExperimentSpec field name, and the spec is
+the --spec JSON file's fields updated with the flags that were given, so a
+flag left out keeps the file's value or else the spec default. They run
+single-threaded: each cell's trials go through the batched estimator core
+with their own direction and noise streams, so the same seed always writes
+the same bytes. A usage error or a bad input value prints one
+"gradest: error: ..." line and returns 2.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import bounds as bnd
-from .core import NoiseModel, NoisyOracle, get_problem
-from .estimators import (METHODS, EstimatorConfig, ZeroGradient, estimate,
+from .core import get_problem
+from .estimators import (EstimatorConfig, ZeroGradient, estimate, method_name,
                          relative_error)
-from .experiments import (EXPERIMENTS, ExperimentSpec, bound_check_skips,
+from .experiments import (ExperimentSpec, bound_check_skips, make_oracle,
                           run_bound_validation, run_optimizer_benchmark,
                           run_relative_error_sweep, run_theta_distribution)
 from .optimizer import LineSearchConfig, fixed_step_dfo, run_dfo
@@ -29,25 +33,36 @@ from .sampling import RngStream
 
 __all__ = ["main"]
 
-
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split(",") if t.strip())
+_SPEC_FIELDS = frozenset(f.name for f in fields(ExperimentSpec))
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(",") if t.strip())
+def _arg_type(parse):
+    """parse as an argparse type: a ValueError it raises is reported with
+    its own message rather than argparse's generic one."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def _strs(text: str) -> tuple[str, ...]:
     return tuple(t.strip() for t in text.split(",") if t.strip())
 
 
-_METHOD_BY_LOWER = {m.lower(): m for m in METHODS}
+_STRS = _arg_type(_strs)
+_FLOATS = _arg_type(lambda text: tuple(float(t) for t in _strs(text)))
+_INTS = _arg_type(lambda text: tuple(int(t) for t in _strs(text)))
+_METHOD = _arg_type(method_name)
 
 
-def _canon_method(name: str) -> str:
-    # unknown names pass through so the config error can list the choices
-    return _METHOD_BY_LOWER.get(name.strip().lower(), name)
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ValueError, so main reports them like any
+    other bad input instead of exiting from inside parse_args."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _sibling(out: str, suffix: str) -> str:
@@ -55,39 +70,25 @@ def _sibling(out: str, suffix: str) -> str:
     return str(p.with_name(p.stem + suffix + p.suffix))
 
 
-def _spec_from_args(args, experiment: str, **overrides) -> ExperimentSpec:
+def _spec_from_args(args, experiment: str) -> ExperimentSpec:
+    """The --spec file's fields updated with the flags that were given."""
     data = {}
     if getattr(args, "spec", None):
         with open(args.spec) as fh:
             data = json.load(fh)
+    data.update((k, v) for k, v in vars(args).items() if k in _SPEC_FIELDS)
     data["experiment"] = experiment
-    data["seed"] = args.seed
-    if args.trials is not None:
-        data["trials"] = args.trials
-    for key, value in overrides.items():
-        if value is not None:
-            data[key] = value
     return ExperimentSpec.from_dict(data)
-
-
-def _make_oracle(problem, args) -> NoisyOracle:
-    if args.eps_f > 0:
-        kind = args.noise_kind or "uniform_iid"
-        noise = NoiseModel(kind=kind, level=args.eps_f, seed=args.seed)
-    else:
-        noise = NoiseModel()
-    rng = None
-    if noise.kind == "uniform_iid":
-        rng = RngStream(args.seed).generator(1)
-    return NoisyOracle(problem, noise, rng=rng)
 
 
 def _cmd_estimate(args) -> int:
     problem, x0 = get_problem(args.problem)
-    x = np.array(_floats(args.point)) if args.point else x0
+    x = np.array(args.point) if args.point else x0
     if x.shape != (problem.n,):
         raise ValueError(f"point must have {problem.n} coordinates")
-    oracle = _make_oracle(problem, args)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"point must be finite, got {args.point}")
+    oracle = make_oracle(problem, args.noise_kind, args.eps_f, args.seed, 1)
     cfg = EstimatorConfig(method=args.method, sigma=args.sigma, N=args.N)
     est = estimate(oracle, x, cfg, RngStream(args.seed).generator(2))
     out = {
@@ -129,15 +130,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = _spec_from_args(
-        args, "relative_error_sweep",
-        problems=_strs(args.problems) if args.problems else None,
-        methods=_strs(args.methods) if args.methods else None,
-        sigmas=_floats(args.sigmas) if args.sigmas else None,
-        eps_fs=_floats(args.eps_fs) if args.eps_fs else None,
-        noise_kind=args.noise_kind,
-        sample_factor=args.sample_factor,
-        points_per_problem=args.points)
+    spec = _spec_from_args(args, "relative_error_sweep")
     rows, summary = run_relative_error_sweep(spec)
     out = args.out or "sweep.csv"
     rows.write(out)
@@ -148,9 +141,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_theta_dist(args) -> int:
-    spec = _spec_from_args(
-        args, "theta_distribution", n=args.n,
-        N_list=_ints(args.N_list) if args.N_list else None)
+    spec = _spec_from_args(args, "theta_distribution")
     table = run_theta_distribution(spec)
     if args.out:
         table.write(args.out)
@@ -161,15 +152,7 @@ def _cmd_theta_dist(args) -> int:
 
 
 def _cmd_bound_check(args) -> int:
-    spec = _spec_from_args(
-        args, "bound_validation",
-        problems=_strs(args.problems) if args.problems else None,
-        methods=_strs(args.methods) if args.methods else None,
-        sigmas=_floats(args.sigmas) if args.sigmas else None,
-        eps_fs=_floats(args.eps_fs) if args.eps_fs else None,
-        noise_kind=args.noise_kind,
-        theta=args.theta, delta=args.delta,
-        points_per_problem=args.points)
+    spec = _spec_from_args(args, "bound_validation")
     for problem, method, why in bound_check_skips(spec):
         print(f"skipped {method} on {problem}: {why}")
     det, prob = run_bound_validation(spec)
@@ -180,11 +163,11 @@ def _cmd_bound_check(args) -> int:
 
     def passed(table):
         col = table.column("passed")
-        return sum(1 for v in col if v is True or v == "true"), len(col)
+        return sum(v is True for v in col), len(col)
 
     d_ok, d_all = passed(det)
     p_ok, p_all = passed(prob)
-    d_skip = sum(1 for v in det.column("round_off") if v is True or v == "true")
+    d_skip = sum(v is True for v in det.column("round_off"))
     p_skip = sum(1 for v in prob.column("interval") if v != "nonempty")
     print(f"deterministic rows: {d_ok}/{d_all} passed, {d_skip} excluded as "
           f"round-off ({out})")
@@ -195,7 +178,7 @@ def _cmd_bound_check(args) -> int:
 
 def _cmd_optimize(args) -> int:
     problem, x0 = get_problem(args.problem)
-    oracle = _make_oracle(problem, args)
+    oracle = make_oracle(problem, args.noise_kind, args.eps_f, args.seed, 1)
     cfg = EstimatorConfig(method=args.method, sigma=args.sigma, N=args.N)
     rng = RngStream(args.seed).generator(3)
     if args.step == "fixed":
@@ -216,14 +199,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    spec = _spec_from_args(
-        args, "optimizer_benchmark",
-        problems=_strs(args.problems) if args.problems else None,
-        solvers=_strs(args.solvers) if args.solvers else None,
-        eps_fs=_floats(args.eps_fs) if args.eps_fs else None,
-        noise_kind=args.noise_kind,
-        budget_factor=args.budget_factor,
-        taus=_floats(args.taus) if args.taus else None)
+    spec = _spec_from_args(args, "optimizer_benchmark")
     result = run_optimizer_benchmark(spec)
     out = args.out or "bench.csv"
     result.raw.write(out)
@@ -241,37 +217,55 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gradest",
         description="Gradient estimation from noisy function values: "
                     "estimators, error bounds, and DFO experiments.")
+    kinds = ("uniform_iid", "sinusoidal_deterministic")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     common.add_argument("--out", default=None, help="output path")
-    common.add_argument("--trials", type=int, default=None,
-                        help="trials per cell (default per experiment)")
+    single = argparse.ArgumentParser(add_help=False, parents=[common])
+    single.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     noise = argparse.ArgumentParser(add_help=False)
     noise.add_argument("--eps-f", type=float, default=0.0, help="noise level bound")
-    noise.add_argument("--noise-kind", default=None,
-                       choices=("uniform_iid", "sinusoidal_deterministic"))
-    specfile = argparse.ArgumentParser(add_help=False)
-    specfile.add_argument("--spec", default=None,
-                          help="JSON file with ExperimentSpec fields")
+    noise.add_argument("--noise-kind", default="uniform_iid", choices=kinds)
+    # experiment flags: dest is the ExperimentSpec field, and a flag that is
+    # not given leaves the spec file's value or the spec default in place
+    spec = argparse.ArgumentParser(add_help=False, parents=[common],
+                                   argument_default=argparse.SUPPRESS)
+    spec.add_argument("--spec", help="JSON file with ExperimentSpec fields; "
+                                     "flags that are given override it")
+    spec.add_argument("--seed", type=int, help="base seed (default 0)")
+    spec.add_argument("--trials", type=int,
+                      help="trials per cell (default per experiment)")
+    grid = argparse.ArgumentParser(add_help=False, parents=[spec],
+                                   argument_default=argparse.SUPPRESS)
+    grid.add_argument("--problems", type=_STRS, help="comma-separated names")
+    grid.add_argument("--eps-fs", type=_FLOATS,
+                      help="comma-separated noise levels (bench uses the first)")
+    grid.add_argument("--noise-kind", choices=kinds)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("estimate", parents=[common, noise],
+    def experiment(name, parent, fn, help):
+        p = sub.add_parser(name, parents=[parent], help=help,
+                           argument_default=argparse.SUPPRESS)
+        p.set_defaults(fn=fn)
+        return p
+
+    p = sub.add_parser("estimate", parents=[single, noise],
                        help="one gradient estimate at a point")
     p.add_argument("--problem", default="sincos20")
-    p.add_argument("--method", required=True)
+    p.add_argument("--method", type=_METHOD, required=True)
     p.add_argument("--sigma", type=float, default=0.01)
     p.add_argument("--N", type=int, default=None)
-    p.add_argument("--point", default=None, help="comma-separated coordinates (default x0)")
+    p.add_argument("--point", type=_FLOATS, default=None,
+                   help="comma-separated coordinates (default x0)")
     p.set_defaults(fn=_cmd_estimate)
 
-    p = sub.add_parser("bounds", parents=[common],
+    p = sub.add_parser("bounds", parents=[single],
                        help="norm-condition table row as JSON")
-    p.add_argument("--method", required=True)
+    p.add_argument("--method", type=_METHOD, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--theta", type=float, default=0.5)
     p.add_argument("--delta", type=float, default=None)
@@ -283,38 +277,32 @@ def main(argv=None) -> int:
     p.add_argument("--cond-qinv", type=float, default=None)
     p.set_defaults(fn=_cmd_bounds)
 
-    p = sub.add_parser("sweep", parents=[common, noise, specfile],
-                       help="relative-error sweep over a parameter grid")
-    p.add_argument("--problems", default=None, help="comma-separated names")
-    p.add_argument("--methods", default=None)
-    p.add_argument("--sigmas", default=None)
-    p.add_argument("--eps-fs", default=None, dest="eps_fs")
-    p.add_argument("--sample-factor", type=float, default=None)
-    p.add_argument("--points", type=int, default=None, help="points per problem")
-    p.set_defaults(fn=_cmd_sweep)
+    p = experiment("sweep", grid, _cmd_sweep,
+                   "relative-error sweep over a parameter grid")
+    p.add_argument("--methods", type=_STRS)
+    p.add_argument("--sigmas", type=_FLOATS)
+    p.add_argument("--sample-factor", type=float)
+    p.add_argument("--points", type=int, dest="points_per_problem",
+                   help="points per problem")
 
-    p = sub.add_parser("theta-dist", parents=[common, specfile],
-                       help="theta distribution vs N on the linear objective")
-    p.add_argument("--n", type=int, default=32)
-    p.add_argument("--N-list", default=None, dest="N_list",
+    p = experiment("theta-dist", spec, _cmd_theta_dist,
+                   "theta distribution vs N on the linear objective")
+    p.add_argument("--n", type=int)
+    p.add_argument("--N-list", type=_INTS,
                    help="comma-separated sample sizes")
-    p.set_defaults(fn=_cmd_theta_dist)
 
-    p = sub.add_parser("bound-check", parents=[common, noise, specfile],
-                       help="measured errors vs theoretical bounds")
-    p.add_argument("--problems", default=None)
-    p.add_argument("--methods", default=None)
-    p.add_argument("--sigmas", default=None)
-    p.add_argument("--eps-fs", default=None, dest="eps_fs")
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.set_defaults(fn=_cmd_bound_check)
+    p = experiment("bound-check", grid, _cmd_bound_check,
+                   "measured errors vs theoretical bounds")
+    p.add_argument("--methods", type=_STRS)
+    p.add_argument("--sigmas", type=_FLOATS)
+    p.add_argument("--theta", type=float)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--points", type=int, dest="points_per_problem")
 
-    p = sub.add_parser("optimize", parents=[common, noise],
+    p = sub.add_parser("optimize", parents=[single, noise],
                        help="one DFO run, trace to CSV")
     p.add_argument("--problem", required=True)
-    p.add_argument("--method", default="FFD")
+    p.add_argument("--method", type=_METHOD, default="FFD")
     p.add_argument("--sigma", type=float, default=1e-5)
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--direction", default="lbfgs", choices=("lbfgs", "sd", "steepest_descent"))
@@ -325,23 +313,15 @@ def main(argv=None) -> int:
     p.add_argument("--grad-stop", type=float, default=None)
     p.set_defaults(fn=_cmd_optimize)
 
-    p = sub.add_parser("bench", parents=[common, noise, specfile],
-                       help="solver race with performance/data profiles")
-    p.add_argument("--problems", default=None)
-    p.add_argument("--solvers", default=None,
+    p = experiment("bench", grid, _cmd_bench,
+                   "solver race with performance/data profiles")
+    p.add_argument("--solvers", type=_STRS,
                    help="comma-separated specs like ffd+lbfgs+ls,gsg:n+sd+ls")
-    p.add_argument("--budget-factor", type=int, default=None)
-    p.add_argument("--taus", default=None)
-    p.add_argument("--eps-fs", default=None, dest="eps_fs",
-                   help="noise level for all runs (first value used)")
-    p.set_defaults(fn=_cmd_bench)
+    p.add_argument("--budget-factor", type=int)
+    p.add_argument("--taus", type=_FLOATS)
 
-    args = parser.parse_args(argv)
-    if getattr(args, "method", None):
-        args.method = _canon_method(args.method)
-    if getattr(args, "methods", None):
-        args.methods = ",".join(_canon_method(m) for m in _strs(args.methods))
     try:
+        args = parser.parse_args(argv)
         return args.fn(args)
     except KeyError as exc:
         print(f"gradest: error: {exc.args[0]}", file=sys.stderr)

@@ -95,8 +95,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.level < 0:
-            raise ValueError("noise level must be nonnegative")
+        if not 0 <= self.level < np.inf:
+            raise ValueError(f"noise level must be finite and nonnegative, got {self.level!r}")
         if self.kind == "none" and self.level != 0.0:
             raise ValueError("kind='none' requires level 0")
 

@@ -36,6 +36,7 @@ CENTRAL = ("CFD", "cGSG", "cBSG")
 
 __all__ = [
     "METHODS",
+    "method_name",
     "GradientEstimate",
     "EstimatorConfig",
     "SingularDirections",
@@ -45,6 +46,16 @@ __all__ = [
     "relative_error",
     "estimate",
 ]
+
+
+def method_name(text: str) -> str:
+    """The METHODS entry that text names, ignoring case and surrounding
+    blanks; ValueError listing the choices when there is none."""
+    key = text.strip().lower()
+    for method in METHODS:
+        if method.lower() == key:
+            return method
+    raise ValueError(f"unknown estimator {text!r}; choices: {', '.join(METHODS)}")
 
 
 class SingularDirections(RuntimeError):
@@ -83,8 +94,8 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choices: {METHODS}")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
         if self.N is not None and self.N < 1:
             raise ValueError("N must be at least 1")
         if self.direction_source is not None and self.method in ("FFD", "CFD"):
@@ -122,8 +133,8 @@ def estimate_trials(oracle: NoisyOracle, x: Array, method: str, sigma: float,
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choices: {METHODS}")
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
     x = np.asarray(x, dtype=float)
     T, k, n = Q.shape
     if n != x.size:

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import bounds as bnd
 from .core import NoiseModel, NoisyOracle, get_problem, make_linear, make_standard_problems
-from .estimators import (CENTRAL, EstimatorConfig, estimate_trials,
-                         trial_directions)
+from .estimators import (CENTRAL, METHODS, EstimatorConfig, estimate_trials,
+                         method_name, trial_directions)
 from .optimizer import LineSearchConfig, OptimizationTrace, fixed_step_dfo, run_dfo
 from .sampling import RngStream
 
@@ -51,8 +51,6 @@ _CHUNK_COORDS = 1 << 16
 EXPERIMENTS = ("relative_error_sweep", "theta_distribution",
                "bound_validation", "optimizer_benchmark")
 
-SWEEP_METHODS = ("FFD", "CFD", "LI", "GSG", "cGSG", "BSG", "cBSG")
-
 # machine-noise floor: deterministic-bound rows with smaller sigma are
 # dominated by cancellation error and are excluded from pass/fail
 ROUND_OFF_SIGMA = 1e-12
@@ -68,6 +66,7 @@ __all__ = [
     "ProfileData",
     "BenchmarkResult",
     "parse_solver",
+    "make_oracle",
     "bound_check_skips",
     "run_relative_error_sweep",
     "run_theta_distribution",
@@ -118,16 +117,16 @@ class ExperimentSpec:
     """Grid and budget description for one experiment run.
 
     Unused fields are ignored by experiments that do not consume them; the
-    JSON loader rejects unknown keys so config typos fail loudly.
+    JSON loader rejects unknown keys so config typos fail loudly. Method
+    names are matched ignoring case and stored in their METHODS spelling.
     """
 
     experiment: str
     seed: int = 0
     trials: int | None = None
-    out: str | None = None
     # shared grids
     problems: tuple[str, ...] = ()
-    methods: tuple[str, ...] = SWEEP_METHODS
+    methods: tuple[str, ...] = METHODS
     sigmas: tuple[float, ...] = (0.01,)
     eps_fs: tuple[float, ...] = (0.0,)
     noise_kind: str = "uniform_iid"
@@ -152,6 +151,11 @@ class ExperimentSpec:
         for name in ("methods", "sigmas", "eps_fs", "N_list", "solvers", "taus"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be nonempty")
+        object.__setattr__(self, "methods", tuple(method_name(m) for m in self.methods))
+        if not all(0 < s < math.inf for s in self.sigmas):
+            raise ValueError(f"sigmas must be positive and finite, got {self.sigmas}")
+        if not all(0 <= e < math.inf for e in self.eps_fs):
+            raise ValueError(f"eps_fs must be finite and nonnegative, got {self.eps_fs}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
@@ -190,22 +194,27 @@ class ExperimentSpec:
         return defaults[self.experiment]
 
     def problem_list(self) -> list:
+        """The named problems, else the experiment's default set: sincos20
+        for bound validation, every standard problem but linear (unbounded
+        below, so there is no minimum to race to) for the benchmark, and
+        every standard problem otherwise."""
         if self.problems:
             return [get_problem(name)[0] for name in self.problems]
-        return [p for _, p, _ in make_standard_problems()]
+        if self.experiment == "bound_validation":
+            return [get_problem("sincos20")[0]]
+        skip = "linear" if self.experiment == "optimizer_benchmark" else None
+        return [p for _, p, _ in make_standard_problems() if p.name != skip]
 
 
-def _noise_model(kind: str, level: float, seed: int) -> NoiseModel:
-    if level == 0.0:
-        return NoiseModel()
-    return NoiseModel(kind=kind, level=level, seed=seed)
-
-
-def _make_oracle(objective, spec: ExperimentSpec, eps_f: float, *indices) -> NoisyOracle:
-    noise = _noise_model(spec.noise_kind, eps_f, spec.seed)
-    rng = None
-    if noise.kind == "uniform_iid":
-        rng = RngStream(spec.seed).generator(_TAG_NOISE, *indices)
+def make_oracle(objective, kind: str, eps_f: float, seed: int, *key) -> NoisyOracle:
+    """Oracle on objective: noise-free at eps_f == 0, else noise of the given
+    kind and level, uniform_iid noise being drawn from
+    RngStream(seed).generator(*key). The experiments key it by _TAG_NOISE
+    and the cell's indices, the single-run commands by (1,)."""
+    if eps_f == 0.0:
+        return NoisyOracle(objective)
+    noise = NoiseModel(kind=kind, level=eps_f, seed=seed)
+    rng = RngStream(seed).generator(*key) if kind == "uniform_iid" else None
     return NoisyOracle(objective, noise, rng=rng)
 
 
@@ -294,8 +303,9 @@ def run_relative_error_sweep(spec: ExperimentSpec):
             for s_idx, sigma in enumerate(spec.sigmas):
                 for e_idx, eps_f in enumerate(spec.eps_fs):
                     for m_idx, method in enumerate(spec.methods):
-                        oracle = _make_oracle(problem, spec, eps_f, p_idx, pt_idx,
-                                              s_idx, e_idx, m_idx)
+                        oracle = make_oracle(problem, spec.noise_kind, eps_f, spec.seed,
+                                             _TAG_NOISE, p_idx, pt_idx, s_idx, e_idx,
+                                             m_idx)
                         streams = _direction_streams(spec.seed, method, n, _TAG_SWEEP,
                                                      p_idx, pt_idx, s_idx, m_idx)
                         G, _ = _cell_estimates(oracle, x, method, sigma, N, trials,
@@ -352,10 +362,6 @@ BOUND_PROB_HEADER = ("kind", "problem", "n", "method", "sigma", "N", "theta",
                      "failures", "failure_rate", "passed")
 
 
-def _bound_problems(spec: ExperimentSpec) -> list:
-    return spec.problem_list() if spec.problems else [get_problem("sincos20")[0]]
-
-
 def _missing_constant(problem, method: str) -> str | None:
     """Why method's bounds cannot be evaluated on problem, or None: CFD,
     cGSG and cBSG need the Hessian's Lipschitz constant M, the condition
@@ -374,7 +380,7 @@ def _missing_constant(problem, method: str) -> str | None:
 def bound_check_skips(spec: ExperimentSpec) -> list[tuple[str, str, str]]:
     """(problem, method, reason) for each pair of spec that
     run_bound_validation skips and writes no rows for."""
-    return [(p.name, m, why) for p in _bound_problems(spec) for m in spec.methods
+    return [(p.name, m, why) for p in spec.problem_list() for m in spec.methods
             if (why := _missing_constant(p, m)) is not None]
 
 
@@ -393,7 +399,7 @@ def run_bound_validation(spec: ExperimentSpec):
 
     Pairs listed by bound_check_skips get no rows.
     """
-    problems = _bound_problems(spec)
+    problems = spec.problem_list()
     trials = spec.resolved_trials()
     det_methods = [m for m in spec.methods if m in bnd.DETERMINISTIC]
     smooth_methods = [m for m in spec.methods if m in bnd.SMOOTHING]
@@ -411,7 +417,8 @@ def run_bound_validation(spec: ExperimentSpec):
             for s_idx, sigma in enumerate(spec.sigmas):
                 for e_idx, eps_f in enumerate(spec.eps_fs):
                     key = (p_idx, m_idx, s_idx, e_idx)
-                    oracle = _make_oracle(problem, spec, eps_f, *key)
+                    oracle = make_oracle(problem, spec.noise_kind, eps_f, spec.seed,
+                                         _TAG_NOISE, *key)
                     streams = _direction_streams(spec.seed, method, n, _TAG_BOUND, *key)
                     errs, bounds = [], []
                     for x in points:
@@ -454,7 +461,8 @@ def run_bound_validation(spec: ExperimentSpec):
                 else:
                     sigma = report.sigma_hi / 2.0
                 key = (p_idx, m_idx, e_idx)
-                oracle = _make_oracle(problem, spec, eps_f, *key)
+                oracle = make_oracle(problem, spec.noise_kind, eps_f, spec.seed,
+                                     _TAG_NOISE, *key)
                 streams = _direction_streams(spec.seed, method, n, _TAG_BOUND, *key)
                 G, _ = _cell_estimates(oracle, x0, method, sigma, report.n_min,
                                        trials, streams)
@@ -495,18 +503,12 @@ class SolverSpec:
         return int(s)
 
 
-_METHOD_ALIASES = {m.lower(): m for m in SWEEP_METHODS}
-
-
 def parse_solver(text: str) -> SolverSpec:
     parts = text.strip().split("+")
     if len(parts) != 3:
         raise ValueError(f"solver spec {text!r} must look like method+direction+step")
     est_tokens = parts[0].split(":")
-    method_key = est_tokens[0].lower()
-    if method_key not in _METHOD_ALIASES:
-        raise ValueError(f"unknown estimator {est_tokens[0]!r} in solver spec {text!r}")
-    method = _METHOD_ALIASES[method_key]
+    method = method_name(est_tokens[0])
     n_spec = None
     sigma = 1e-5
     for tok in est_tokens[1:]:
@@ -579,7 +581,8 @@ def _run_solver(problem, solver: SolverSpec, spec: ExperimentSpec, budget: int,
     """One solver run; returns the trace and (cumulative evals, true phi)
     per iterate."""
     eps_f = spec.eps_fs[0]
-    oracle = _make_oracle(problem, spec, eps_f, *rng_indices)
+    oracle = make_oracle(problem, spec.noise_kind, eps_f, spec.seed, _TAG_NOISE,
+                         *rng_indices)
     rng = RngStream(spec.seed).generator(_TAG_BENCH, *rng_indices)
     cfg = EstimatorConfig(method=solver.method, sigma=solver.sigma,
                           N=solver.resolve_N(problem.n))
@@ -604,16 +607,14 @@ def run_optimizer_benchmark(spec: ExperimentSpec) -> BenchmarkResult:
     Convergence test at accuracy tau: phi(x0) - phi(x) >= (1 - tau)
     (phi(x0) - f_ref), where f_ref is the best phi value seen by any solver
     on that problem instance, including a high-budget reference run
-    (4x the benchmark budget of the first solver). Profiles follow the
+    (4x the benchmark budget of the first solver). A run solves the
+    instance at its first iterate that passes the test within the budget
+    (evals <= budget); a hit found later, by an iteration that started under
+    the budget and ended past it, does not count. Profiles follow the
     standard performance/data profile construction; the budget axis counts
     groups of (n+1) evaluations.
     """
-    if spec.problems:
-        problems = [get_problem(name)[0] for name in spec.problems]
-    else:
-        # the linear objective is unbounded below; racing to its "minimum"
-        # is meaningless
-        problems = [p for _, p, _ in make_standard_problems() if p.name != "linear"]
+    problems = spec.problem_list()
     solvers = [parse_solver(s) for s in spec.solvers]
     trials = spec.resolved_trials()
 
@@ -650,7 +651,7 @@ def run_optimizer_benchmark(spec: ExperimentSpec) -> BenchmarkResult:
                 target = f0 - (1.0 - tau) * (f0 - best)
                 for s_idx, solver in enumerate(solvers):
                     trace, evals, phi = runs[(p_idx, s_idx, t)]
-                    hit = np.nonzero(phi <= target)[0] if phi.size else []
+                    hit = np.nonzero((phi <= target) & (evals <= budget))[0]
                     solved_at = float(evals[hit[0]]) if len(hit) else math.inf
                     t_solve[(tau, p_idx, t, s_idx)] = solved_at
                     raw.add(problem.name, problem.n, solver.label, tau, t,
@@ -668,9 +669,7 @@ def run_optimizer_benchmark(spec: ExperimentSpec) -> BenchmarkResult:
                 ts = t_solve[(tau, p_idx, t, s_idx)]
                 if math.isinf(ts):
                     continue
-                k = math.ceil(ts / (problems[p_idx].n + 1))
-                if k <= spec.budget_factor:
-                    curve[k:] += 1.0
+                curve[math.ceil(ts / (problems[p_idx].n + 1)):] += 1.0
             data_profiles[(tau, solver.label)] = curve / denom
         for s_idx, solver in enumerate(solvers):
             frac = np.zeros(len(PERF_ALPHA_GRID))

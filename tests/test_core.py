@@ -148,6 +148,9 @@ def test_noise_model_validation():
         NoiseModel("gaussian", 0.1)
     with pytest.raises(ValueError):
         NoiseModel("uniform_iid", -1.0)
+    for level in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            NoiseModel("uniform_iid", level)
     with pytest.raises(ValueError):
         NoiseModel("none", 0.1)
 

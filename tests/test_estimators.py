@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from conftest import assert_mean_within, run_with_resample
 from gradest.core import NoiseModel, NoisyOracle, make_linear, make_quadratic, make_sincos
 from gradest.estimators import (
+    METHODS,
     EstimatorConfig,
     SingularDirections,
     ZeroGradient,
     estimate,
     estimate_trials,
+    method_name,
     relative_error,
     trial_directions,
 )
@@ -232,6 +234,24 @@ def test_estimator_config_validation():
     with pytest.raises(ValueError, match="direction_source"):
         EstimatorConfig(method="FFD", sigma=0.1,
                         direction_source=DirectionSet(np.eye(2), "coordinate"))
+
+
+def test_sigma_must_be_positive_and_finite():
+    oracle = clean_oracle(make_linear(np.ones(2)))
+    Q = np.eye(2)[None]
+    for sigma in (math.inf, math.nan, -0.1):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            EstimatorConfig(method="FFD", sigma=sigma)
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            estimate_trials(oracle, np.zeros(2), "FFD", sigma, Q)
+    assert oracle.eval_count == 0
+
+
+def test_method_name_ignores_case_and_lists_choices():
+    assert [method_name(m.lower()) for m in METHODS] == list(METHODS)
+    assert method_name(" cbsg ") == "cBSG"
+    with pytest.raises(ValueError, match="unknown estimator 'newton'; choices: FFD, CFD"):
+        method_name("newton")
 
 
 def test_estimate_dispatcher_contracts():

@@ -5,12 +5,15 @@ of the batched trials) are checked on deliberately tiny grids; statistical
 content of the drivers is covered in test_acceptance.py at full scale.
 """
 import json
+import math
 
 import numpy as np
 import pytest
 
 from gradest import experiments
 from gradest.cli import _sibling, main
+from gradest.core import make_standard_problems
+from gradest.estimators import METHODS
 from gradest.experiments import (BENCH_HEADER, BOUND_DET_HEADER,
                                  BOUND_PROB_HEADER, SWEEP_HEADER,
                                  SWEEP_SUMMARY_HEADER, THETA_HEADER,
@@ -81,6 +84,43 @@ def test_spec_validation_errors():
         ExperimentSpec(experiment="theta_distribution", trials=0)
     with pytest.raises(ValueError, match="sigmas"):
         ExperimentSpec(experiment="bound_validation", sigmas=())
+
+
+def test_spec_rejects_out_key():
+    # output paths belong to the command line, not to the experiment
+    with pytest.raises(ValueError, match="unknown spec keys.*'out'"):
+        ExperimentSpec.from_dict({"experiment": "theta_distribution",
+                                  "out": "theta.csv"})
+
+
+def test_spec_canonicalises_method_names():
+    spec = ExperimentSpec(experiment="relative_error_sweep",
+                          methods=("ffd", " Cgsg ", "BSG"))
+    assert spec.methods == ("FFD", "cGSG", "BSG")
+    assert ExperimentSpec(experiment="bound_validation").methods == METHODS
+    with pytest.raises(ValueError, match="unknown estimator 'foo'.*cBSG"):
+        ExperimentSpec(experiment="bound_validation", methods=("FFD", "foo"))
+
+
+def test_spec_rejects_non_finite_grids():
+    for sigmas in ((0.0,), (-0.1,), (math.inf,), (math.nan,)):
+        with pytest.raises(ValueError, match="sigmas must be positive and finite"):
+            ExperimentSpec(experiment="relative_error_sweep", sigmas=sigmas)
+    for eps_fs in ((-1e-4,), (math.inf,), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="eps_fs must be finite and nonnegative"):
+            ExperimentSpec(experiment="relative_error_sweep", eps_fs=eps_fs)
+
+
+def test_spec_default_problem_sets():
+    def names(experiment):
+        return [p.name for p in ExperimentSpec(experiment=experiment).problem_list()]
+
+    every = [name for name, _, _ in make_standard_problems()]
+    assert names("bound_validation") == ["sincos20"]
+    assert names("optimizer_benchmark") == [n for n in every if n != "linear"]
+    assert names("relative_error_sweep") == every
+    spec = ExperimentSpec(experiment="bound_validation", problems=("linear", "sphere"))
+    assert [p.name for p in spec.problem_list()] == ["linear", "sphere"]
 
 
 # ---------------------------------------------------------------- solver grammar
@@ -312,6 +352,35 @@ def test_benchmark_raw_table(bench_result):
             assert r["evals_used"] >= r["budget"]
 
 
+def test_benchmark_solves_count_only_within_the_budget():
+    # at this seed rosenbrock2's gsg:n+sd+ls run reaches its best value in an
+    # iteration that starts under the 600-evaluation budget and ends at 607:
+    # that hit is not a solve, for the raw table and both profiles alike
+    spec = ExperimentSpec(experiment="optimizer_benchmark",
+                          problems=("quadratic", "quadratic_diag", "sphere",
+                                    "rosenbrock2"),
+                          eps_fs=(1e-4,), seed=7)
+    result = run_optimizer_benchmark(spec)
+    rows = [dict(zip(BENCH_HEADER, r)) for r in result.raw.rows]
+    late = [r for r in rows if r["problem"] == "rosenbrock2"
+            and r["solver"] == "gsg:n+sd+ls" and r["tau"] in (1e-3, 1e-5)]
+    assert len(late) == 2
+    for r in late:
+        assert r["evals_used"] > r["budget"] and r["f_best"] == r["f_ref"]
+        assert r["evals_to_solve"] == np.inf
+    for r in rows:
+        assert r["evals_to_solve"] == np.inf or r["evals_to_solve"] <= r["budget"]
+    profiles = result.profiles
+    instances = len(spec.problems)
+    for tau in spec.taus:
+        for solver in profiles.solvers:
+            solved = sum(r["evals_to_solve"] < np.inf for r in rows
+                         if r["tau"] == tau and r["solver"] == solver)
+            assert profiles.data_profiles[(tau, solver)][-1] * instances == pytest.approx(solved)
+            assert np.all(profiles.perf_profiles[(tau, solver)] * instances
+                          <= solved + 1e-12)
+
+
 def test_benchmark_profiles_are_monotone_fractions(bench_result):
     profiles = bench_result.profiles
     assert profiles.solvers == ("ffd+lbfgs+ls", "gsg:n+sd+ls")
@@ -472,13 +541,53 @@ def test_cli_bench_writes_profiles(tmp_path, capsys):
         assert (tmp_path / f"bench{suffix}.csv").exists()
 
 
-def test_cli_method_names_are_case_insensitive(capsys):
+def test_cli_method_names_are_case_insensitive(tmp_path, capsys):
     rc = main(["estimate", "--problem", "quadratic", "--method", "cgsg",
                "--N", "4", "--sigma", "0.1", "--seed", "1"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["method"] == "cGSG"
     assert out["evals_used"] == 8
+    rc = main(["bounds", "--method", "gsg", "--n", "4", "--L", "2",
+               "--delta", "0.1", "--grad-norm", "1"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "GSG"
+    out = tmp_path / "trace.csv"
+    rc = main(["optimize", "--problem", "rosenbrock2", "--method", "ffd",
+               "--budget", "30", "--out", str(out)])
+    assert rc == 0
+    assert "termination=" in capsys.readouterr().out
+
+
+def test_cli_spec_file_values_survive_absent_flags(tmp_path, capsys):
+    spec = tmp_path / "theta.json"
+    spec.write_text(json.dumps({"seed": 5, "n": 4, "N_list": [2], "trials": 5}))
+    out = tmp_path / "theta.csv"
+    assert main(["theta-dist", "--spec", str(spec), "--out", str(out)]) == 0
+    row = dict(zip(THETA_HEADER, out.read_text().splitlines()[1].split(",")))
+    assert (row["n"], row["N"], row["trials"], row["seed"]) == ("4", "2", "5", "5")
+    assert main(["theta-dist", "--spec", str(spec), "--seed", "1", "--n", "3",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    row = dict(zip(THETA_HEADER, out.read_text().splitlines()[1].split(",")))
+    assert (row["n"], row["N"], row["trials"], row["seed"]) == ("3", "2", "5", "1")
+
+
+def test_cli_spec_file_lowercase_methods_produce_rows(tmp_path, capsys):
+    spec = tmp_path / "bc.json"
+    spec.write_text(json.dumps({"methods": ["ffd", "gsg"]}))
+    out = tmp_path / "bc.csv"
+    rc = main(["bound-check", "--spec", str(spec), "--problems", "sincos10",
+               "--sigmas", "0.01", "--points", "2", "--trials", "10",
+               "--out", str(out)])
+    captured = capsys.readouterr().out
+    assert rc == 0
+    assert "deterministic rows: 1/1 passed" in captured
+    assert "probabilistic rows: 1/1 passed" in captured
+    methods = [line.split(",")[3]
+               for path in (out, tmp_path / "bc_probabilistic.csv")
+               for line in path.read_text().splitlines()[1:]]
+    assert methods == ["FFD", "GSG"]
 
 
 def test_cli_bad_inputs_exit_2_with_clean_error(capsys):
@@ -489,6 +598,18 @@ def test_cli_bad_inputs_exit_2_with_clean_error(capsys):
          "--point", "1,2"],
         ["bench", "--problems", "quadratic", "--solvers", "ffd+warp+ls",
          "--taus", "0.1", "--budget-factor", "5"],
+        ["bound-check", "--methods", "FFD,foo", "--trials", "3"],
+        ["sweep", "--sigmas", "abc"],
+        ["theta-dist", "--N-list", "2,x"],
+        ["estimate", "--problem", "quadratic", "--method", "FFD", "--eps-f", "inf"],
+        ["estimate", "--problem", "quadratic", "--method", "FFD", "--eps-f", "nan"],
+        ["estimate", "--problem", "quadratic", "--method", "FFD", "--sigma", "inf"],
+        ["estimate", "--problem", "quadratic", "--method", "FFD",
+         "--point", "nan,1,1,1"],
+        ["optimize", "--problem", "quadratic", "--eps-f=-1e-4"],
+        ["sweep", "--eps-fs", "nan"],
+        ["sweep", "--sigmas", "inf"],
+        ["estimate", "--problem", "quadratic"],
     ]
     for argv in cases:
         rc = main(argv)
