@@ -360,8 +360,13 @@ def condition_table(method: str, n: int, theta: float, delta: float | None = Non
         raise ValueError(f"unknown method {method!r}")
     if not 0.0 <= theta < 1.0:
         raise ValueError("theta must lie in [0, 1)")
-    if grad_norm is not None and grad_norm < 0:
-        raise ValueError("grad_norm must be nonnegative")
+    if grad_norm is not None and not 0 <= grad_norm < math.inf:
+        raise ValueError(f"grad_norm must be nonnegative and finite, got {grad_norm!r}")
+    if not 0 <= eps_f < math.inf:
+        raise ValueError(f"eps_f must be nonnegative and finite, got {eps_f!r}")
+    for name, v in (("L", L), ("M", M), ("cond_qinv", cond_qinv)):
+        if v is not None and not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
 
     smoothing = method in SMOOTHING
     lam = None

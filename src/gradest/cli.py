@@ -25,10 +25,9 @@ from . import bounds as bnd
 from .core import get_problem
 from .estimators import (EstimatorConfig, ZeroGradient, estimate, method_name,
                          relative_error)
-from .experiments import (ExperimentSpec, bound_check_skips, make_oracle,
+from .experiments import (ExperimentSpec, SolverSpec, bound_check_skips, make_oracle,
                           run_bound_validation, run_optimizer_benchmark,
                           run_relative_error_sweep, run_theta_distribution)
-from .optimizer import LineSearchConfig, fixed_step_dfo, run_dfo
 from .sampling import RngStream
 
 __all__ = ["main"]
@@ -76,9 +75,8 @@ def _spec_from_args(args, experiment: str) -> ExperimentSpec:
     if getattr(args, "spec", None):
         with open(args.spec) as fh:
             data = json.load(fh)
-    data.update((k, v) for k, v in vars(args).items() if k in _SPEC_FIELDS)
-    data["experiment"] = experiment
-    return ExperimentSpec.from_dict(data)
+    flags = {k: v for k, v in vars(args).items() if k in _SPEC_FIELDS}
+    return ExperimentSpec.from_dict(data, **flags, experiment=experiment)
 
 
 def _cmd_estimate(args) -> int:
@@ -178,17 +176,12 @@ def _cmd_bound_check(args) -> int:
 
 def _cmd_optimize(args) -> int:
     problem, x0 = get_problem(args.problem)
+    solver = SolverSpec(f"{args.method}+{args.direction}+{args.step}", args.method,
+                        None if args.N is None else str(args.N), args.sigma,
+                        args.direction, args.step, args.alpha)
     oracle = make_oracle(problem, args.noise_kind, args.eps_f, args.seed, 1)
-    cfg = EstimatorConfig(method=args.method, sigma=args.sigma, N=args.N)
-    rng = RngStream(args.seed).generator(3)
-    if args.step == "fixed":
-        trace = fixed_step_dfo(oracle, cfg, args.alpha, x0, args.budget, rng)
-    else:
-        direction = "steepest_descent" if args.direction == "sd" else args.direction
-        ls = LineSearchConfig(direction=direction, eval_budget=args.budget,
-                              max_iters=args.max_iters,
-                              grad_norm_stop=args.grad_stop)
-        trace = run_dfo(oracle, cfg, ls, x0, rng)
+    trace = solver.run(oracle, x0, args.budget, RngStream(args.seed).generator(3),
+                       max_iters=args.max_iters, grad_norm_stop=args.grad_stop)
     out = args.out or "trace.csv"
     trace.to_csv(out)
     final = trace.records[-1] if trace.records else None
@@ -242,7 +235,7 @@ def main(argv=None) -> int:
                                    argument_default=argparse.SUPPRESS)
     grid.add_argument("--problems", type=_STRS, help="comma-separated names")
     grid.add_argument("--eps-fs", type=_FLOATS,
-                      help="comma-separated noise levels (bench uses the first)")
+                      help="comma-separated noise levels (bench takes exactly one)")
     grid.add_argument("--noise-kind", choices=kinds)
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -304,8 +297,10 @@ def main(argv=None) -> int:
     p.add_argument("--problem", required=True)
     p.add_argument("--method", type=_METHOD, default="FFD")
     p.add_argument("--sigma", type=float, default=1e-5)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--direction", default="lbfgs", choices=("lbfgs", "sd", "steepest_descent"))
+    p.add_argument("--N", type=int, default=None,
+                   help="smoothing sample size (default 4n)")
+    p.add_argument("--direction", default="lbfgs",
+                   help="lbfgs or sd (steepest_descent), any case")
     p.add_argument("--step", default="ls", choices=("ls", "fixed"))
     p.add_argument("--alpha", type=float, default=0.01, help="fixed step size")
     p.add_argument("--budget", type=int, default=10_000)

@@ -13,7 +13,8 @@ Evaluation accounting is exact: n+1 (FFD), 2n (CFD), n+1 (LI), N+1
 Every method runs through one core, estimate_trials, which estimates a
 stack of T independent trials with a single oracle batch. estimate is its
 T = 1 call and the one entry point for a single GradientEstimate; the
-experiment drivers call the core with whole cells of trials.
+experiment drivers call the core with whole cells of trials, drawn by
+trial_directions. LI solves Q g = d on every frame, drawn or fixed.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NoisyOracle
-from .sampling import DirectionSet, direction_stack
+from .sampling import DirectionSet, unit_rows
 
 Array = np.ndarray
 
@@ -104,7 +105,7 @@ class EstimatorConfig:
 
 
 def estimate_trials(oracle: NoisyOracle, x: Array, method: str, sigma: float,
-                    Q: Array, *, orthogonal: bool = False, redraw=None):
+                    Q: Array, *, redraw=None):
     """The estimator core: T independent estimates at x, one per direction set.
 
     Q is a stack of T direction sets, shape (T, k, n): the coordinate axes
@@ -118,15 +119,14 @@ def estimate_trials(oracle: NoisyOracle, x: Array, method: str, sigma: float,
     The difference quotients d (T, k) are combined per method:
 
         FFD, CFD    g = d
-        LI          g = Q^-1 d   (Q' d on orthogonal frames)
+        LI          g = Q^-1 d
         GSG, cGSG   g = Q' d / N
         BSG, cBSG   g = Q' d * n / N
 
-    LI frames are checked before any evaluation: unless orthogonal is set,
-    the 2-norm condition number of each frame is computed, a frame above
-    COND_LIMIT is replaced once by redraw(count), a (count, n, n) stack, when
-    redraw is given, and a frame that is still singular raises
-    SingularDirections.
+    LI frames are checked before any evaluation: the 2-norm condition
+    number of each frame is computed, a frame above COND_LIMIT is replaced
+    once by redraw(count), a (count, n, n) stack, when redraw is given, and
+    a frame that is still singular raises SingularDirections.
 
     Returns (G, cond_Q, qinv_norm): G has shape (T, n); cond_Q and qinv_norm
     are per-trial arrays for LI and None for the other methods.
@@ -141,10 +141,7 @@ def estimate_trials(oracle: NoisyOracle, x: Array, method: str, sigma: float,
         raise ValueError(f"directions have dimension {n}, point has {x.size}")
     cond = qinv = None
     if method == "LI":
-        if orthogonal:
-            cond = qinv = np.ones(T)
-        else:
-            Q, cond, qinv = _checked_frames(Q, redraw)
+        Q, cond, qinv = _checked_frames(Q, redraw)
 
     step = sigma * Q
     central = method in CENTRAL
@@ -164,7 +161,7 @@ def estimate_trials(oracle: NoisyOracle, x: Array, method: str, sigma: float,
 
     if method in ("FFD", "CFD"):
         return d, cond, qinv
-    if method == "LI" and not orthogonal:
+    if method == "LI":
         return np.linalg.solve(Q, d[:, :, None])[:, :, 0], cond, qinv
     G = np.matmul(d[:, None, :], Q)[:, 0, :]
     if method in ("GSG", "cGSG"):
@@ -200,14 +197,25 @@ def _checked_frames(Q: Array, redraw):
 def trial_directions(method: str, n: int, N: int | None, T: int,
                      rng: np.random.Generator | None) -> Array:
     """Direction stack (T, k, n) for T trials of method: the coordinate axes
-    for FFD/CFD, else fresh draws from rng in trial order (scaled-Gaussian
-    frames for LI, Gaussian rows for GSG/cGSG, sphere rows for BSG/cBSG)."""
+    for FFD/CFD, else draws from rng in trial order: square Gaussian frames
+    scaled so each one's longest row has norm 1 for LI (N is ignored), N
+    Gaussian rows for GSG/cGSG, N rows uniform on the sphere for BSG/cBSG."""
     if method in ("FFD", "CFD"):
         return np.eye(n)[None].repeat(T, axis=0)
-    if method == "LI":
-        return direction_stack("general_interp", n, n, T, rng)
-    scheme = "sphere" if method in ("BSG", "cBSG") else "gaussian"
-    return direction_stack(scheme, n, N, T, rng)
+    k = n if method == "LI" else N
+    if n < 1 or k < 1:
+        raise ValueError("n and N must be positive")
+    Q = rng.standard_normal((T, k, n))
+    if method in ("BSG", "cBSG"):
+        return unit_rows(Q, rng)
+    if method != "LI":
+        return Q
+    scale = np.max(np.linalg.norm(Q, axis=-1), axis=-1)
+    while np.any(scale == 0.0):  # pragma: no cover - probability zero
+        bad = scale == 0.0
+        Q[bad] = rng.standard_normal((int(bad.sum()), n, n))
+        scale = np.max(np.linalg.norm(Q, axis=-1), axis=-1)
+    return Q / scale[:, None, None]
 
 
 def estimate(oracle: NoisyOracle, x: Array, config: EstimatorConfig,
@@ -216,8 +224,8 @@ def estimate(oracle: NoisyOracle, x: Array, config: EstimatorConfig,
     evaluations counted.
 
     Directions come from config.direction_source when it is set; a fixed
-    set is never redrawn, and a fixed LI frame on the coordinate or
-    orthonormal scheme takes the transpose path. Otherwise FFD/CFD use the
+    set is never redrawn, and a fixed LI frame goes through the same
+    condition check and solve as a drawn one. Otherwise FFD/CFD use the
     coordinate axes and the other methods draw one direction set from rng
     (trial_directions); a fresh LI frame that is numerically singular is
     redrawn once from the same rng, and a second singular draw raises
@@ -229,21 +237,18 @@ def estimate(oracle: NoisyOracle, x: Array, config: EstimatorConfig,
     if N is None:
         raise ValueError(f"{method} requires N")
     fixed = config.direction_source
-    orthogonal, redraw = False, None
     if fixed is not None:
         if fixed.Q.shape != (N, n):
             raise ValueError(f"direction matrix must be {N}x{n}, got {fixed.Q.shape}")
-        Q = fixed.Q[None]
-        orthogonal = fixed.scheme in ("coordinate", "orthonormal")
+        Q, redraw = fixed.Q[None], None
     elif rng is None and method not in ("FFD", "CFD"):
         raise ValueError(f"{method} draws its directions: pass rng or set a direction_source")
     else:
         Q = trial_directions(method, n, N, 1, rng)
-        if method == "LI":
-            redraw = lambda count: trial_directions("LI", n, n, count, rng)
+        redraw = lambda count: trial_directions(method, n, N, count, rng)
     before = oracle.eval_count
     G, cond, qinv = estimate_trials(oracle, x, method, config.sigma, Q,
-                                    orthogonal=orthogonal, redraw=redraw)
+                                    redraw=redraw)
     return GradientEstimate(
         G[0], method, float(config.sigma), N, oracle.eval_count - before,
         cond_Q=None if cond is None else float(cond[0]),

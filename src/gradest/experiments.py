@@ -112,13 +112,23 @@ class CsvTable:
         return [row[i] for row in self.rows]
 
 
+# JSON type of each field annotation's scalar part: (name, check)
+_JSON_TYPES = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Grid and budget description for one experiment run.
 
-    Unused fields are ignored by experiments that do not consume them; the
-    JSON loader rejects unknown keys so config typos fail loudly. Method
-    names are matched ignoring case and stored in their METHODS spelling.
+    Unused fields are ignored by experiments that do not consume them, but
+    every field is range-checked, so a bad value fails before any work
+    starts. The JSON loader rejects unknown keys and wrongly typed values so
+    config typos fail loudly. Method names are matched ignoring case and
+    stored in their METHODS spelling.
     """
 
     experiment: str
@@ -148,6 +158,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment {self.experiment!r}; choices: {EXPERIMENTS}")
         if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be >= 1")
+        for name in ("n", "points_per_problem", "budget_factor"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("methods", "sigmas", "eps_fs", "N_list", "solvers", "taus"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be nonempty")
@@ -156,30 +169,43 @@ class ExperimentSpec:
             raise ValueError(f"sigmas must be positive and finite, got {self.sigmas}")
         if not all(0 <= e < math.inf for e in self.eps_fs):
             raise ValueError(f"eps_fs must be finite and nonnegative, got {self.eps_fs}")
+        if self.experiment == "optimizer_benchmark" and len(self.eps_fs) != 1:
+            raise ValueError(f"optimizer_benchmark takes exactly one eps_fs level, "
+                             f"got {self.eps_fs}")
+        if not 0 < self.sample_factor < math.inf:
+            raise ValueError(f"sample_factor must be positive and finite, "
+                             f"got {self.sample_factor}")
+        if min(self.N_list) < 1:
+            raise ValueError(f"N_list entries must be >= 1, got {self.N_list}")
+        if not all(0 < t < 1 for t in self.taus):
+            raise ValueError(f"taus must lie in (0, 1), got {self.taus}")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+    def from_dict(cls, data: dict, **overrides) -> "ExperimentSpec":
+        """The spec that the JSON object data describes, with the keys of
+        overrides replacing its own."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a spec must be a JSON object, got {type(data).__name__}")
+        data = {**data, **overrides}
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown spec keys: {sorted(unknown)}")
-        coerced = {}
+        # the annotations are the schema: "int | None", "float",
+        # "tuple[str, ...]"; null only where the default is None
         for f in fields(cls):
             if f.name not in data:
                 continue
-            v = data[f.name]
-            coerced[f.name] = tuple(v) if isinstance(v, list) else v
-        for name in ("seed", "trials", "points_per_problem", "n",
-                     "budget_factor"):
-            v = coerced.get(name)
-            if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
-                raise ValueError(f"spec key {name!r} must be an integer, got {v!r}")
-        for name in ("sample_factor", "theta", "delta"):
-            v = coerced.get(name)
-            if v is not None and (isinstance(v, bool)
-                                  or not isinstance(v, (int, float))):
-                raise ValueError(f"spec key {name!r} must be a number, got {v!r}")
-        return cls(**coerced)
+            v, scalar = data[f.name], f.type.removesuffix(" | None")
+            if scalar.startswith("tuple["):
+                kind, ok = _JSON_TYPES[scalar[len("tuple["):-len(", ...]")]]
+                if not isinstance(v, (list, tuple)) or not all(map(ok, v)):
+                    raise ValueError(f"spec key {f.name!r} must be a list with "
+                                     f"{kind} in each entry, got {v!r}")
+                data[f.name] = tuple(v)
+            elif not (_JSON_TYPES[scalar][1](v) or (v is None and f.default is None)):
+                raise ValueError(f"spec key {f.name!r} must be "
+                                 f"{_JSON_TYPES[scalar][0]}, got {v!r}")
+        return cls(**data)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
@@ -479,9 +505,10 @@ def run_bound_validation(spec: ExperimentSpec):
 class SolverSpec:
     """Parsed solver string "<method>[:<N>][:<sigma>]+<direction>+<step>".
 
-    method: any estimator name, case-insensitive. N: integer or a multiple
-    of the dimension like "4n" (smoothing methods only; default 4n).
-    sigma: any float token (default 1e-5). direction: "lbfgs" or "sd".
+    method: any estimator name, case-insensitive. N: positive integer or
+    multiple of the dimension like "4n" (smoothing methods only; default 4n).
+    sigma: any float token (default 1e-5). direction: "lbfgs" or "sd" (or
+    "steepest_descent", the stored spelling), case-insensitive.
     step: "ls" (Armijo) or "fixed[:alpha]" (default alpha 0.01).
     """
 
@@ -493,6 +520,18 @@ class SolverSpec:
     step: str
     alpha: float
 
+    def __post_init__(self) -> None:
+        direction = self.direction.strip().lower()
+        direction = "steepest_descent" if direction == "sd" else direction
+        if direction not in ("steepest_descent", "lbfgs"):
+            raise ValueError(f"direction must be lbfgs or sd, got {self.direction!r} "
+                             f"in solver spec {self.label!r}")
+        object.__setattr__(self, "direction", direction)
+        mult = self.n_spec.removesuffix("n") if self.n_spec is not None else ""
+        if mult and not float(mult) > 0:
+            raise ValueError(f"N must be positive, got {self.n_spec!r} "
+                             f"in solver spec {self.label!r}")
+
     def resolve_N(self, n: int) -> int | None:
         if self.method in ("FFD", "CFD", "LI"):
             return None
@@ -501,6 +540,18 @@ class SolverSpec:
             mult = s[:-1]
             return max(1, math.ceil(float(mult) * n if mult else n))
         return int(s)
+
+    def run(self, oracle: NoisyOracle, x0: np.ndarray, budget: int, rng, *,
+            max_iters: int, grad_norm_stop: float | None) -> OptimizationTrace:
+        """One run of this solver from x0 within budget evaluations, rng
+        feeding its direction draws; max_iters and grad_norm_stop apply to ls."""
+        cfg = EstimatorConfig(method=self.method, sigma=self.sigma,
+                              N=self.resolve_N(np.size(x0)))
+        if self.step == "fixed":
+            return fixed_step_dfo(oracle, cfg, self.alpha, x0, budget, rng)
+        ls = LineSearchConfig(direction=self.direction, eval_budget=budget,
+                              max_iters=max_iters, grad_norm_stop=grad_norm_stop)
+        return run_dfo(oracle, cfg, ls, x0, rng)
 
 
 def parse_solver(text: str) -> SolverSpec:
@@ -518,17 +569,12 @@ def parse_solver(text: str) -> SolverSpec:
             n_spec = tok
         else:
             sigma = float(tok)
-    direction = parts[1].lower()
-    if direction == "sd":
-        direction = "steepest_descent"
-    if direction not in ("steepest_descent", "lbfgs"):
-        raise ValueError(f"direction must be lbfgs or sd in solver spec {text!r}")
     step_tokens = parts[2].split(":")
     step = step_tokens[0].lower()
     if step not in ("ls", "fixed"):
         raise ValueError(f"step must be ls or fixed[:alpha] in solver spec {text!r}")
     alpha = float(step_tokens[1]) if len(step_tokens) > 1 else 0.01
-    return SolverSpec(text.strip(), method, n_spec, sigma, direction, step, alpha)
+    return SolverSpec(text.strip(), method, n_spec, sigma, parts[1], step, alpha)
 
 
 @dataclass
@@ -543,7 +589,6 @@ class ProfileData:
 
     taus: tuple[float, ...]
     solvers: tuple[str, ...]
-    budget_factor: int
     data_profiles: dict
     perf_profiles: dict
 
@@ -580,19 +625,12 @@ def _run_solver(problem, solver: SolverSpec, spec: ExperimentSpec, budget: int,
                 rng_indices) -> tuple[OptimizationTrace, np.ndarray, np.ndarray]:
     """One solver run; returns the trace and (cumulative evals, true phi)
     per iterate."""
-    eps_f = spec.eps_fs[0]
-    oracle = make_oracle(problem, spec.noise_kind, eps_f, spec.seed, _TAG_NOISE,
-                         *rng_indices)
+    oracle = make_oracle(problem, spec.noise_kind, spec.eps_fs[0], spec.seed,
+                         _TAG_NOISE, *rng_indices)
     rng = RngStream(spec.seed).generator(_TAG_BENCH, *rng_indices)
-    cfg = EstimatorConfig(method=solver.method, sigma=solver.sigma,
-                          N=solver.resolve_N(problem.n))
     x0 = problem.x0 if problem.x0 is not None else np.zeros(problem.n)
-    if solver.step == "fixed":
-        trace = fixed_step_dfo(oracle, cfg, solver.alpha, x0, budget, rng)
-    else:
-        ls = LineSearchConfig(direction=solver.direction, eval_budget=budget,
-                              max_iters=10_000_000)
-        trace = run_dfo(oracle, cfg, ls, x0, rng)
+    trace = solver.run(oracle, x0, budget, rng, max_iters=10_000_000,
+                       grad_norm_stop=None)
     if not trace.records:
         return trace, np.empty(0, dtype=int), np.empty(0)
     X = np.stack([r.x for r in trace.records])
@@ -618,70 +656,47 @@ def run_optimizer_benchmark(spec: ExperimentSpec) -> BenchmarkResult:
     solvers = [parse_solver(s) for s in spec.solvers]
     trials = spec.resolved_trials()
 
-    runs = {}
-    refs = {}
+    instances = []  # (problem, trial, budget, f0, f_ref, solver runs)
     for p_idx, problem in enumerate(problems):
         budget = spec.budget_factor * (problem.n + 1)
+        x0 = problem.x0 if problem.x0 is not None else np.zeros(problem.n)
+        f0 = float(problem.value_at(x0))
         for t in range(trials):
-            for s_idx, solver in enumerate(solvers):
-                runs[(p_idx, s_idx, t)] = _run_solver(
-                    problem, solver, spec, budget, (_TAG_BENCH, p_idx, s_idx, t))
-            refs[(p_idx, t)] = _run_solver(
-                problem, solvers[0], spec, 4 * budget, (_TAG_REFERENCE, p_idx, 10_000, t))
+            runs = [_run_solver(problem, solver, spec, budget, (_TAG_BENCH, p_idx, s_idx, t))
+                    for s_idx, solver in enumerate(solvers)]
+            ref = _run_solver(problem, solvers[0], spec, 4 * budget,
+                              (_TAG_REFERENCE, p_idx, 10_000, t))
+            best = math.inf
+            for _, _, phi in runs + [ref]:
+                if phi.size:
+                    best = min(best, float(np.min(phi)))
+            instances.append((problem, t, budget, f0, best, runs))
 
     raw = CsvTable(BENCH_HEADER)
-    n_solvers = len(solvers)
-    instances = [(p_idx, t) for p_idx in range(len(problems)) for t in range(trials)]
     # evals-to-solve per (tau, instance, solver); inf when not solved in budget
-    t_solve = {}
-    for tau in spec.taus:
-        for p_idx, problem in enumerate(problems):
-            budget = spec.budget_factor * (problem.n + 1)
-            x0 = problem.x0 if problem.x0 is not None else np.zeros(problem.n)
-            f0 = float(problem.value_at(x0))
-            for t in range(trials):
-                best = math.inf
-                for s_idx in range(n_solvers):
-                    _, _, phi = runs[(p_idx, s_idx, t)]
-                    if phi.size:
-                        best = min(best, float(np.min(phi)))
-                _, _, ref_phi = refs[(p_idx, t)]
-                if ref_phi.size:
-                    best = min(best, float(np.min(ref_phi)))
-                target = f0 - (1.0 - tau) * (f0 - best)
-                for s_idx, solver in enumerate(solvers):
-                    trace, evals, phi = runs[(p_idx, s_idx, t)]
-                    hit = np.nonzero((phi <= target) & (evals <= budget))[0]
-                    solved_at = float(evals[hit[0]]) if len(hit) else math.inf
-                    t_solve[(tau, p_idx, t, s_idx)] = solved_at
-                    raw.add(problem.name, problem.n, solver.label, tau, t,
-                            spec.seed, budget, solved_at, f0, best,
-                            float(np.min(phi)) if phi.size else math.nan,
-                            trace.termination, len(trace.records), trace.evals_used)
+    t_solve = np.full((len(spec.taus), len(instances), len(solvers)), math.inf)
+    for tau_idx, tau in enumerate(spec.taus):
+        for i, (problem, t, budget, f0, best, runs) in enumerate(instances):
+            target = f0 - (1.0 - tau) * (f0 - best)
+            for s_idx, (solver, (trace, evals, phi)) in enumerate(zip(solvers, runs)):
+                hit = np.nonzero((phi <= target) & (evals <= budget))[0]
+                if len(hit):
+                    t_solve[tau_idx, i, s_idx] = evals[hit[0]]
+                raw.add(problem.name, problem.n, solver.label, tau, t, spec.seed, budget,
+                        float(t_solve[tau_idx, i, s_idx]), f0, best,
+                        float(np.min(phi)) if phi.size else math.nan,
+                        trace.termination, len(trace.records), trace.evals_used)
 
-    data_profiles = {}
-    perf_profiles = {}
-    denom = len(instances)
-    for tau in spec.taus:
-        for s_idx, solver in enumerate(solvers):
-            curve = np.zeros(spec.budget_factor + 1)
-            for p_idx, t in instances:
-                ts = t_solve[(tau, p_idx, t, s_idx)]
-                if math.isinf(ts):
-                    continue
-                curve[math.ceil(ts / (problems[p_idx].n + 1)):] += 1.0
-            data_profiles[(tau, solver.label)] = curve / denom
-        for s_idx, solver in enumerate(solvers):
-            frac = np.zeros(len(PERF_ALPHA_GRID))
-            for p_idx, t in instances:
-                ts = t_solve[(tau, p_idx, t, s_idx)]
-                best = min(t_solve[(tau, p_idx, t, j)] for j in range(n_solvers))
-                if math.isinf(ts) or math.isinf(best):
-                    continue
-                ratio = ts / best
-                frac += (ratio <= np.asarray(PERF_ALPHA_GRID))
-            perf_profiles[(tau, solver.label)] = frac / denom
-
+    # exact counts over the instances, per (tau, solver): solved within k
+    # groups of n+1 evaluations, and within ratio alpha of the best solver
+    group = np.array([problem.n + 1 for problem, *_ in instances])
+    solved_by = np.ceil(t_solve / group[:, None])[..., None] <= np.arange(spec.budget_factor + 1)
+    ratio = np.divide(t_solve, t_solve.min(axis=2, keepdims=True),
+                      out=np.full_like(t_solve, math.inf), where=np.isfinite(t_solve))
+    within = ratio[..., None] <= np.asarray(PERF_ALPHA_GRID)
+    keys = [(tau, solver.label) for tau in spec.taus for solver in solvers]
+    data = solved_by.sum(axis=1).reshape(len(keys), -1) / len(instances)
+    perf = within.sum(axis=1).reshape(len(keys), -1) / len(instances)
     profiles = ProfileData(tuple(spec.taus), tuple(s.label for s in solvers),
-                           spec.budget_factor, data_profiles, perf_profiles)
+                           dict(zip(keys, data)), dict(zip(keys, perf)))
     return BenchmarkResult(raw, profiles)

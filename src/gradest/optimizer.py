@@ -198,7 +198,9 @@ def lbfgs_direction(history: list[CurvaturePair], g: Array) -> Array:
     gradients carry difference-quotient rounding, and "curvature" at that
     scale is noise whose gamma = s'y / y'y would blow up the initial scaling
     (on an exactly linear objective it reaches 1e10). Empty usable history
-    gives -g. The initial scaling comes from the newest usable pair.
+    gives -g, and so does a result that is not a descent direction (g'd not
+    negative, NaN included, the test armijo_search applies). The initial
+    scaling comes from the newest usable pair.
     """
     g_scale = 1e-8 * float(np.linalg.norm(g))
     usable = [p for p in history if p.curved and p.y_norm > g_scale]
@@ -216,7 +218,7 @@ def lbfgs_direction(history: list[CurvaturePair], g: Array) -> Array:
         b = np.dot(y, q) / sy
         q += (a - b) * s
     d = -q
-    if np.dot(g, d) >= 0.0:
+    if not np.dot(g, d) < 0.0:
         return -np.asarray(g, dtype=float)
     return d
 

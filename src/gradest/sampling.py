@@ -1,11 +1,12 @@
 """Direction sampling and Monte Carlo moment utilities.
 
-Direction sets feed the estimators: direction_stack draws stacks of raw
-Gaussian rows, rows uniform on the unit sphere, or max-norm scaled Gaussian
-frames for interpolation, and orthonormal_directions draws Haar frames; a
-DirectionSet holds one fixed set. monte_carlo_moment estimates matrices
-of the form E[w(u) u u^T], which is what the variance analysis of the
-smoothing estimators reduces to.
+RngStream keys every random role to its own Philox substream. A
+DirectionSet holds one fixed set of directions; orthonormal_directions
+draws a Haar frame as one. The estimators draw their own direction stacks
+(estimators.trial_directions) and share unit_rows, the one normalization to
+the unit sphere, with monte_carlo_moment, which estimates matrices of the
+form E[w(u) u u^T], what the variance analysis of the smoothing estimators
+reduces to.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ __all__ = [
     "Array",
     "DirectionSet",
     "RngStream",
-    "direction_stack",
+    "unit_rows",
     "orthonormal_directions",
     "monte_carlo_moment",
 ]
@@ -58,7 +59,6 @@ class DirectionSet:
     """N direction vectors stored as the rows of Q (N x n)."""
 
     Q: Array
-    scheme: str  # coordinate | orthonormal | general_interp | gaussian | sphere
 
     def __post_init__(self) -> None:
         if np.ndim(self.Q) != 2:
@@ -73,40 +73,17 @@ class DirectionSet:
         return self.Q.shape[1]
 
 
-def direction_stack(scheme: str, n: int, N: int, T: int,
-                    rng: np.random.Generator) -> Array:
-    """T direction sets of N rows in R^n, shape (T, N, n), drawn from rng in
-    set order, so splitting T across calls does not change the draws.
-
-    scheme:
-        gaussian: iid standard normal rows.
-        sphere: rows uniform on the unit sphere (normalized Gaussian draws).
-        general_interp: square Gaussian frames (N == n), each scaled so its
-            largest row has norm 1.
-    """
-    if n < 1 or N < 1:
-        raise ValueError("n and N must be positive")
-    Q = rng.standard_normal((T, N, n))
-    if scheme == "gaussian":
-        return Q
-    if scheme == "sphere":
-        norms = np.linalg.norm(Q, axis=-1)
-        # A zero draw has probability zero; redraw to keep the normalization sound.
-        while np.any(norms == 0.0):
-            bad = norms == 0.0
-            Q[bad] = rng.standard_normal((int(bad.sum()), n))
-            norms = np.linalg.norm(Q, axis=-1)
-        return Q / norms[..., None]
-    if scheme == "general_interp":
-        if N != n:
-            raise ValueError("interpolation frames must be square")
-        scale = np.max(np.linalg.norm(Q, axis=-1), axis=-1)
-        while np.any(scale == 0.0):  # pragma: no cover - probability zero
-            bad = scale == 0.0
-            Q[bad] = rng.standard_normal((int(bad.sum()), n, n))
-            scale = np.max(np.linalg.norm(Q, axis=-1), axis=-1)
-        return Q / scale[:, None, None]
-    raise ValueError(f"unknown direction scheme {scheme!r}")
+def unit_rows(U: Array, rng: np.random.Generator) -> Array:
+    """U with each row (last axis) scaled to unit norm in place: iid normal
+    rows become uniform on the unit sphere. A zero row, which has
+    probability zero, is first redrawn from rng."""
+    norms = np.linalg.norm(U, axis=-1)
+    while np.any(norms == 0.0):
+        bad = norms == 0.0
+        U[bad] = rng.standard_normal((int(bad.sum()), U.shape[-1]))
+        norms = np.linalg.norm(U, axis=-1)
+    U /= norms[..., None]
+    return U
 
 
 def orthonormal_directions(n: int, rng: np.random.Generator) -> DirectionSet:
@@ -128,7 +105,7 @@ def orthonormal_directions(n: int, rng: np.random.Generator) -> DirectionSet:
         d = np.diag(R)
         if np.all(np.abs(d) > RANK_TOL * np.linalg.norm(Z, axis=1)):
             break
-    return DirectionSet((Q * np.sign(d)).T, "orthonormal")
+    return DirectionSet((Q * np.sign(d)).T)
 
 
 # Chunk size for Monte Carlo accumulation; bounds the working set to a few
@@ -185,12 +162,7 @@ def monte_carlo_moment(
         m = min(_MC_CHUNK, K - done)
         U = rng.standard_normal((m, n))
         if dist == "sphere":
-            norms = np.linalg.norm(U, axis=1)
-            while np.any(norms == 0.0):
-                bad = norms == 0.0
-                U[bad] = rng.standard_normal((int(bad.sum()), n))
-                norms = np.linalg.norm(U, axis=1)
-            U /= norms[:, None]
+            unit_rows(U, rng)
         if functional == "quad_outer":
             w = (U @ a) ** 2
         elif functional == "odd_outer":

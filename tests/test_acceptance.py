@@ -206,7 +206,7 @@ def test_ac07_estimator_identities():
     problem, _ = get_problem("sincos20")
     x = RngStream(SEED).generator(501).uniform(-1, 1, 20)
     g_ffd = estimate(NoisyOracle(problem), x, EstimatorConfig("FFD", 0.01)).g
-    coordinate = DirectionSet(np.eye(20), "coordinate")
+    coordinate = DirectionSet(np.eye(20))
     g_li = estimate(NoisyOracle(problem), x,
                     EstimatorConfig("LI", 0.01, direction_source=coordinate)).g
     d_coord = float(np.linalg.norm(g_li - g_ffd))
@@ -233,7 +233,7 @@ def test_ac07_estimator_identities():
     problem10, _ = get_problem("sincos10")
     x10 = RngStream(SEED).generator(505).uniform(-1, 1, 10)
     Q = RngStream(SEED).generator(506).standard_normal((10, 10))
-    ds = DirectionSet(Q, "gaussian")
+    ds = DirectionSet(Q)
     g_gsg = estimate(NoisyOracle(problem10), x10,
                      EstimatorConfig("GSG", 1e-4, 10, direction_source=ds)).g
     g_li10 = estimate(NoisyOracle(problem10), x10,

@@ -187,6 +187,20 @@ def test_condition_table_rejects_bad_theta_and_delta():
         condition_table("GSG", 4, 0.5, 1.5, L=2.0, grad_norm=1.0)
 
 
+def test_condition_table_rejects_non_finite_inputs():
+    inf, nan = math.inf, math.nan
+    cases = [("L", dict(L=inf)), ("L", dict(L=nan)), ("M", dict(M=inf)),
+             ("cond_qinv", dict(cond_qinv=nan)), ("grad_norm", dict(grad_norm=inf)),
+             ("eps_f", dict(eps_f=-1.0)), ("eps_f", dict(eps_f=inf)),
+             ("eps_f", dict(eps_f=nan))]
+    for name, bad in cases:
+        kwargs = dict(L=2.0, M=1.0, eps_f=1e-6, grad_norm=1.0) | bad
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            condition_table("GSG", 4, 0.5, 0.1, **kwargs)
+    with pytest.raises(ValueError, match="^cond_qinv must be"):
+        condition_table("LI", 4, 0.5, L=2.0, grad_norm=1.0, cond_qinv=inf)
+
+
 def test_smoothing_requires_delta_and_small_n_guard():
     with pytest.raises(ValueError):
         condition_table("GSG", 8, 0.5, None, L=1.0, grad_norm=1.0)

@@ -59,7 +59,7 @@ def test_evaluation_accounting():
     p = make_sincos(n, 1.0, 2.0)
     x = np.full(n, 0.2)
     rng = RngStream(3).generator()
-    coordinate = DirectionSet(np.eye(n), "coordinate")
+    coordinate = DirectionSet(np.eye(n))
     cases = [
         (EstimatorConfig("FFD", 0.01), n + 1),
         (EstimatorConfig("CFD", 0.01), 2 * n),
@@ -105,8 +105,7 @@ def test_batched_core_matches_one_trial_at_a_time(method):
     G, _, qinv = estimate_trials(batched, x, method, 0.05, Q)
     single = NoisyOracle(p, noise, rng=RngStream(15).generator())
     for t in range(T):
-        scheme = "general_interp" if method == "LI" else "gaussian"
-        source = None if method in ("FFD", "CFD") else DirectionSet(Q[t], scheme)
+        source = None if method in ("FFD", "CFD") else DirectionSet(Q[t])
         est = estimate(single, x, EstimatorConfig(method, 0.05, N, direction_source=source))
         if method == "LI":
             assert abs(est.qinv_norm - qinv[t]) <= 1e-12 * qinv[t]
@@ -141,11 +140,26 @@ def test_li_on_coordinate_directions_equals_ffd():
     x = np.linspace(-0.5, 0.5, 8)
     sigma = 0.02
     g_ffd = estimate(clean_oracle(p), x, EstimatorConfig("FFD", sigma)).g
-    coordinate = DirectionSet(np.eye(8), "coordinate")
+    coordinate = DirectionSet(np.eye(8))
     est = estimate(clean_oracle(p), x,
                    EstimatorConfig("LI", sigma, direction_source=coordinate))
     assert np.max(np.abs(est.g - g_ffd)) < 1e-12
     assert est.cond_Q == 1.0 and est.qinv_norm == 1.0
+
+
+def test_li_on_a_fixed_haar_frame_solves_to_the_transpose():
+    # Q^-1 = Q' on an orthonormal frame: the solve agrees with Q' d to
+    # rounding, and the frame's condition number and ||Q^-1|| are 1
+    n, sigma = 8, 0.02
+    p = make_sincos(n, 1.0, 2.0)
+    x = np.linspace(-0.5, 0.5, n)
+    frame = orthonormal_directions(n, RngStream(12).generator())
+    est = estimate(clean_oracle(p), x,
+                   EstimatorConfig("LI", sigma, direction_source=frame))
+    f = clean_oracle(p).eval_batch(np.vstack([x, x + sigma * frame.Q]))
+    d = (f[1:] - f[0]) / sigma
+    assert np.max(np.abs(est.g - frame.Q.T @ d)) < 1e-13
+    assert abs(est.cond_Q - 1.0) < 1e-12 and abs(est.qinv_norm - 1.0) < 1e-12
 
 
 def test_li_exact_on_linear_with_general_frame():
@@ -157,8 +171,7 @@ def test_li_exact_on_linear_with_general_frame():
 
 
 def test_li_qinv_and_cond_match_svd():
-    frame = DirectionSet(trial_directions("LI", 5, 5, 1, RngStream(5).generator())[0],
-                         "general_interp")
+    frame = DirectionSet(trial_directions("LI", 5, 5, 1, RngStream(5).generator())[0])
     p = make_linear(np.ones(5))
     est = estimate(clean_oracle(p), np.zeros(5),
                    EstimatorConfig("LI", 0.1, direction_source=frame))
@@ -170,7 +183,7 @@ def test_li_qinv_and_cond_match_svd():
 def test_li_singular_frame_rejected_before_any_evaluation():
     row = np.array([0.6, 0.8, 0.0])
     Q = np.vstack([row, row, [0.0, 0.0, 1.0]])
-    frame = DirectionSet(Q, "general_interp")
+    frame = DirectionSet(Q)
     oracle = clean_oracle(make_linear(np.ones(3)))
     with pytest.raises(SingularDirections):
         estimate(oracle, np.zeros(3), EstimatorConfig("LI", 0.1, direction_source=frame))
@@ -178,8 +191,7 @@ def test_li_singular_frame_rejected_before_any_evaluation():
 
 
 def test_li_requires_square_frame():
-    frame = DirectionSet(trial_directions("GSG", 3, 5, 1, RngStream(6).generator())[0],
-                         "gaussian")
+    frame = DirectionSet(trial_directions("GSG", 3, 5, 1, RngStream(6).generator())[0])
     with pytest.raises(ValueError):
         estimate(clean_oracle(make_linear(np.ones(3))), np.zeros(3),
                  EstimatorConfig("LI", 0.1, direction_source=frame))
@@ -190,8 +202,7 @@ def test_gsg_li_shared_direction_identity():
     n = 6
     p = make_sincos(n, 1.0, 2.0)
     x = np.full(n, 0.1)
-    frame = DirectionSet(trial_directions("GSG", n, n, 1, RngStream(7).generator())[0],
-                         "gaussian")
+    frame = DirectionSet(trial_directions("GSG", n, n, 1, RngStream(7).generator())[0])
     sigma = 0.05
     g_li = estimate(clean_oracle(p), x, EstimatorConfig("LI", sigma, direction_source=frame)).g
     g_gsg = estimate(clean_oracle(p), x,
@@ -233,7 +244,7 @@ def test_estimator_config_validation():
         EstimatorConfig(method="GSG", sigma=0.1, N=0)
     with pytest.raises(ValueError, match="direction_source"):
         EstimatorConfig(method="FFD", sigma=0.1,
-                        direction_source=DirectionSet(np.eye(2), "coordinate"))
+                        direction_source=DirectionSet(np.eye(2)))
 
 
 def test_sigma_must_be_positive_and_finite():

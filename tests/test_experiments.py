@@ -84,6 +84,27 @@ def test_spec_validation_errors():
         ExperimentSpec(experiment="theta_distribution", trials=0)
     with pytest.raises(ValueError, match="sigmas"):
         ExperimentSpec(experiment="bound_validation", sigmas=())
+    bad = [("n must be >= 1", dict(n=0)),
+           ("points_per_problem must be >= 1", dict(points_per_problem=0)),
+           ("budget_factor must be >= 1", dict(budget_factor=0)),
+           ("N_list entries must be >= 1", dict(N_list=(4, 0))),
+           ("sample_factor must be positive and finite", dict(sample_factor=-1.0)),
+           ("sample_factor must be positive and finite", dict(sample_factor=0.0)),
+           ("sample_factor must be positive and finite", dict(sample_factor=math.inf)),
+           (r"taus must lie in \(0, 1\)", dict(taus=(2.0,))),
+           (r"taus must lie in \(0, 1\)", dict(taus=(0.1, 0.0))),
+           (r"taus must lie in \(0, 1\)", dict(taus=(1.0,)))]
+    for message, kwargs in bad:
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(experiment="relative_error_sweep", **kwargs)
+    with pytest.raises(ValueError, match="exactly one eps_fs level"):
+        ExperimentSpec(experiment="optimizer_benchmark", eps_fs=(1e-4, 0.0))
+    with pytest.raises(ValueError, match="must be a JSON object, got list"):
+        ExperimentSpec.from_dict([1, 2])
+    for key, value in (("sigmas", ["a"]), ("sigmas", 0.1), ("N_list", [2.5]),
+                       ("problems", [3]), ("taus", [True])):
+        with pytest.raises(ValueError, match=f"spec key '{key}' must be a list"):
+            ExperimentSpec.from_dict({"experiment": "relative_error_sweep", key: value})
 
 
 def test_spec_rejects_out_key():
@@ -156,6 +177,9 @@ def test_parse_solver_rejects_malformed():
         parse_solver("ffd+lbfgs+wolfe")
     with pytest.raises(ValueError, match="must look like"):
         parse_solver("ffd+lbfgs")
+    for text in ("gsg:0+sd+ls", "gsg:0n+sd+ls", "gsg:-2n+sd+ls"):
+        with pytest.raises(ValueError, match="N must be positive"):
+            parse_solver(text)
 
 
 # ---------------------------------------------------------------- theta distribution
@@ -397,6 +421,42 @@ def test_benchmark_profiles_are_monotone_fractions(bench_result):
         assert 0.0 <= value <= 1.0
 
 
+def test_benchmark_profiles_equal_a_recount_of_the_raw_rows():
+    # both profiles recomputed by brute force from the raw table's
+    # evals_to_solve: 2 taus x 2 trials at a noise level, with a fixed-step
+    # solver in the race, must agree exactly
+    spec = ExperimentSpec(experiment="optimizer_benchmark",
+                          problems=("quadratic", "rosenbrock2", "powell4"),
+                          solvers=("ffd+lbfgs+ls", "cfd+sd+fixed:0.001", "gsg:n+sd+ls"),
+                          eps_fs=(1e-4,), taus=(0.1, 1e-3), trials=2,
+                          budget_factor=40, seed=3)
+    result = run_optimizer_benchmark(spec)
+    rows = [dict(zip(BENCH_HEADER, r)) for r in result.raw.rows]
+    solves = {(r["tau"], r["problem"], r["trial"], r["solver"]): r["evals_to_solve"]
+              for r in rows}
+    assert len(solves) == len(rows) == 2 * 3 * 2 * 3
+    finite = [v for v in solves.values() if v < math.inf]
+    assert 0 < len(finite) < len(rows)
+    dims = {r["problem"]: r["n"] for r in rows}
+    instances = [(p, t) for p in spec.problems for t in range(2)]
+    profiles = result.profiles
+    for tau in spec.taus:
+        for solver in spec.solvers:
+            curve = [sum(solves[(tau, p, t, solver)] <= k * (dims[p] + 1)
+                         for p, t in instances) / len(instances)
+                     for k in range(spec.budget_factor + 1)]
+            assert profiles.data_profiles[(tau, solver)].tolist() == curve
+            fractions = []
+            for alpha in experiments.PERF_ALPHA_GRID:
+                hits = 0
+                for p, t in instances:
+                    mine = solves[(tau, p, t, solver)]
+                    best = min(solves[(tau, p, t, s)] for s in spec.solvers)
+                    hits += mine < math.inf and mine / best <= alpha
+                fractions.append(hits / len(instances))
+            assert profiles.perf_profiles[(tau, solver)].tolist() == fractions
+
+
 # ---------------------------------------------------------------- CLI
 
 
@@ -529,6 +589,45 @@ def test_cli_optimize_writes_trace(tmp_path, capsys):
     assert len(lines) > 2
 
 
+def test_cli_optimize_matches_the_bench_run_of_the_same_solver(tmp_path, capsys):
+    # FFD and CFD draw no directions, so a noise-free optimize run with a
+    # 600-evaluation budget is the bench run on rosenbrock2 (n = 2) at
+    # budget_factor 200: same termination, iterations and evaluations
+    spec = ExperimentSpec(experiment="optimizer_benchmark", problems=("rosenbrock2",),
+                          solvers=("ffd+lbfgs+ls", "cfd+sd+fixed:0.001"),
+                          budget_factor=200, taus=(0.1,), seed=4)
+    rows = {r[2]: dict(zip(BENCH_HEADER, r))
+            for r in run_optimizer_benchmark(spec).raw.rows}
+    flags = {"ffd+lbfgs+ls": [],
+             "cfd+sd+fixed:0.001": ["--method", "CFD", "--step", "fixed",
+                                    "--alpha", "0.001"]}
+    for solver, extra in flags.items():
+        out = tmp_path / "trace.csv"
+        assert main(["optimize", "--problem", "rosenbrock2", "--budget", "600",
+                     "--out", str(out), *extra]) == 0
+        printed = dict(kv.split("=") for kv in capsys.readouterr().out.split()[:2])
+        last = dict(zip(TRACE_COLUMNS, out.read_text().splitlines()[-1].split(",")))
+        bench = rows[solver]
+        assert printed["termination"] == bench["termination"]
+        assert int(printed["iters"]) == bench["iters"]
+        assert int(last["evals"]) == bench["evals_used"]
+
+
+def test_cli_optimize_defaults_N_and_reads_direction_in_any_case(tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    for extra in (["--method", "gsg"], ["--direction", "SD"]):
+        rc = main(["optimize", "--problem", "quadratic", "--budget", "200",
+                   "--out", str(out), *extra])
+        assert rc == 0, capsys.readouterr().err
+        assert "termination=" in capsys.readouterr().out
+    # gsg without --N runs at N = 4n, the solver-string default: f(x0) and
+    # one estimate of 4n + 1 = 17 evaluations on the 4-dimensional quadratic,
+    # which the gradient-norm stop then ends
+    main(["optimize", "--problem", "quadratic", "--method", "gsg",
+          "--grad-stop", "1e300", "--out", str(out)])
+    assert "termination=grad_norm_stop iters=1 evals=18 " in capsys.readouterr().out
+
+
 def test_cli_bench_writes_profiles(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     rc = main(["bench", "--problems", "quadratic", "--solvers",
@@ -590,8 +689,28 @@ def test_cli_spec_file_lowercase_methods_produce_rows(tmp_path, capsys):
     assert methods == ["FFD", "GSG"]
 
 
-def test_cli_bad_inputs_exit_2_with_clean_error(capsys):
+def test_cli_bad_inputs_exit_2_with_clean_error(tmp_path, capsys):
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text("[1, 2]")
+    bad_sigmas = tmp_path / "sigmas.json"
+    bad_sigmas.write_text(json.dumps({"sigmas": ["a"]}))
     cases = [
+        ["sweep", "--spec", str(not_an_object)],
+        ["sweep", "--spec", str(bad_sigmas)],
+        ["theta-dist", "--n", "0"],
+        ["sweep", "--points", "0"],
+        ["bound-check", "--points", "0"],
+        ["sweep", "--sample-factor", "-1"],
+        ["bench", "--budget-factor", "0"],
+        ["bench", "--taus", "2"],
+        ["bench", "--eps-fs", "1e-4,0"],
+        ["bounds", "--method", "FFD", "--n", "4", "--L", "2", "--eps-f", "nan"],
+        ["bounds", "--method", "FFD", "--n", "4", "--L", "2", "--eps-f", "inf"],
+        ["bounds", "--method", "FFD", "--n", "4", "--L", "2", "--eps-f=-1"],
+        ["bounds", "--method", "GSG", "--n", "4", "--delta", "0.1", "--L", "inf"],
+        ["bounds", "--method", "FFD", "--n", "4", "--L", "2", "--grad-norm", "inf"],
+        ["optimize", "--problem", "quadratic", "--direction", "newton"],
+        ["optimize", "--problem", "quadratic", "--method", "FFD", "--N", "0"],
         ["estimate", "--problem", "quadratic", "--method", "newton"],
         ["estimate", "--problem", "nowhere", "--method", "FFD"],
         ["estimate", "--problem", "quadratic", "--method", "FFD",

@@ -137,6 +137,16 @@ def test_lbfgs_skips_flat_pairs():
     assert np.array_equal(lbfgs_direction([CurvaturePair.of(s, y)], g), -g)
 
 
+def test_lbfgs_falls_back_to_steepest_descent_on_a_nan_direction():
+    # a curved pair whose scalings overflow: the two-loop recursion yields
+    # [nan, nan], which is no descent direction, so -g comes back instead
+    history = [CurvaturePair.of(np.array([1e150, 0.0]), np.array([1e-160, 0.0]))]
+    g = np.array([1e-155, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = lbfgs_direction(history, g)
+    assert np.array_equal(d, -g)
+
+
 def test_lbfgs_direction_is_descent_for_positive_pairs():
     rng = RngStream(51).generator()
     for _ in range(50):

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import assert_matrix_within, assert_mean_within, run_with_resample
+from gradest.estimators import trial_directions
 from gradest.sampling import (
     DirectionSet,
     RngStream,
-    direction_stack,
     monte_carlo_moment,
     orthonormal_directions,
+    unit_rows,
 )
 
 
@@ -26,39 +27,44 @@ def test_rngstream_substreams_are_reproducible_and_distinct():
 
 
 def test_coordinate_directions_are_identity():
-    ds = DirectionSet(np.eye(5), "coordinate")
-    assert ds.scheme == "coordinate"
+    ds = DirectionSet(np.eye(5))
     assert ds.n == ds.N == 5
 
 
 def test_gaussian_directions_shape_and_determinism():
-    Q1 = direction_stack("gaussian", 3, 7, 1, RngStream(42).generator())[0]
-    Q2 = direction_stack("gaussian", 3, 7, 1, RngStream(42).generator())[0]
+    Q1 = trial_directions("GSG", 3, 7, 1, RngStream(42).generator())[0]
+    Q2 = trial_directions("GSG", 3, 7, 1, RngStream(42).generator())[0]
     assert Q1.shape == (7, 3)
     assert np.array_equal(Q1, Q2)
 
 
 def test_gaussian_directions_first_moments():
     rng = RngStream(1).generator(2)
-    Q = direction_stack("gaussian", 5, 10**6, 1, rng)[0]
+    Q = trial_directions("GSG", 5, 10**6, 1, rng)[0]
     assert np.all(np.abs(Q.mean(axis=0)) < 4.0 / math.sqrt(10**6))
     assert_mean_within(np.sum(Q * Q, axis=1), 5.0, label="E||u||^2 = n")
 
 
 def test_sphere_rows_unit_norm_and_moments():
     rng = RngStream(2).generator(1)
-    Q = direction_stack("sphere", 3, 2000, 1, rng)[0]
+    Q = trial_directions("BSG", 3, 2000, 1, rng)[0]
     norms = np.linalg.norm(Q, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
-    big = direction_stack("sphere", 2, 10**6, 1, RngStream(2).generator(2))[0]
+    big = trial_directions("BSG", 2, 10**6, 1, RngStream(2).generator(2))[0]
     assert_mean_within(big[:, 0], 0.0, label="sphere odd moment")
     assert_mean_within(big[:, 0] ** 2, 0.5, label="E u1^2 = 1/n on sphere")
+
+
+def test_unit_rows_normalizes_in_place_and_redraws_a_zero_row():
+    U = np.array([[3.0, 4.0], [0.0, 0.0]])
+    assert unit_rows(U, RngStream(3).generator()) is U
+    assert np.array_equal(U[0], [0.6, 0.8])
+    assert np.all(U[1] != 0.0) and abs(np.linalg.norm(U[1]) - 1.0) < 1e-15
 
 
 def test_orthonormal_directions_orthogonality():
     for n in (1, 2, 3, 10, 50, 120):
         ds = orthonormal_directions(n, RngStream(5).generator(n))
-        assert ds.scheme == "orthonormal"
         err = np.max(np.abs(ds.Q @ ds.Q.T - np.eye(n)))
         assert err < 1e-12, f"n={n}: {err:.2e}"
     q1 = orthonormal_directions(1, RngStream(6).generator()).Q
@@ -90,7 +96,7 @@ def test_orthonormal_first_entry_matches_haar_marginal():
 
 def test_interpolation_directions_max_norm_scaling():
     for n in (2, 8, 33):
-        Q = direction_stack("general_interp", n, n, 1, RngStream(9).generator(n))[0]
+        Q = trial_directions("LI", n, n, 1, RngStream(9).generator(n))[0]
         norms = np.linalg.norm(Q, axis=1)
         assert norms.max() <= 1.0 + 1e-12
         assert abs(norms.max() - 1.0) < 1e-12  # scaled BY the max, not below it
@@ -98,7 +104,7 @@ def test_interpolation_directions_max_norm_scaling():
 
 def test_direction_set_shape_validation():
     with pytest.raises(ValueError):
-        DirectionSet(np.zeros(3), "gaussian")
+        DirectionSet(np.zeros(3))
 
 
 # ---------------------------------------------------------------- moments
