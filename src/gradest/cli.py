@@ -71,12 +71,10 @@ def _sibling(out: str, suffix: str) -> str:
 
 def _spec_from_args(args, experiment: str) -> ExperimentSpec:
     """The --spec file's fields updated with the flags that were given."""
-    data = {}
-    if getattr(args, "spec", None):
-        with open(args.spec) as fh:
-            data = json.load(fh)
     flags = {k: v for k, v in vars(args).items() if k in _SPEC_FIELDS}
-    return ExperimentSpec.from_dict(data, **flags, experiment=experiment)
+    if getattr(args, "spec", None):
+        return ExperimentSpec.from_json(args.spec, **flags, experiment=experiment)
+    return ExperimentSpec.from_dict({}, **flags, experiment=experiment)
 
 
 def _cmd_estimate(args) -> int:
@@ -176,18 +174,18 @@ def _cmd_bound_check(args) -> int:
 
 def _cmd_optimize(args) -> int:
     problem, x0 = get_problem(args.problem)
-    solver = SolverSpec(f"{args.method}+{args.direction}+{args.step}", args.method,
+    direction = args.direction or ("lbfgs" if args.step == "ls" else "sd")
+    solver = SolverSpec(f"{args.method}+{direction}+{args.step}", args.method,
                         None if args.N is None else str(args.N), args.sigma,
-                        args.direction, args.step, args.alpha)
+                        direction, args.step, args.alpha)
     oracle = make_oracle(problem, args.noise_kind, args.eps_f, args.seed, 1)
     trace = solver.run(oracle, x0, args.budget, RngStream(args.seed).generator(3),
                        max_iters=args.max_iters, grad_norm_stop=args.grad_stop)
     out = args.out or "trace.csv"
-    trace.to_csv(out)
-    final = trace.records[-1] if trace.records else None
-    f_final = final.f if final else float("nan")
+    with open(out, "w", newline="") as fh:
+        trace.to_csv(fh)
     print(f"termination={trace.termination} iters={len(trace.records)} "
-          f"evals={oracle.eval_count} f={f_final:.6g} trace={out}")
+          f"evals={oracle.eval_count} f={trace.records[-1].f:.6g} trace={out}")
     return 0
 
 
@@ -299,13 +297,14 @@ def main(argv=None) -> int:
     p.add_argument("--sigma", type=float, default=1e-5)
     p.add_argument("--N", type=int, default=None,
                    help="smoothing sample size (default 4n)")
-    p.add_argument("--direction", default="lbfgs",
-                   help="lbfgs or sd (steepest_descent), any case")
+    p.add_argument("--direction", default=None,
+                   help="lbfgs or sd (steepest_descent), any case (default lbfgs "
+                        "for --step ls, sd for --step fixed, which takes sd only)")
     p.add_argument("--step", default="ls", choices=("ls", "fixed"))
     p.add_argument("--alpha", type=float, default=0.01, help="fixed step size")
     p.add_argument("--budget", type=int, default=10_000)
-    p.add_argument("--max-iters", type=int, default=1_000_000)
-    p.add_argument("--grad-stop", type=float, default=None)
+    p.add_argument("--max-iters", type=int, default=1_000_000, help="--step ls only")
+    p.add_argument("--grad-stop", type=float, default=None, help="--step ls only")
     p.set_defaults(fn=_cmd_optimize)
 
     p = experiment("bench", grid, _cmd_bench,

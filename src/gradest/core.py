@@ -111,9 +111,7 @@ class NoisyOracle:
     """Counting oracle for f(x) = phi(x) + eps(x).
 
     Each scalar evaluation increments eval_count by exactly one; batch
-    evaluation of K rows increments it by K. clone() gives an oracle on the
-    same objective and noise model with a zero counter and, for uniform_iid
-    noise, an independent noise substream.
+    evaluation of K rows increments it by K.
     """
 
     def __init__(self, objective: ObjectiveFunction, noise: NoiseModel | None = None,
@@ -127,13 +125,6 @@ class NoisyOracle:
             self._rng = None
         if self.noise.kind == "sinusoidal_deterministic":
             self._w = _sin_weights(objective.n)
-
-    def clone(self, *stream_indices: int) -> "NoisyOracle":
-        """Fresh oracle with a zero counter and an independent noise substream."""
-        rng = None
-        if self.noise.kind == "uniform_iid":
-            rng = RngStream(self.noise.seed).generator(*stream_indices)
-        return NoisyOracle(self.objective, self.noise, rng=rng)
 
     def _noise_batch(self, X: Array) -> Array:
         kind = self.noise.kind

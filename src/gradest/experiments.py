@@ -208,9 +208,10 @@ class ExperimentSpec:
         return cls(**data)
 
     @classmethod
-    def from_json(cls, path) -> "ExperimentSpec":
+    def from_json(cls, path, **overrides) -> "ExperimentSpec":
+        """The spec in the JSON file at path, updated as from_dict does."""
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            return cls.from_dict(json.load(fh), **overrides)
 
     def resolved_trials(self) -> int:
         if self.trials is not None:
@@ -507,9 +508,10 @@ class SolverSpec:
 
     method: any estimator name, case-insensitive. N: positive integer or
     multiple of the dimension like "4n" (smoothing methods only; default 4n).
-    sigma: any float token (default 1e-5). direction: "lbfgs" or "sd" (or
-    "steepest_descent", the stored spelling), case-insensitive.
-    step: "ls" (Armijo) or "fixed[:alpha]" (default alpha 0.01).
+    sigma: positive finite float (default 1e-5). direction: "lbfgs" or "sd"
+    (or "steepest_descent", the stored spelling), case-insensitive.
+    step: "ls" (Armijo) or "fixed[:alpha]" with a positive finite alpha
+    (default 0.01); the fixed step is steepest descent, so it rejects lbfgs.
     """
 
     label: str
@@ -531,6 +533,16 @@ class SolverSpec:
         if mult and not float(mult) > 0:
             raise ValueError(f"N must be positive, got {self.n_spec!r} "
                              f"in solver spec {self.label!r}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r} "
+                             f"in solver spec {self.label!r}")
+        if self.step == "fixed":
+            if not 0 < self.alpha < math.inf:
+                raise ValueError(f"fixed step alpha must be positive and finite, got "
+                                 f"{self.alpha!r} in solver spec {self.label!r}")
+            if direction == "lbfgs":
+                raise ValueError(f"the fixed step takes direction sd, not lbfgs, "
+                                 f"in solver spec {self.label!r}")
 
     def resolve_N(self, n: int) -> int | None:
         if self.method in ("FFD", "CFD", "LI"):
@@ -565,7 +577,8 @@ def parse_solver(text: str) -> SolverSpec:
     for tok in est_tokens[1:]:
         if not tok:
             continue
-        if tok.endswith("n") or tok.isdigit():
+        # "12", "n" and "4n" are N; any other token ("1e-4", "nan") is sigma
+        if tok.isdigit() or tok.endswith("n") and tok.lower().lstrip("+-") != "nan":
             n_spec = tok
         else:
             sigma = float(tok)
@@ -631,8 +644,6 @@ def _run_solver(problem, solver: SolverSpec, spec: ExperimentSpec, budget: int,
     x0 = problem.x0 if problem.x0 is not None else np.zeros(problem.n)
     trace = solver.run(oracle, x0, budget, rng, max_iters=10_000_000,
                        grad_norm_stop=None)
-    if not trace.records:
-        return trace, np.empty(0, dtype=int), np.empty(0)
     X = np.stack([r.x for r in trace.records])
     phi = problem.batch_value(X)
     evals = np.array([r.evals_cumulative for r in trace.records])
@@ -666,10 +677,8 @@ def run_optimizer_benchmark(spec: ExperimentSpec) -> BenchmarkResult:
                     for s_idx, solver in enumerate(solvers)]
             ref = _run_solver(problem, solvers[0], spec, 4 * budget,
                               (_TAG_REFERENCE, p_idx, 10_000, t))
-            best = math.inf
-            for _, _, phi in runs + [ref]:
-                if phi.size:
-                    best = min(best, float(np.min(phi)))
+            # inf leads, so a NaN minimum (a diverged run) is never the best
+            best = min(math.inf, *(float(np.min(phi)) for _, _, phi in runs + [ref]))
             instances.append((problem, t, budget, f0, best, runs))
 
     raw = CsvTable(BENCH_HEADER)
@@ -683,8 +692,7 @@ def run_optimizer_benchmark(spec: ExperimentSpec) -> BenchmarkResult:
                 if len(hit):
                     t_solve[tau_idx, i, s_idx] = evals[hit[0]]
                 raw.add(problem.name, problem.n, solver.label, tau, t, spec.seed, budget,
-                        float(t_solve[tau_idx, i, s_idx]), f0, best,
-                        float(np.min(phi)) if phi.size else math.nan,
+                        float(t_solve[tau_idx, i, s_idx]), f0, best, float(np.min(phi)),
                         trace.termination, len(trace.records), trace.evals_used)
 
     # exact counts over the instances, per (tau, solver): solved within k

@@ -11,8 +11,6 @@ visible in the trace's cumulative evaluation column.
 """
 from __future__ import annotations
 
-import dataclasses
-import io
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -24,6 +22,13 @@ from .estimators import EstimatorConfig, estimate
 
 # curvature pairs with s'y below this relative threshold are skipped
 CURVATURE_GUARD = 1e-10
+# Armijo backtracking: the first trial step, the factor that shrinks it, and
+# the number of shrinks before a StepFailure (MAX_BACKTRACKS + 1 probes)
+ALPHA0 = 1.0
+BACKTRACK = 0.3
+MAX_BACKTRACKS = 30
+# curvature pairs kept by L-BFGS
+MEMORY = 10
 
 TRACE_COLUMNS = ("iter", "f", "grad_est_norm", "true_grad_norm", "alpha",
                  "evals", "backtracks")
@@ -47,7 +52,7 @@ class NotDescent(ValueError):
 
 
 class StepFailure(RuntimeError):
-    """Raised when backtracking exhausts max_backtracks without acceptance."""
+    """Raised when backtracking exhausts MAX_BACKTRACKS without acceptance."""
 
 
 @dataclass(frozen=True)
@@ -56,16 +61,14 @@ class LineSearchConfig:
 
     noise_relaxation None means automatic: 2 * oracle noise level when the
     oracle is noisy, 0 otherwise. grad_norm_stop None means relative,
-    1e-6 * ||g(x0)||. direction is "steepest_descent" or "lbfgs".
+    1e-6 * ||g(x0)||. direction is "steepest_descent" or "lbfgs". The
+    step schedule (ALPHA0, BACKTRACK, MAX_BACKTRACKS) and the L-BFGS
+    MEMORY are module constants.
     """
 
     c1: float = 0.2
-    backtrack: float = 0.3
-    alpha0: float = 1.0
-    max_backtracks: int = 30
     noise_relaxation: float | None = None
     direction: str = "lbfgs"
-    memory: int = 10
     max_iters: int = 1000
     eval_budget: int | None = None
     grad_norm_stop: float | None = None
@@ -73,16 +76,8 @@ class LineSearchConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.c1 < 1.0:
             raise ValueError("c1 must lie in (0, 1)")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtrack must lie in (0, 1)")
-        if not self.alpha0 > 0:
-            raise ValueError("alpha0 must be positive")
-        if self.max_backtracks < 0:
-            raise ValueError("max_backtracks must be nonnegative")
         if self.direction not in ("steepest_descent", "lbfgs"):
             raise ValueError("direction must be steepest_descent or lbfgs")
-        if self.memory < 1:
-            raise ValueError("memory must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -92,8 +87,9 @@ class IterationRecord:
     grad_est_norm and slope belong to the estimate that drove the step
     (computed at the departure point); x, f, and true_grad_norm describe the
     accepted arrival point. Rows with alpha = 0 are in-place: a rejected
-    step (backtracks = max_backtracks + 1), the terminal gradient-norm stop,
-    or the terminal non-finite estimate. fixed_step_dfo rows instead
+    step (backtracks = MAX_BACKTRACKS + 1), the terminal gradient-norm stop,
+    the terminal non-finite estimate, or the one row of a run stopped before
+    its first estimate (grad_est_norm nan). fixed_step_dfo rows instead
     describe the iterate before its step.
     """
 
@@ -114,45 +110,27 @@ class OptimizationTrace:
     termination: str = "running"
 
     @property
-    def final_x(self) -> Array:
-        return self.records[-1].x
-
-    @property
     def evals_used(self) -> int:
-        return self.records[-1].evals_cumulative if self.records else 0
+        return self.records[-1].evals_cumulative
 
-    def column(self, name: str) -> np.ndarray:
-        attr = {"iter": "iteration", "evals": "evals_cumulative"}.get(name, name)
-        return np.asarray([getattr(r, attr) for r in self.records])
-
-    def to_csv(self, path_or_file) -> None:
-        """Write the trace with the stable column set, one row per record."""
-        closing = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-        fh = open(path_or_file, "w", newline="") if closing else path_or_file
-        try:
-            fh.write(",".join(TRACE_COLUMNS) + "\n")
-            for r in self.records:
-                fh.write(f"{r.iteration},{r.f:.17g},{r.grad_est_norm:.17g},"
-                         f"{r.true_grad_norm:.17g},{r.alpha:.17g},"
-                         f"{r.evals_cumulative},{r.backtracks}\n")
-        finally:
-            if closing:
-                fh.close()
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
+    def to_csv(self, fh) -> None:
+        """Write the trace to the open text file fh with the stable column
+        set, one row per record."""
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        for r in self.records:
+            fh.write(f"{r.iteration},{r.f:.17g},{r.grad_est_norm:.17g},"
+                     f"{r.true_grad_norm:.17g},{r.alpha:.17g},"
+                     f"{r.evals_cumulative},{r.backtracks}\n")
 
 
 def armijo_search(oracle: NoisyOracle, x: Array, d: Array, g: Array,
-                  f_x: float, cfg: LineSearchConfig):
-    """Backtracking search: largest alpha in {alpha0 * backtrack^k} with
+                  f_x: float, cfg: LineSearchConfig, alpha0: float = ALPHA0):
+    """Backtracking search: largest alpha in {alpha0 * BACKTRACK^k} with
 
         f(x + alpha d) <= f_x + c1 * alpha * g'd + relaxation.
 
     Returns (alpha, x_new, f_new, backtracks). Raises NotDescent when
-    g'd is not negative (NaN included) and StepFailure when max_backtracks
+    g'd is not negative (NaN included) and StepFailure when MAX_BACKTRACKS
     is exhausted.
     """
     slope = float(np.dot(g, d))
@@ -161,14 +139,14 @@ def armijo_search(oracle: NoisyOracle, x: Array, d: Array, g: Array,
     relax = cfg.noise_relaxation
     if relax is None:
         relax = 2.0 * oracle.noise.level
-    alpha = cfg.alpha0
-    for k in range(cfg.max_backtracks + 1):
+    alpha = alpha0
+    for k in range(MAX_BACKTRACKS + 1):
         x_new = x + alpha * d
         f_new = oracle(x_new)
         if f_new <= f_x + cfg.c1 * alpha * slope + relax:
             return alpha, x_new, f_new, k
-        alpha *= cfg.backtrack
-    raise StepFailure(f"no acceptable step within {cfg.max_backtracks} backtracks")
+        alpha *= BACKTRACK
+    raise StepFailure(f"no acceptable step within {MAX_BACKTRACKS} backtracks")
 
 
 class CurvaturePair(NamedTuple):
@@ -223,8 +201,13 @@ def lbfgs_direction(history: list[CurvaturePair], g: Array) -> Array:
     return d
 
 
-def _true_grad_norm(oracle: NoisyOracle, x: Array) -> float:
-    return float(np.linalg.norm(oracle.objective.gradient_at(x)))
+def _record(k: int, oracle: NoisyOracle, x: Array, f: float, g_norm: float,
+            alpha: float, backtracks: int, slope: float) -> IterationRecord:
+    """Iteration k's record at x: a copy of x, the true gradient norm there,
+    and the oracle's evaluation count so far."""
+    return IterationRecord(k, x.copy(), f, g_norm,
+                           float(np.linalg.norm(oracle.objective.gradient_at(x))),
+                           alpha, oracle.eval_count, backtracks, slope)
 
 
 def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
@@ -239,8 +222,9 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
     rng feeds the estimator's direction draws; FFD and CFD need none, and
     the other methods raise ValueError without rng or a direction_source.
     On a StepFailure the gradient is re-estimated at the same point (fresh
-    randomness) and the local alpha0 is halved; an accepted step restores it.
-    Every iteration appends a record, so the final record's cumulative
+    randomness) and the local alpha0 is halved; an accepted step restores
+    ALPHA0. Every iteration appends a record, and a run stopped before its
+    first estimate records x0 in place, so the final record's cumulative
     evaluation count equals the oracle counter exactly.
     """
     if ls_cfg.eval_budget is None and ls_cfg.max_iters is None:
@@ -252,7 +236,7 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
     history: list[CurvaturePair] = []
     prev_x = prev_g = None
     stop_norm = ls_cfg.grad_norm_stop
-    alpha0_local = ls_cfg.alpha0
+    alpha0 = ALPHA0
     consecutive_failures = 0
     k = 0
 
@@ -267,9 +251,7 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
         g = estimate(oracle, x, estimator_cfg, rng).g
         g_norm = float(np.linalg.norm(g))
         if not math.isfinite(g_norm):
-            trace.records.append(IterationRecord(
-                k, x.copy(), f_x, g_norm, _true_grad_norm(oracle, x),
-                0.0, oracle.eval_count, 0, 0.0))
+            trace.records.append(_record(k, oracle, x, f_x, g_norm, 0.0, 0, 0.0))
             trace.termination = "nonfinite"
             break
         if stop_norm is None:
@@ -277,14 +259,12 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
 
         if ls_cfg.direction == "lbfgs" and prev_g is not None and np.any(x != prev_x):
             history.append(CurvaturePair.of(x - prev_x, g - prev_g))
-            if len(history) > ls_cfg.memory:
+            if len(history) > MEMORY:
                 history.pop(0)
         prev_x, prev_g = x, g
 
         if g_norm <= stop_norm:
-            trace.records.append(IterationRecord(
-                k, x.copy(), f_x, g_norm, _true_grad_norm(oracle, x),
-                0.0, oracle.eval_count, 0, 0.0))
+            trace.records.append(_record(k, oracle, x, f_x, g_norm, 0.0, 0, 0.0))
             trace.termination = "grad_norm_stop"
             break
 
@@ -295,29 +275,27 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
         slope = float(np.dot(g, d))
 
         try:
-            cfg_k = (ls_cfg if alpha0_local == ls_cfg.alpha0
-                     else dataclasses.replace(ls_cfg, alpha0=alpha0_local))
-            alpha, x_new, f_new, backtracks = armijo_search(oracle, x, d, g, f_x, cfg_k)
+            alpha, x_new, f_new, backtracks = armijo_search(
+                oracle, x, d, g, f_x, ls_cfg, alpha0)
         except StepFailure:
             consecutive_failures += 1
-            trace.records.append(IterationRecord(
-                k, x.copy(), f_x, g_norm, _true_grad_norm(oracle, x),
-                0.0, oracle.eval_count, ls_cfg.max_backtracks + 1, slope))
+            trace.records.append(_record(k, oracle, x, f_x, g_norm, 0.0,
+                                         MAX_BACKTRACKS + 1, slope))
             if consecutive_failures >= 3:
                 trace.termination = "step_failure"
                 break
-            alpha0_local = alpha0_local / 2.0
+            alpha0 /= 2.0
             k += 1
             continue
 
         consecutive_failures = 0
-        alpha0_local = ls_cfg.alpha0
+        alpha0 = ALPHA0
         x, f_x = x_new, f_new
-        trace.records.append(IterationRecord(
-            k, x.copy(), f_x, g_norm, _true_grad_norm(oracle, x),
-            alpha, oracle.eval_count, backtracks, slope))
+        trace.records.append(_record(k, oracle, x, f_x, g_norm, alpha, backtracks, slope))
         k += 1
 
+    if not trace.records:
+        trace.records.append(_record(0, oracle, x, f_x, math.nan, 0.0, 0, 0.0))
     return trace
 
 
@@ -345,16 +323,12 @@ def fixed_step_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
             break
         f_x = oracle(x)
         if not np.isfinite(f_x) or not np.all(np.isfinite(x)):
-            trace.records.append(IterationRecord(
-                k, x.copy(), f_x, np.nan, _true_grad_norm(oracle, x),
-                alpha, oracle.eval_count, 0, 0.0))
+            trace.records.append(_record(k, oracle, x, f_x, np.nan, alpha, 0, 0.0))
             trace.termination = "divergence"
             break
         g = estimate(oracle, x, estimator_cfg, rng).g
         g_norm = float(np.linalg.norm(g))
-        trace.records.append(IterationRecord(
-            k, x.copy(), f_x, g_norm, _true_grad_norm(oracle, x),
-            alpha, oracle.eval_count, 0, -g_norm**2))
+        trace.records.append(_record(k, oracle, x, f_x, g_norm, alpha, 0, -g_norm**2))
         increases = increases + 1 if (f_prev is not None and f_x > f_prev) else 0
         if increases >= 5:
             trace.termination = "divergence"

@@ -16,8 +16,6 @@ import numpy as np
 
 Array = np.ndarray
 
-# Orthogonality / unit-norm tolerances promised by the generators.
-ORTHO_TOL = 1e-12
 # |R_ii| below RANK_TOL * ||row i of the draw|| means the Gaussian draw was
 # numerically dependent on the rows before it; redraw it.
 RANK_TOL = 1e-8
@@ -63,14 +61,6 @@ class DirectionSet:
     def __post_init__(self) -> None:
         if np.ndim(self.Q) != 2:
             raise ValueError(f"Q must be an N x n matrix, got shape {np.shape(self.Q)}")
-
-    @property
-    def N(self) -> int:
-        return self.Q.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.Q.shape[1]
 
 
 def unit_rows(U: Array, rng: np.random.Generator) -> Array:

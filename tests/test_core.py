@@ -155,20 +155,6 @@ def test_noise_model_validation():
         NoiseModel("none", 0.1)
 
 
-def test_clone_resets_counter_and_keys_substream():
-    p = make_linear(np.ones(2))
-    oracle = NoisyOracle(p, NoiseModel("uniform_iid", 1e-2, seed=3))
-    oracle(np.zeros(2))
-    c1 = oracle.clone(4, 0)
-    c2 = oracle.clone(4, 0)
-    c3 = oracle.clone(4, 1)
-    assert c1.eval_count == 0
-    x = np.ones(2)
-    v1, v2, v3 = c1(x), c2(x), c3(x)
-    assert v1 == v2          # same substream indices, same realization
-    assert v1 != v3          # different indices, independent stream
-
-
 def test_batch_and_scalar_noise_share_one_stream_position():
     # uniform noise consumes one draw per evaluation in either entry path
     p = make_linear(np.ones(2))

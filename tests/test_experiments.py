@@ -180,6 +180,21 @@ def test_parse_solver_rejects_malformed():
     for text in ("gsg:0+sd+ls", "gsg:0n+sd+ls", "gsg:-2n+sd+ls"):
         with pytest.raises(ValueError, match="N must be positive"):
             parse_solver(text)
+    for text in ("ffd:-1+lbfgs+ls", "ffd:0.0+sd+ls", "ffd:nan+lbfgs+ls", "ffd:NaN+sd+ls",
+                 "gsg:n:inf+sd+ls"):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            parse_solver(text)
+    for text in ("cfd+sd+fixed:inf", "cfd+sd+fixed:0", "cfd+sd+fixed:-0.1",
+                 "cfd+sd+fixed:nan"):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            parse_solver(text)
+    with pytest.raises(ValueError, match="fixed step takes direction sd"):
+        parse_solver("cfd+lbfgs+fixed:0.001")
+    # a malformed solver fails before any solver runs
+    spec = ExperimentSpec(experiment="optimizer_benchmark", problems=("quadratic",),
+                          solvers=("ffd+lbfgs+ls", "cfd+sd+fixed:inf"))
+    with pytest.raises(ValueError, match="alpha"):
+        run_optimizer_benchmark(spec)
 
 
 # ---------------------------------------------------------------- theta distribution
@@ -367,7 +382,7 @@ def test_benchmark_raw_table(bench_result):
         assert r["f_ref"] <= r["f_best"] + 1e-12
         # the budget is tested before each iteration, so a run may finish
         # the iteration it started: at most n + 1 estimate evaluations
-        # (N = n for gsg:n) and max_backtracks + 1 line-search ones past it
+        # (N = n for gsg:n) and MAX_BACKTRACKS + 1 line-search ones past it
         assert r["termination"] in BENCH_TERMINATIONS
         assert r["iters"] >= 1
         assert r["evals_to_solve"] == np.inf or r["evals_to_solve"] <= r["evals_used"]
@@ -628,6 +643,26 @@ def test_cli_optimize_defaults_N_and_reads_direction_in_any_case(tmp_path, capsy
     assert "termination=grad_norm_stop iters=1 evals=18 " in capsys.readouterr().out
 
 
+def test_cli_optimize_budget_spent_on_x0_writes_one_row(tmp_path, capsys):
+    # f(x0) uses the whole budget: the trace still accounts for that
+    # evaluation, in one in-place row at x0
+    out = tmp_path / "trace.csv"
+    assert main(["optimize", "--problem", "quadratic", "--budget", "1",
+                 "--out", str(out)]) == 0
+    assert "termination=eval_budget iters=1 evals=1 f=2 " in capsys.readouterr().out
+    assert out.read_text().splitlines()[1:] == ["0,2,nan,2,0,1,0"]
+
+
+def test_cli_optimize_fixed_step_defaults_to_steepest_descent(tmp_path):
+    out = tmp_path / "trace.csv"
+    texts = []
+    for extra in ([], ["--direction", "sd"]):
+        assert main(["optimize", "--problem", "quadratic", "--step", "fixed",
+                     "--budget", "100", "--out", str(out), *extra]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+
+
 def test_cli_bench_writes_profiles(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     rc = main(["bench", "--problems", "quadratic", "--solvers",
@@ -717,6 +752,13 @@ def test_cli_bad_inputs_exit_2_with_clean_error(tmp_path, capsys):
          "--point", "1,2"],
         ["bench", "--problems", "quadratic", "--solvers", "ffd+warp+ls",
          "--taus", "0.1", "--budget-factor", "5"],
+        ["bench", "--problems", "quadratic", "--solvers", "ffd+lbfgs+ls,cfd+sd+fixed:inf"],
+        ["bench", "--problems", "quadratic", "--solvers", "cfd+lbfgs+fixed:0.001"],
+        ["bench", "--problems", "quadratic", "--solvers", "ffd+lbfgs+ls,ffd:-1+lbfgs+ls"],
+        ["bench", "--problems", "quadratic", "--solvers", "ffd:nan+lbfgs+ls"],
+        ["optimize", "--problem", "quadratic", "--step", "fixed", "--alpha", "inf"],
+        ["optimize", "--problem", "quadratic", "--step", "fixed", "--direction", "lbfgs"],
+        ["optimize", "--problem", "quadratic", "--sigma", "0"],
         ["bound-check", "--methods", "FFD,foo", "--trials", "3"],
         ["sweep", "--sigmas", "abc"],
         ["theta-dist", "--N-list", "2,x"],

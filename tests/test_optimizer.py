@@ -20,7 +20,10 @@ from gradest.core import (
 )
 from gradest.estimators import EstimatorConfig, estimate, relative_error
 from gradest.optimizer import (
+    ALPHA0,
+    BACKTRACK,
     CURVATURE_GUARD,
+    MAX_BACKTRACKS,
     TRACE_COLUMNS,
     CurvaturePair,
     IterationRecord,
@@ -79,11 +82,11 @@ def test_armijo_rejects_non_descent():
 def test_armijo_step_failure_and_eval_count():
     # phi increasing along d while the (wrong) slope says descent
     oracle = NoisyOracle(make_linear(np.array([1.0])))
-    cfg = LineSearchConfig(max_backtracks=5, noise_relaxation=0.0)
+    cfg = LineSearchConfig(noise_relaxation=0.0)
     with pytest.raises(StepFailure):
         armijo_search(oracle, np.zeros(1), np.array([1.0]), np.array([-1.0]),
                       0.0, cfg)
-    assert oracle.eval_count == 6  # max_backtracks + 1 probes
+    assert oracle.eval_count == MAX_BACKTRACKS + 1  # one probe per trial step
 
 
 def test_armijo_noise_relaxation_widens_acceptance():
@@ -99,7 +102,18 @@ def test_armijo_noise_relaxation_widens_acceptance():
         rising, x, d, g, 0.0, LineSearchConfig(noise_relaxation=0.04))
     assert alpha == pytest.approx(0.3) and backtracks == 1
     with pytest.raises(StepFailure):
-        armijo_search(rising, x, d, g, 0.0, LineSearchConfig(max_backtracks=8))
+        armijo_search(rising, x, d, g, 0.0, LineSearchConfig())
+
+
+def test_armijo_first_probe_is_at_the_given_alpha0():
+    oracle = quad_oracle([1.0])
+    x, g = np.array([1.0]), np.array([1.0])
+    # the default alpha0 would probe the minimum x = 0; alpha0 0.5 probes
+    # x = 0.5 first, which passes
+    alpha, x_new, f_new, backtracks = armijo_search(
+        oracle, x, -g, g, 0.5, LineSearchConfig(), alpha0=0.5)
+    assert alpha == 0.5 and backtracks == 0 and oracle.eval_count == 1
+    assert x_new[0] == 0.5 and f_new == 0.125
 
 
 def test_armijo_default_relaxation_absorbs_noise_on_flat_function():
@@ -231,10 +245,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         LineSearchConfig(c1=0.0)
     with pytest.raises(ValueError):
-        LineSearchConfig(backtrack=1.0)
-    with pytest.raises(ValueError):
-        LineSearchConfig(alpha0=-1.0)
-    with pytest.raises(ValueError):
         LineSearchConfig(direction="newton")
     with pytest.raises(ValueError):
         run_dfo(quad_oracle([1.0]), EstimatorConfig(method="CFD", sigma=1e-4),
@@ -258,7 +268,7 @@ def test_lbfgs_terminates_fast_on_quadratics():
         # the final record is the terminal bookkeeping row (alpha 0), not a step
         assert len(trace.records) - 1 <= 2 * n + 5
         assert np.linalg.norm(
-            oracle.objective.gradient_at(trace.final_x)) <= 1e-6
+            oracle.objective.gradient_at(trace.records[-1].x)) <= 1e-6
 
 
 def test_noise_free_line_search_decreases_f_strictly():
@@ -313,7 +323,7 @@ def test_rosenbrock_linesearch_solves_to_1e5():
     trace = run_dfo(
         oracle, EstimatorConfig(method="FFD", sigma=1e-5),
         LineSearchConfig(eval_budget=10**4, max_iters=10**6), x0)
-    assert problem.value_at(trace.final_x) <= 1e-5
+    assert problem.value_at(trace.records[-1].x) <= 1e-5
 
 
 def test_step_failure_terminates_after_three_strikes():
@@ -323,13 +333,48 @@ def test_step_failure_terminates_after_three_strikes():
     oracle = NoisyOracle(flat, NoiseModel("uniform_iid", 0.5, seed=3))
     trace = run_dfo(
         oracle, EstimatorConfig(method="FFD", sigma=1e-9),
-        LineSearchConfig(noise_relaxation=0.0, max_backtracks=3, max_iters=50),
+        LineSearchConfig(noise_relaxation=0.0, max_iters=50),
         np.full(2, 1e-7))
     assert trace.termination in ("step_failure", "max_iters")
     if trace.termination == "step_failure":
         tail = trace.records[-3:]
         assert all(r.alpha == 0.0 for r in tail)
-        assert all(r.backtracks == 4 for r in tail)  # max_backtracks + 1 marker
+        assert all(r.backtracks == MAX_BACKTRACKS + 1 for r in tail)  # failure marker
+
+
+def test_step_after_a_step_failure_starts_at_half_alpha0():
+    # phi = 1 + |x - 1| except 0 in a narrow window around x = 0.85. From
+    # x0 = 1 the estimate is g = 1, so the probes are x = 1 - alpha: no
+    # alpha in {BACKTRACK^k} reaches the window, so the first search fails;
+    # from alpha0 / 2 the second probe, 0.15, lands in it.
+    def value(x):
+        return 0.0 if abs(x[0] - 0.85) < 0.01 else 1.0 + abs(x[0] - 1.0)
+
+    p = ObjectiveFunction(name="window", n=1, value_at=value,
+                          gradient_at=lambda x: np.sign(x - 1.0), lipschitz_gradient=1.0)
+    trace = run_dfo(NoisyOracle(p), EstimatorConfig(method="FFD", sigma=1e-5),
+                    LineSearchConfig(max_iters=10), np.ones(1))
+    pairs = [(a, b) for a, b in zip(trace.records, trace.records[1:])
+             if a.backtracks == MAX_BACKTRACKS + 1 and b.alpha > 0]
+    assert pairs
+    for failed, accepted in pairs:
+        assert failed.alpha == 0.0
+        assert accepted.alpha == (ALPHA0 / 2) * BACKTRACK**accepted.backtracks
+
+
+@pytest.mark.parametrize("ls_cfg, termination", [
+    (LineSearchConfig(eval_budget=1, max_iters=10), "eval_budget"),
+    (LineSearchConfig(max_iters=0), "max_iters"),
+])
+def test_run_stopped_before_its_first_estimate_records_x0(ls_cfg, termination):
+    oracle = quad_oracle([1.0, 1.0])
+    x0 = np.array([1.0, 2.0])
+    trace = run_dfo(oracle, EstimatorConfig(method="FFD", sigma=1e-5), ls_cfg, x0)
+    assert trace.termination == termination
+    [rec] = trace.records
+    assert rec.iteration == 0 and rec.f == 2.5 and math.isnan(rec.grad_est_norm)
+    assert rec.alpha == 0.0 and rec.evals_cumulative == oracle.eval_count == 1
+    assert np.array_equal(rec.x, x0)
 
 
 def test_nonfinite_estimate_stops_in_place():
@@ -394,7 +439,7 @@ def test_norm_condition_sufficiency_along_trajectory(base_seed):
     for i, x in enumerate(eligible):
         grad = problem.gradient_at(x)
         for t in range(per_point):
-            o = oracle.clone(2, i, t)
+            o = NoisyOracle(problem, noise, rng=RngStream(base_seed).generator(2, i, t))
             rng = RngStream(base_seed).generator(3, i, t)
             est = estimate(o, x, est_cfg, rng)
             samples += 1
@@ -455,17 +500,19 @@ def test_trace_csv_format_and_nan_handling():
     trace = fixed_step_dfo(
         oracle, EstimatorConfig(method="CFD", sigma=1e-6), 0.2,
         np.ones(2), budget=20)
-    text = trace.to_csv_text()
-    lines = text.strip().split("\n")
-    assert lines[0] == ",".join(TRACE_COLUMNS)
-    assert lines[1].split(",")[3] == f"{trace.records[0].true_grad_norm:.17g}"
     buf = io.StringIO()
     trace.to_csv(buf)
-    assert buf.getvalue() == text
-    col = trace.column("true_grad_norm")
+    lines = buf.getvalue().strip().split("\n")
+    assert lines[0] == ",".join(TRACE_COLUMNS)
+    assert lines[1].split(",")[3] == f"{trace.records[0].true_grad_norm:.17g}"
+    rows = [line.split(",") for line in lines[1:]]
+    col = np.array([float(row[3]) for row in rows])
     assert np.array_equal(col, [r.true_grad_norm for r in trace.records])
-    assert np.all(trace.column("f") == np.array([r.f for r in trace.records]))
+    assert np.all(np.array([float(row[1]) for row in rows])
+                  == np.array([r.f for r in trace.records]))
     # non-finite values render as nan, like every other float
     nan_row = OptimizationTrace([IterationRecord(0, np.ones(2), 1.0, math.nan, math.nan,
                                                  0.0, 3, 0, 0.0)])
-    assert nan_row.to_csv_text().split("\n")[1] == "0,1,nan,nan,0,3,0"
+    buf = io.StringIO()
+    nan_row.to_csv(buf)
+    assert buf.getvalue().split("\n")[1] == "0,1,nan,nan,0,3,0"

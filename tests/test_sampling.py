@@ -28,7 +28,7 @@ def test_rngstream_substreams_are_reproducible_and_distinct():
 
 def test_coordinate_directions_are_identity():
     ds = DirectionSet(np.eye(5))
-    assert ds.n == ds.N == 5
+    assert ds.Q.shape == (5, 5)
 
 
 def test_gaussian_directions_shape_and_determinism():

@@ -1,19 +1,22 @@
 """SHA-256 digests of a fixed set of gradest CLI runs, for byte-identity checks.
 
-Runs sixteen gradest invocations at seed 7, each in its own directory under
-a temporary root, with the gradest package from the src/ directory next to
-this script. Prints one "<sha256>  <invocation>/<part>" line per output
-file, stdout, stderr and exit code, in a fixed order. Two checkouts write
-the same bytes when their outputs diff clean:
+Runs seventeen gradest invocations at seed 7, each in its own directory
+under a temporary root, with the gradest package from --src DIR (default:
+the src/ directory next to this script). Prints one
+"<sha256>  <invocation>/<part>" line per output file, stdout, stderr and
+exit code, in a fixed order. Two checkouts write the same bytes when their
+outputs diff clean; one copy of the invocation list serves both, so an
+invocation added here can be compared against an older checkout:
 
     python tools/cli_digests.py > new.txt
-    python ../parent/tools/cli_digests.py > old.txt
+    python tools/cli_digests.py --src ../parent/src > old.txt
     diff old.txt new.txt
 
 Standard library only; the runs take a few seconds each.
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -45,6 +48,8 @@ INVOCATIONS = [
     ("optimize_cfd_fixed", ["optimize", "--problem", "rosenbrock2", "--method", "CFD",
                             "--step", "fixed", "--alpha", "0.001", "--budget", "600",
                             "--out", "trace.csv"]),
+    ("optimize_budget_one", ["optimize", "--problem", "quadratic", "--budget", "1",
+                             "--out", "trace.csv"]),
     ("optimize_bsg_fixed", ["optimize", "--problem", "quadratic", "--method", "BSG",
                             "--N", "4", "--step", "fixed", "--alpha", "0.05",
                             "--eps-f", "1e-3", "--budget", "800", "--out", "trace.csv"]),
@@ -76,8 +81,12 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main() -> int:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=SRC,
+                        help="directory holding the gradest package (default %(default)s)")
+    args = parser.parse_args(argv)
+    env = dict(os.environ, PYTHONPATH=str(args.src.resolve()))
     with tempfile.TemporaryDirectory(prefix="cli_digests_") as root:
         for name, argv in INVOCATIONS:
             cwd = Path(root) / name
