@@ -51,8 +51,13 @@ class ObjectiveFunction:
     value_batch must compute each row's value independently of the other
     rows. A BLAS matrix-vector product (X @ a) does not: its rounding
     depends on how many rows the batch has and where a row sits in it, so
-    the drivers' trial chunking would change the values. Row sums and
-    einsum contractions are row-independent.
+    the drivers' trial chunking would change the values. Row sums of a
+    C-ordered array and einsum contractions are row-independent; a row sum
+    of a column subset X[:, idx] is not (see _sum_in_order).
+
+    value_at need not round like value_batch: the two may differ by a few
+    units in the last place. Among the standard problems they do on linear,
+    quadratic, quadratic_diag, sphere, trig5, trig10 and sincos20.
     """
 
     name: str
@@ -99,6 +104,18 @@ class NoiseModel:
             raise ValueError(f"noise level must be finite and nonnegative, got {self.level!r}")
         if self.kind == "none" and self.level != 0.0:
             raise ValueError("kind='none' requires level 0")
+
+
+def _sum_in_order(A: Array) -> Array:
+    """Row sums of A, each adding its columns in sequence from the left.
+
+    A plain A.sum(axis=1) does that for a many-row column subset X[:, idx]
+    (numpy returns it column-major), but sums a single row pairwise, so one
+    point would round differently alone than inside a batch."""
+    total = A[:, 0].copy()
+    for j in range(1, A.shape[1]):
+        total += A[:, j]
+    return total
 
 
 def _sin_weights(n: int) -> Array:
@@ -190,7 +207,7 @@ def make_sincos(n: int, M: float, L: float) -> ObjectiveFunction:
 
     def batch(X: Array) -> Array:
         s = X.sum(axis=1)
-        return (M * np.sin(X[:, odd]).sum(axis=1) + np.cos(X[:, even]).sum(axis=1)
+        return (M * _sum_in_order(np.sin(X[:, odd])) + _sum_in_order(np.cos(X[:, even]))
                 + c * s * s)
 
     return ObjectiveFunction(

@@ -65,6 +65,19 @@ def test_registry_batch_matches_scalar_values():
         assert np.allclose(batch, single, rtol=1e-12, atol=1e-12), name
 
 
+@pytest.mark.parametrize("size", [1, 2, 7, 64])
+def test_batch_rows_are_independent_of_batch_size(size):
+    # a row's value must not depend on the rows evaluated with it, or the
+    # drivers' chunking would move output bytes; bitwise, not approximately
+    rng = RngStream(12).generator(size)
+    for name, problem, x0 in make_standard_problems():
+        X = x0[None, :] + rng.uniform(-2.0, 2.0, (128, problem.n))
+        whole = problem.batch_value(X)
+        parts = np.concatenate([problem.batch_value(X[i:i + size])
+                                for i in range(0, 128, size)])
+        assert whole.tobytes() == parts.tobytes(), name
+
+
 def test_registry_names_and_lookup():
     triples = make_standard_problems()
     names = [name for name, _, _ in triples]

@@ -288,11 +288,11 @@ def test_sweep_noise_hurts_and_determinism(sweep_tables):
 def test_csv_bytes_do_not_depend_on_the_trial_chunk_size(monkeypatch):
     specs = [
         ExperimentSpec(experiment="relative_error_sweep",
-                       problems=("sincos10", "rosenbrock2"), sigmas=(0.01,),
+                       problems=("sincos20", "sincos10", "rosenbrock2"), sigmas=(0.01,),
                        eps_fs=(0.0, 1e-3), points_per_problem=1, trials=6, seed=3),
         ExperimentSpec(experiment="theta_distribution", n=8, N_list=(1, 16),
                        trials=60, seed=3),
-        ExperimentSpec(experiment="bound_validation", problems=("sincos10",),
+        ExperimentSpec(experiment="bound_validation", problems=("sincos20", "sincos10"),
                        eps_fs=(1e-6,), noise_kind="sinusoidal_deterministic",
                        points_per_problem=2, trials=8, seed=3),
     ]
@@ -303,9 +303,10 @@ def test_csv_bytes_do_not_depend_on_the_trial_chunk_size(monkeypatch):
         bound = run_bound_validation(specs[2])
         return [t.text() for t in (*sweep, theta, *bound)]
 
-    default = texts()
-    monkeypatch.setattr(experiments, "_CHUNK_COORDS", 1)   # one trial per chunk
-    assert texts() == default
+    default = texts()   # at the default _CHUNK_COORDS
+    for chunk in (4096, 512, 1):   # 1: one trial per chunk
+        monkeypatch.setattr(experiments, "_CHUNK_COORDS", chunk)
+        assert texts() == default, chunk
 
 
 # ---------------------------------------------------------------- bound validation

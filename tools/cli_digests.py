@@ -2,27 +2,35 @@
 
 Runs seventeen gradest invocations at seed 7, each in its own directory
 under a temporary root, with the gradest package from --src DIR (default:
-the src/ directory next to this script). Prints one
-"<sha256>  <invocation>/<part>" line per output file, stdout, stderr and
-exit code, in a fixed order. Two checkouts write the same bytes when their
-outputs diff clean; one copy of the invocation list serves both, so an
-invocation added here can be compared against an older checkout:
+the src/ directory next to this script). Prints a header line naming the
+numpy version, the machine and numpy's SIMD baseline, since floating-point
+results may differ where these do, then one "<sha256>  <invocation>/<part>"
+line per output file, stdout, stderr and exit code, in a fixed order. Two
+checkouts write the same bytes when their outputs diff clean; one copy of
+the invocation list serves both, so an invocation added here can be
+compared against an older checkout:
 
     python tools/cli_digests.py > new.txt
     python tools/cli_digests.py --src ../parent/src > old.txt
     diff old.txt new.txt
 
-Standard library only; the runs take a few seconds each.
+tests/cli_digests.txt holds the output for the current source, and
+tests/test_golden.py checks it; a change that moves output bytes updates
+that file in the same commit, so its diff names the invocations that moved.
+The runs take well under a second each.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SEED = "7"
@@ -81,12 +89,20 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def platform_header() -> str:
+    """The header line: what the digests may depend on besides the source."""
+    baseline = np.show_config(mode="dicts")["SIMD Extensions"]["baseline"]
+    return (f"# numpy {np.__version__} machine {platform.machine()} "
+            f"simd_baseline {','.join(baseline)}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=SRC,
                         help="directory holding the gradest package (default %(default)s)")
     args = parser.parse_args(argv)
     env = dict(os.environ, PYTHONPATH=str(args.src.resolve()))
+    print(platform_header())
     with tempfile.TemporaryDirectory(prefix="cli_digests_") as root:
         for name, argv in INVOCATIONS:
             cwd = Path(root) / name
