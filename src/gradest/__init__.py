@@ -21,8 +21,7 @@ from .bounds import (BoundReport, bernstein_sample_size,
                      variance_kappa)
 from .optimizer import (CurvaturePair, IterationRecord, LineSearchConfig,
                         NotDescent, OptimizationTrace, StepFailure,
-                        armijo_search, fixed_step_dfo, lbfgs_direction,
-                        run_dfo)
+                        armijo_search, lbfgs_direction, run_dfo)
 from .experiments import (ExperimentSpec, ProfileData, SolverSpec,
                           parse_solver, run_bound_validation,
                           run_optimizer_benchmark, run_relative_error_sweep,
@@ -50,7 +49,6 @@ __all__ = [
     # optimizer
     "LineSearchConfig", "IterationRecord", "OptimizationTrace", "NotDescent",
     "StepFailure", "CurvaturePair", "armijo_search", "lbfgs_direction", "run_dfo",
-    "fixed_step_dfo",
     # experiments
     "ExperimentSpec", "SolverSpec", "ProfileData", "parse_solver",
     "run_relative_error_sweep", "run_theta_distribution",

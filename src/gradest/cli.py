@@ -303,8 +303,8 @@ def main(argv=None) -> int:
     p.add_argument("--step", default="ls", choices=("ls", "fixed"))
     p.add_argument("--alpha", type=float, default=0.01, help="fixed step size")
     p.add_argument("--budget", type=int, default=10_000)
-    p.add_argument("--max-iters", type=int, default=1_000_000, help="--step ls only")
-    p.add_argument("--grad-stop", type=float, default=None, help="--step ls only")
+    p.add_argument("--max-iters", type=int, default=1_000_000)
+    p.add_argument("--grad-stop", type=float, default=None)
     p.set_defaults(fn=_cmd_optimize)
 
     p = experiment("bench", grid, _cmd_bench,

@@ -51,13 +51,11 @@ class ObjectiveFunction:
     value_batch must compute each row's value independently of the other
     rows. A BLAS matrix-vector product (X @ a) does not: its rounding
     depends on how many rows the batch has and where a row sits in it, so
-    the drivers' trial chunking would change the values. Row sums of a
-    C-ordered array and einsum contractions are row-independent; a row sum
-    of a column subset X[:, idx] is not (see _sum_in_order).
-
-    value_at need not round like value_batch: the two may differ by a few
-    units in the last place. Among the standard problems they do on linear,
-    quadratic, quadratic_diag, sphere, trig5, trig10 and sincos20.
+    the drivers' trial chunking would change the values. Row sums of X and
+    einsum contractions are row-independent (for column subsets see
+    _sum_in_order). value_at may differ from a batch row by rounding; among
+    the standard problems it does on linear, quadratic, quadratic_diag,
+    sphere, trig5, trig10 and sincos20.
     """
 
     name: str
@@ -107,14 +105,12 @@ class NoiseModel:
 
 
 def _sum_in_order(A: Array) -> Array:
-    """Row sums of A, each adding its columns in sequence from the left.
-
-    A plain A.sum(axis=1) does that for a many-row column subset X[:, idx]
-    (numpy returns it column-major), but sums a single row pairwise, so one
-    point would round differently alone than inside a batch."""
+    """Row sums of A adding the columns in sequence from the left. A.sum(axis=1)
+    does so on a many-row column subset X[:, idx], which numpy makes
+    column-major, but sums a lone row pairwise, which rounds differently."""
     total = A[:, 0].copy()
-    for j in range(1, A.shape[1]):
-        total += A[:, j]
+    for col in A.T[1:]:
+        total += col
     return total
 
 

@@ -30,7 +30,7 @@ from . import bounds as bnd
 from .core import NoiseModel, NoisyOracle, get_problem, make_linear, make_standard_problems
 from .estimators import (CENTRAL, METHODS, EstimatorConfig, estimate_trials,
                          method_name, trial_directions)
-from .optimizer import LineSearchConfig, OptimizationTrace, fixed_step_dfo, run_dfo
+from .optimizer import LineSearchConfig, OptimizationTrace, run_dfo
 from .sampling import RngStream
 
 # Substream tags: one fixed integer per random role, so no two roles ever
@@ -556,13 +556,12 @@ class SolverSpec:
     def run(self, oracle: NoisyOracle, x0: np.ndarray, budget: int, rng, *,
             max_iters: int, grad_norm_stop: float | None) -> OptimizationTrace:
         """One run of this solver from x0 within budget evaluations, rng
-        feeding its direction draws; max_iters and grad_norm_stop apply to ls."""
+        feeding its direction draws."""
         cfg = EstimatorConfig(method=self.method, sigma=self.sigma,
                               N=self.resolve_N(np.size(x0)))
-        if self.step == "fixed":
-            return fixed_step_dfo(oracle, cfg, self.alpha, x0, budget, rng)
         ls = LineSearchConfig(direction=self.direction, eval_budget=budget,
-                              max_iters=max_iters, grad_norm_stop=grad_norm_stop)
+                              max_iters=max_iters, grad_norm_stop=grad_norm_stop,
+                              step=self.alpha if self.step == "fixed" else None)
         return run_dfo(oracle, cfg, ls, x0, rng)
 
 

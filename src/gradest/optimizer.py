@@ -1,10 +1,10 @@
-"""Line-search DFO driver consuming any of the gradient estimators.
+"""DFO driver consuming any of the gradient estimators.
 
 The loop is plain descent: estimate g(x_k), build a direction (steepest
-descent or L-BFGS two-loop), backtrack until the Armijo condition holds,
-step. Under bounded noise the Armijo test is relaxed by 2 eps_f so that
-backtracking cannot loop forever once true decrease drops below the noise
-floor. A fixed-step variant serves as the benchmark baseline.
+descent or L-BFGS two-loop), step, record. The step is either an Armijo
+backtracking search or a fixed step size, the benchmark baseline. Under
+bounded noise the Armijo test is relaxed by 2 eps_f so that backtracking
+cannot loop forever once true decrease drops below the noise floor.
 
 Budget accounting is exact: every oracle call made on behalf of a run is
 visible in the trace's cumulative evaluation column.
@@ -43,7 +43,6 @@ __all__ = [
     "armijo_search",
     "lbfgs_direction",
     "run_dfo",
-    "fixed_step_dfo",
 ]
 
 
@@ -57,13 +56,15 @@ class StepFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class LineSearchConfig:
-    """Line-search and outer-loop controls.
+    """Step rule and outer-loop controls.
 
-    noise_relaxation None means automatic: 2 * oracle noise level when the
-    oracle is noisy, 0 otherwise. grad_norm_stop None means relative,
-    1e-6 * ||g(x0)||. direction is "steepest_descent" or "lbfgs". The
-    step schedule (ALPHA0, BACKTRACK, MAX_BACKTRACKS) and the L-BFGS
-    MEMORY are module constants.
+    step None means Armijo backtracking from ALPHA0; a positive finite step
+    means one probe at x + step * d, always accepted. noise_relaxation None
+    means automatic: 2 * oracle noise level when the oracle is noisy, 0
+    otherwise. grad_norm_stop None means relative, 1e-6 * ||g(x0)||.
+    direction is "steepest_descent" or "lbfgs". The backtracking schedule
+    (ALPHA0, BACKTRACK, MAX_BACKTRACKS) and the L-BFGS MEMORY are module
+    constants.
     """
 
     c1: float = 0.2
@@ -72,12 +73,22 @@ class LineSearchConfig:
     max_iters: int = 1000
     eval_budget: int | None = None
     grad_norm_stop: float | None = None
+    step: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.c1 < 1.0:
             raise ValueError("c1 must lie in (0, 1)")
         if self.direction not in ("steepest_descent", "lbfgs"):
             raise ValueError("direction must be steepest_descent or lbfgs")
+        if self.eval_budget is not None and self.eval_budget < 1:
+            raise ValueError("budget must be positive")
+        if self.max_iters is not None and self.max_iters < 0:
+            raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
+        if self.grad_norm_stop is not None and not 0.0 <= self.grad_norm_stop < math.inf:
+            raise ValueError(f"grad_norm_stop must be finite and nonnegative, "
+                             f"got {self.grad_norm_stop}")
+        if self.step is not None and not 0.0 < self.step < math.inf:
+            raise ValueError(f"step must be positive and finite, got {self.step}")
 
 
 @dataclass(frozen=True)
@@ -89,8 +100,7 @@ class IterationRecord:
     accepted arrival point. Rows with alpha = 0 are in-place: a rejected
     step (backtracks = MAX_BACKTRACKS + 1), the terminal gradient-norm stop,
     the terminal non-finite estimate, or the one row of a run stopped before
-    its first estimate (grad_est_norm nan). fixed_step_dfo rows instead
-    describe the iterate before its step.
+    its first estimate (grad_est_norm nan).
     """
 
     iteration: int
@@ -213,12 +223,14 @@ def _record(k: int, oracle: NoisyOracle, x: Array, f: float, g_norm: float,
 def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
             ls_cfg: LineSearchConfig, x0: Array,
             rng: np.random.Generator | None = None) -> OptimizationTrace:
-    """Line-search descent with the configured estimator and direction rule.
+    """Descent with the configured estimator, direction rule and step rule.
 
-    Terminates on eval_budget, max_iters, grad_norm_stop (tested on the
-    estimate g, not the true gradient), nonfinite (an estimate whose norm is
-    not finite, from a NaN or infinite entry; recorded in place), or three
-    consecutive StepFailures.
+    Terminates on eval_budget (tested before each estimate), max_iters,
+    grad_norm_stop (tested on the estimate g, not the true gradient),
+    nonfinite (an estimate whose norm is not finite, from a NaN or infinite
+    entry; recorded in place), three consecutive StepFailures of the line
+    search, or, for the fixed step only, divergence (a non-finite arrival,
+    or five increases in f in a row).
     rng feeds the estimator's direction draws; FFD and CFD need none, and
     the other methods raise ValueError without rng or a direction_source.
     On a StepFailure the gradient is re-estimated at the same point (fresh
@@ -237,7 +249,7 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
     prev_x = prev_g = None
     stop_norm = ls_cfg.grad_norm_stop
     alpha0 = ALPHA0
-    consecutive_failures = 0
+    consecutive_failures = increases = 0
     k = 0
 
     while True:
@@ -274,66 +286,38 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
             d = -g
         slope = float(np.dot(g, d))
 
-        try:
-            alpha, x_new, f_new, backtracks = armijo_search(
-                oracle, x, d, g, f_x, ls_cfg, alpha0)
-        except StepFailure:
-            consecutive_failures += 1
-            trace.records.append(_record(k, oracle, x, f_x, g_norm, 0.0,
-                                         MAX_BACKTRACKS + 1, slope))
-            if consecutive_failures >= 3:
-                trace.termination = "step_failure"
-                break
-            alpha0 /= 2.0
-            k += 1
-            continue
+        diverged = False
+        if ls_cfg.step is None:
+            try:
+                alpha, x_new, f_new, backtracks = armijo_search(
+                    oracle, x, d, g, f_x, ls_cfg, alpha0)
+            except StepFailure:
+                consecutive_failures += 1
+                trace.records.append(_record(k, oracle, x, f_x, g_norm, 0.0,
+                                             MAX_BACKTRACKS + 1, slope))
+                if consecutive_failures >= 3:
+                    trace.termination = "step_failure"
+                    break
+                alpha0 /= 2.0
+                k += 1
+                continue
+            consecutive_failures = 0
+            alpha0 = ALPHA0
+        else:
+            alpha, backtracks = ls_cfg.step, 0
+            x_new = x + alpha * d
+            f_new = oracle(x_new)
+            increases = increases + 1 if f_new > f_x else 0
+            diverged = increases >= 5 or not (math.isfinite(f_new)
+                                              and np.all(np.isfinite(x_new)))
 
-        consecutive_failures = 0
-        alpha0 = ALPHA0
         x, f_x = x_new, f_new
         trace.records.append(_record(k, oracle, x, f_x, g_norm, alpha, backtracks, slope))
         k += 1
+        if diverged:
+            trace.termination = "divergence"
+            break
 
     if not trace.records:
         trace.records.append(_record(0, oracle, x, f_x, math.nan, 0.0, 0, 0.0))
-    return trace
-
-
-def fixed_step_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
-                   alpha: float, x0: Array, budget: int,
-                   rng: np.random.Generator | None = None) -> OptimizationTrace:
-    """Steepest descent with a constant step: x <- x - alpha * g.
-
-    One extra oracle call per iteration records f(x_k). Terminates on the
-    evaluation budget, or flags divergence after 5 consecutive increases in
-    f or a nonfinite iterate. rng is used as in run_dfo.
-    """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    x = np.array(x0, dtype=float)
-    trace = OptimizationTrace()
-    f_prev = None
-    increases = 0
-    k = 0
-    while True:
-        if oracle.eval_count >= budget:
-            trace.termination = "eval_budget"
-            break
-        f_x = oracle(x)
-        if not np.isfinite(f_x) or not np.all(np.isfinite(x)):
-            trace.records.append(_record(k, oracle, x, f_x, np.nan, alpha, 0, 0.0))
-            trace.termination = "divergence"
-            break
-        g = estimate(oracle, x, estimator_cfg, rng).g
-        g_norm = float(np.linalg.norm(g))
-        trace.records.append(_record(k, oracle, x, f_x, g_norm, alpha, 0, -g_norm**2))
-        increases = increases + 1 if (f_prev is not None and f_x > f_prev) else 0
-        if increases >= 5:
-            trace.termination = "divergence"
-            break
-        f_prev = f_x
-        x = x - alpha * g
-        k += 1
     return trace

@@ -664,6 +664,22 @@ def test_cli_optimize_fixed_step_defaults_to_steepest_descent(tmp_path):
     assert texts[0] == texts[1]
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--budget", "0"], "budget must be positive"),
+    (["--budget", "-3"], "budget must be positive"),
+    (["--step", "fixed", "--budget", "0"], "budget must be positive"),
+    (["--max-iters", "-2"], "max_iters must be nonnegative"),
+    (["--grad-stop", "nan"], "grad_norm_stop must be finite and nonnegative"),
+    (["--grad-stop", "-1"], "grad_norm_stop must be finite and nonnegative"),
+])
+def test_cli_optimize_rejects_bad_loop_limits(tmp_path, capsys, flags, message):
+    # rejected before f(x0) is spent: exit 2 and no trace
+    out = tmp_path / "trace.csv"
+    assert main(["optimize", "--problem", "quadratic", "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err.startswith(f"gradest: error: {message}")
+    assert not out.exists()
+
+
 def test_cli_bench_writes_profiles(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     rc = main(["bench", "--problems", "quadratic", "--solvers",

@@ -32,7 +32,6 @@ from gradest.optimizer import (
     OptimizationTrace,
     StepFailure,
     armijo_search,
-    fixed_step_dfo,
     lbfgs_direction,
     run_dfo,
 )
@@ -246,12 +245,33 @@ def test_config_validation():
         LineSearchConfig(c1=0.0)
     with pytest.raises(ValueError):
         LineSearchConfig(direction="newton")
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            LineSearchConfig(eval_budget=budget)
+    with pytest.raises(ValueError, match="max_iters must be nonnegative"):
+        LineSearchConfig(max_iters=-2)
+    for stop in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="grad_norm_stop must be finite and nonnegative"):
+            LineSearchConfig(grad_norm_stop=stop)
+    LineSearchConfig(eval_budget=1, max_iters=0, grad_norm_stop=0.0)   # the edges are valid
     with pytest.raises(ValueError):
         run_dfo(quad_oracle([1.0]), EstimatorConfig(method="CFD", sigma=1e-4),
                 LineSearchConfig(max_iters=None, eval_budget=None), np.ones(1))
     with pytest.raises(ValueError, match="rng"):  # GSG draws: no seed fallback
         run_dfo(quad_oracle([1.0]), EstimatorConfig(method="GSG", sigma=1e-4, N=2),
                 LineSearchConfig(max_iters=5), np.ones(1))
+
+
+@pytest.mark.parametrize("step", [None, 0.5])
+def test_an_exactly_zero_estimate_ends_on_grad_norm_stop(step):
+    # at the minimum the CFD estimate is exactly 0, which no accepted
+    # grad_norm_stop lies below, so the run stops rather than raising NotDescent
+    oracle = quad_oracle([1.0, 1.0])
+    trace = run_dfo(oracle, EstimatorConfig(method="CFD", sigma=1e-3),
+                    LineSearchConfig(grad_norm_stop=0.0, max_iters=5, step=step),
+                    np.zeros(2))
+    assert trace.termination == "grad_norm_stop"
+    assert trace.records[-1].grad_est_norm == 0.0
 
 
 def test_lbfgs_terminates_fast_on_quadratics():
@@ -451,42 +471,77 @@ def test_norm_condition_sufficiency_along_trajectory(base_seed):
 
 # -------------------------------------------------------------- fixed step
 
+def fixed_step(alpha, budget, **kw):
+    return LineSearchConfig(step=alpha, direction="steepest_descent", eval_budget=budget,
+                            **kw)
+
+
 def test_fixed_step_contracts_on_sphere_quadratic():
     oracle = quad_oracle([1.0, 1.0])
-    trace = fixed_step_dfo(
-        oracle, EstimatorConfig(method="CFD", sigma=1e-7), 0.5,
-        np.array([8.0, -8.0]), budget=120)
+    trace = run_dfo(
+        oracle, EstimatorConfig(method="CFD", sigma=1e-7),
+        fixed_step(0.5, 120, grad_norm_stop=0.0), np.array([8.0, -8.0]))
     xs = np.array([r.x for r in trace.records])
     ratios = np.linalg.norm(xs[1:], axis=1) / np.linalg.norm(xs[:-1], axis=1)
     assert np.max(np.abs(ratios - 0.5)) < 1e-5
-    assert trace.records[0].x == pytest.approx([8.0, -8.0])  # departure rows
+    assert trace.records[0].x == pytest.approx([4.0, -4.0])  # arrival rows
+    # f(x0), then 4 CFD evaluations and one probe per step, each step
+    # starting under the budget
+    assert trace.termination == "eval_budget"
+    assert [r.evals_cumulative for r in trace.records] == [1 + 5 * k for k in range(1, 25)]
 
 
 def test_fixed_step_divergence_detection():
     oracle = quad_oracle([1.0, 1.0])
-    trace = fixed_step_dfo(
-        oracle, EstimatorConfig(method="CFD", sigma=1e-7), 2.5,
-        np.array([1.0, 1.0]), budget=10**4)
+    trace = run_dfo(
+        oracle, EstimatorConfig(method="CFD", sigma=1e-7), fixed_step(2.5, 10**4),
+        np.array([1.0, 1.0]))
     assert trace.termination == "divergence"
     f_tail = [r.f for r in trace.records[-6:-1]]
     assert all(b > a for a, b in zip(f_tail, f_tail[1:]))
 
 
+def test_fixed_step_divergence_on_a_nonfinite_arrival():
+    # phi leaves its domain at x[0] < 0: the first step lands there
+    def value(x):
+        return math.nan if x[0] < 0 else float(x @ x)
+
+    p = ObjectiveFunction(name="edge", n=2, value_at=value,
+                          gradient_at=lambda x: 2 * x, lipschitz_gradient=2.0)
+    oracle = NoisyOracle(p)
+    trace = run_dfo(oracle, EstimatorConfig(method="CFD", sigma=1e-6),
+                    fixed_step(1.0, 100), np.array([1.0, 1.0]))
+    assert trace.termination == "divergence"
+    [rec] = trace.records
+    assert math.isnan(rec.f) and rec.alpha == 1.0
+    assert rec.evals_cumulative == oracle.eval_count == 1 + 4 + 1
+
+
 def test_fixed_step_argument_validation():
-    oracle = quad_oracle([1.0])
+    for alpha in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            fixed_step(alpha, 10)
+    with pytest.raises(ValueError, match="budget must be positive"):
+        fixed_step(0.1, 0)
+
+
+def test_fixed_step_honours_max_iters_and_grad_norm_stop():
+    oracle = quad_oracle([1.0, 1.0])
     cfg = EstimatorConfig(method="CFD", sigma=1e-7)
-    with pytest.raises(ValueError):
-        fixed_step_dfo(oracle, cfg, 0.0, np.ones(1), budget=10)
-    with pytest.raises(ValueError):
-        fixed_step_dfo(oracle, cfg, 0.1, np.ones(1), budget=0)
+    trace = run_dfo(oracle, cfg, fixed_step(0.5, 10**4, max_iters=3), np.ones(2))
+    assert trace.termination == "max_iters" and len(trace.records) == 3
+    trace = run_dfo(oracle, cfg, fixed_step(0.5, 10**4, grad_norm_stop=0.1), np.ones(2))
+    assert trace.termination == "grad_norm_stop"
+    last = trace.records[-1]
+    assert last.alpha == 0.0 and last.grad_est_norm <= 0.1
 
 
 def test_fixed_step_gsg_smoke_on_rosenbrock():
     problem, x0 = get_problem("rosenbrock2")
     oracle = NoisyOracle(problem)
-    trace = fixed_step_dfo(
-        oracle, EstimatorConfig(method="GSG", sigma=1e-5, N=2), 1e-3, x0,
-        budget=10**5, rng=RngStream(53).generator())
+    trace = run_dfo(
+        oracle, EstimatorConfig(method="GSG", sigma=1e-5, N=2), fixed_step(1e-3, 10**5),
+        x0, rng=RngStream(53).generator())
     assert trace.records
     assert all(np.all(np.isfinite(r.x)) for r in trace.records)
     assert trace.records[-1].evals_cumulative == oracle.eval_count
@@ -497,9 +552,9 @@ def test_fixed_step_gsg_smoke_on_rosenbrock():
 def test_trace_csv_format_and_nan_handling():
     p = make_quadratic(np.diag([1.0, 2.0]), np.zeros(2), name="q2")
     oracle = NoisyOracle(p)
-    trace = fixed_step_dfo(
-        oracle, EstimatorConfig(method="CFD", sigma=1e-6), 0.2,
-        np.ones(2), budget=20)
+    trace = run_dfo(
+        oracle, EstimatorConfig(method="CFD", sigma=1e-6), fixed_step(0.2, 20),
+        np.ones(2))
     buf = io.StringIO()
     trace.to_csv(buf)
     lines = buf.getvalue().strip().split("\n")
