@@ -536,13 +536,10 @@ class SolverSpec:
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r} "
                              f"in solver spec {self.label!r}")
-        if self.step == "fixed":
-            if not 0 < self.alpha < math.inf:
-                raise ValueError(f"fixed step alpha must be positive and finite, got "
-                                 f"{self.alpha!r} in solver spec {self.label!r}")
-            if direction == "lbfgs":
-                raise ValueError(f"the fixed step takes direction sd, not lbfgs, "
-                                 f"in solver spec {self.label!r}")
+        try:
+            self.line_search()
+        except ValueError as err:
+            raise ValueError(f"{err} in solver spec {self.label!r}") from None
 
     def resolve_N(self, n: int) -> int | None:
         if self.method in ("FFD", "CFD", "LI"):
@@ -559,10 +556,14 @@ class SolverSpec:
         feeding its direction draws."""
         cfg = EstimatorConfig(method=self.method, sigma=self.sigma,
                               N=self.resolve_N(np.size(x0)))
-        ls = LineSearchConfig(direction=self.direction, eval_budget=budget,
-                              max_iters=max_iters, grad_norm_stop=grad_norm_stop,
-                              step=self.alpha if self.step == "fixed" else None)
+        ls = self.line_search(eval_budget=budget, max_iters=max_iters,
+                              grad_norm_stop=grad_norm_stop)
         return run_dfo(oracle, cfg, ls, x0, rng)
+
+    def line_search(self, **limits) -> LineSearchConfig:
+        """This solver's step rule and direction, with the given loop limits."""
+        return LineSearchConfig(direction=self.direction,
+                                step=self.alpha if self.step == "fixed" else None, **limits)
 
 
 def parse_solver(text: str) -> SolverSpec:

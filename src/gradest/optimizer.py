@@ -59,7 +59,8 @@ class LineSearchConfig:
     """Step rule and outer-loop controls.
 
     step None means Armijo backtracking from ALPHA0; a positive finite step
-    means one probe at x + step * d, always accepted. noise_relaxation None
+    means one probe at x + step * d, always accepted, and takes the
+    steepest_descent direction only. noise_relaxation None
     means automatic: 2 * oracle noise level when the oracle is noisy, 0
     otherwise. grad_norm_stop None means relative, 1e-6 * ||g(x0)||.
     direction is "steepest_descent" or "lbfgs". The backtracking schedule
@@ -88,7 +89,9 @@ class LineSearchConfig:
             raise ValueError(f"grad_norm_stop must be finite and nonnegative, "
                              f"got {self.grad_norm_stop}")
         if self.step is not None and not 0.0 < self.step < math.inf:
-            raise ValueError(f"step must be positive and finite, got {self.step}")
+            raise ValueError(f"fixed step alpha must be positive and finite, got {self.step!r}")
+        if self.step is not None and self.direction == "lbfgs":
+            raise ValueError("the fixed step takes direction sd (steepest_descent), not lbfgs")
 
 
 @dataclass(frozen=True)

@@ -268,7 +268,8 @@ def test_an_exactly_zero_estimate_ends_on_grad_norm_stop(step):
     # grad_norm_stop lies below, so the run stops rather than raising NotDescent
     oracle = quad_oracle([1.0, 1.0])
     trace = run_dfo(oracle, EstimatorConfig(method="CFD", sigma=1e-3),
-                    LineSearchConfig(grad_norm_stop=0.0, max_iters=5, step=step),
+                    LineSearchConfig(direction="steepest_descent", grad_norm_stop=0.0,
+                                     max_iters=5, step=step),
                     np.zeros(2))
     assert trace.termination == "grad_norm_stop"
     assert trace.records[-1].grad_est_norm == 0.0
@@ -519,10 +520,12 @@ def test_fixed_step_divergence_on_a_nonfinite_arrival():
 
 def test_fixed_step_argument_validation():
     for alpha in (0.0, -0.1, math.inf, math.nan):
-        with pytest.raises(ValueError, match="step must be positive and finite"):
+        with pytest.raises(ValueError, match="fixed step alpha must be positive and finite"):
             fixed_step(alpha, 10)
     with pytest.raises(ValueError, match="budget must be positive"):
         fixed_step(0.1, 0)
+    with pytest.raises(ValueError, match="fixed step takes direction sd"):
+        LineSearchConfig(step=0.1, direction="lbfgs")
 
 
 def test_fixed_step_honours_max_iters_and_grad_norm_stop():
@@ -540,9 +543,12 @@ def test_fixed_step_gsg_smoke_on_rosenbrock():
     problem, x0 = get_problem("rosenbrock2")
     oracle = NoisyOracle(problem)
     trace = run_dfo(
-        oracle, EstimatorConfig(method="GSG", sigma=1e-5, N=2), fixed_step(1e-3, 10**5),
-        x0, rng=RngStream(53).generator())
-    assert trace.records
+        oracle, EstimatorConfig(method="GSG", sigma=1e-5, N=2),
+        fixed_step(1e-3, 10**5, max_iters=None, grad_norm_stop=0.0), x0,
+        rng=RngStream(53).generator())
+    # with no iteration cap and no gradient stop the run goes on until f rises
+    # five times in a row, after 11,820 steps and 47,281 evaluations
+    assert trace.termination == "divergence" and len(trace.records) > 10**4
     assert all(np.all(np.isfinite(r.x)) for r in trace.records)
     assert trace.records[-1].evals_cumulative == oracle.eval_count
 
