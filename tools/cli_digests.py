@@ -1,6 +1,6 @@
 """SHA-256 digests of a fixed set of gradest CLI runs, for byte-identity checks.
 
-Runs seventeen gradest invocations at seed 7, each in its own directory
+Runs twenty-four gradest invocations at seed 7, each in its own directory
 under a temporary root, with the gradest package from --src DIR (default:
 the src/ directory next to this script). Prints a header line naming the
 numpy version, the machine and numpy's SIMD baseline, since floating-point
@@ -82,6 +82,22 @@ INVOCATIONS = [
                          "--budget-factor", "30", "--out", "bench.csv"]),
     ("bounds", ["bounds", "--method", "GSG", "--n", "10", "--delta", "0.1",
                 "--L", "2", "--eps-f", "1e-6", "--grad-norm", "1"]),
+    # one condition-table row per remaining method, an empty interval, and an
+    # unknown gradient norm (bounds_cfd)
+    ("bounds_ffd", ["bounds", "--method", "FFD", "--n", "10", "--L", "2",
+                    "--eps-f", "1e-6", "--grad-norm", "1"]),
+    ("bounds_cfd", ["bounds", "--method", "CFD", "--n", "10", "--M", "1",
+                    "--eps-f", "1e-6"]),
+    ("bounds_li", ["bounds", "--method", "LI", "--n", "10", "--L", "2",
+                   "--eps-f", "1e-6", "--grad-norm", "1", "--cond-qinv", "3"]),
+    ("bounds_cgsg", ["bounds", "--method", "cGSG", "--n", "10", "--delta", "0.1",
+                     "--M", "1", "--eps-f", "1e-6", "--grad-norm", "1"]),
+    ("bounds_bsg", ["bounds", "--method", "BSG", "--n", "10", "--delta", "0.1",
+                    "--L", "2", "--eps-f", "1e-6", "--grad-norm", "1"]),
+    ("bounds_cbsg", ["bounds", "--method", "cBSG", "--n", "10", "--delta", "0.1",
+                     "--M", "1", "--eps-f", "1e-6", "--grad-norm", "1"]),
+    ("bounds_empty", ["bounds", "--method", "cBSG", "--n", "10", "--delta", "0.1",
+                      "--M", "1", "--eps-f", "1e-2", "--grad-norm", "0.1"]),
 ]
 
 
