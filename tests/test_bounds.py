@@ -10,9 +10,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_rate_at_most, run_with_resample
 from gradest.bounds import (
+    DETERMINISTIC,
+    SMOOTHING,
     bernstein_sample_size,
     chebyshev_sample_size,
     condition_table,
@@ -212,6 +216,46 @@ def test_theta_zero_has_infinite_threshold():
     rep = condition_table("FFD", 4, 0.0, L=2.0, eps_f=1e-4, grad_norm=1e9)
     assert rep.grad_norm_min == math.inf
     assert rep.interval == "empty"
+
+
+@settings(max_examples=400, deadline=None)
+@given(method=st.sampled_from(DETERMINISTIC + SMOOTHING), n=st.integers(2, 1000),
+       L=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+       M=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+       eps_f=st.floats(-12.0, -1.0).map(lambda e: 10.0 ** e),
+       theta=st.floats(0.01, 0.99), ratio=st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e),
+       cond_qinv=st.floats(0.0, 3.0).map(lambda e: 10.0 ** e))
+def test_condition_table_follows_from_the_bound(method, n, L, M, eps_f, theta, ratio,
+                                                cond_qinv):
+    """Each table row is read off the method's bias bound (curvature term plus
+    noise term): the terms are equal at sigma_lo, rho is the bound there over
+    lambda, the curvature term is lambda theta ||grad|| / 2 at sigma_hi, and
+    the interval is nonempty exactly when ||grad|| >= grad_norm_min."""
+    rel = 1e-12
+    kw = dict(L=L, M=M, eps_f=eps_f, cond_qinv=cond_qinv)
+    free = condition_table(method, n, theta, 0.1, grad_norm=None, **kw)
+    lam = 1.0 if free.lambda_used is None else free.lambda_used
+
+    def bound(sigma, eps):
+        if method in DETERMINISTIC:
+            return deterministic_error_bound(method, n, L, M, sigma, eps,
+                                             cond_qinv=cond_qinv)
+        return smoothing_bias_bound(method, n, L, M, sigma, eps)
+
+    lo = free.sigma_lo
+    curvature, total = bound(lo, 0.0), bound(lo, eps_f)
+    assert abs((total - curvature) - curvature) <= rel * curvature
+    assert abs(total / lam - free.rho) <= rel * free.rho
+    assert abs(free.grad_norm_min - free.rho / theta) <= rel * free.grad_norm_min
+
+    g = free.grad_norm_min * ratio
+    rep = condition_table(method, n, theta, 0.1, grad_norm=g, **kw)
+    if abs(g - rep.grad_norm_min) > 1e-9 * rep.grad_norm_min:
+        assert (rep.interval == "nonempty") == (g >= rep.grad_norm_min)
+    if rep.interval == "nonempty":
+        target = lam * theta * g / 2.0
+        assert abs(bound(rep.sigma_hi, 0.0) - target) <= rel * target
+        assert rep.sigma_lo == lo
 
 
 # -------------------------------------------------------- exact FFD interval
