@@ -19,18 +19,27 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 DETERMINISTIC = ("FFD", "CFD", "LI")
 SMOOTHING = ("GSG", "cGSG", "BSG", "cBSG")
 
-# lambda splits the error budget between smoothing bias and sampling noise;
-# fixed per method to keep the sample sizes reproducible.
-LAMBDAS = {
-    "GSG": lambda n: 1.0 / (3.0 * math.sqrt(n)),
-    "cGSG": lambda n: 1.0 / (6.0 * math.sqrt(n)),
-    "BSG": lambda n: 1.0 / (2.0 * math.sqrt(n)),
-    "cBSG": lambda n: 1.0 / (2.0 * math.sqrt(n)),
+
+# One row per method for its bias bound c (a(n) K sigma^p / a_div + b(n) eps_f
+# / sigma): K names the constant (L or M), and c = ||Q^-1|| for LI, else 1.
+# lam(n) is the share of the error budget theta ||grad phi|| given to the bias
+# (1 for FFD, CFD and LI); the smoothing methods leave the rest to sampling
+# noise, fixed per method to keep the sample sizes reproducible.
+_Bound = namedtuple("_Bound", "K p a a_div b lam")
+_BOUNDS = {
+    "FFD": _Bound("L", 1, math.sqrt, 2.0, lambda n: 2.0 * math.sqrt(n), lambda n: 1.0),
+    "CFD": _Bound("M", 2, math.sqrt, 6.0, math.sqrt, lambda n: 1.0),
+    "LI": _Bound("L", 1, math.sqrt, 2.0, lambda n: 2.0 * math.sqrt(n), lambda n: 1.0),
+    "GSG": _Bound("L", 1, math.sqrt, 1.0, math.sqrt, lambda n: 1.0 / (3.0 * math.sqrt(n))),
+    "cGSG": _Bound("M", 2, float, 1.0, math.sqrt, lambda n: 1.0 / (6.0 * math.sqrt(n))),
+    "BSG": _Bound("L", 1, lambda n: 1.0, 1.0, float, lambda n: 1.0 / (2.0 * math.sqrt(n))),
+    "cBSG": _Bound("M", 2, lambda n: 1.0, 1.0, float, lambda n: 1.0 / (2.0 * math.sqrt(n))),
 }
 
 __all__ = [
@@ -95,20 +104,43 @@ class BoundReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _need(value, name: str, method: str) -> float:
+def _need(value, name: str, method: str, positive: bool = False) -> float:
     if value is None:
         raise ValueError(f"{method} requires {name}")
     v = float(value)
     if v < 0:
         raise ValueError(f"{name} must be nonnegative")
-    return v
-
-
-def _need_pos(value, name: str, method: str) -> float:
-    v = _need(value, name, method)
-    if v == 0:
+    if positive and v == 0:
         raise ValueError(f"{method} requires {name} > 0")
     return v
+
+
+def _constants(method: str, L, M, cond_qinv, positive: bool = False):
+    """method's table row, its checked constant K and its factor c."""
+    row = _BOUNDS[method]
+    K = _need(L if row.K == "L" else M, row.K, method, positive)
+    c = _need(cond_qinv, "cond_qinv", method, True) if method == "LI" else 1.0
+    return row, K, c
+
+
+def _curvature(row, n: int, K: float, sigma: float) -> float:
+    return row.a(n) * K * sigma**row.p / row.a_div
+
+
+def _root(x: float, k: int) -> float:
+    return math.sqrt(x) if k == 2 else x ** (1.0 / k)
+
+
+def _bias(method: str, n: int, L, M, sigma: float, eps_f: float, cond_qinv=None) -> float:
+    if not sigma > 0:
+        raise ValueError("sigma must be positive")
+    row, K, c = _constants(method, L, M, cond_qinv)
+    return c * (_curvature(row, n, K, sigma) + row.b(n) * eps_f / sigma)
+
+
+def _sigma_lo(row, n: int, K: float, eps_f: float) -> float:
+    """The sigma at which the bound's two terms are equal."""
+    return _root(row.a_div * eps_f / (row.a(n) / row.b(n) * K), row.p + 1)
 
 
 def deterministic_error_bound(method: str, n: int, L: float | None,
@@ -124,17 +156,7 @@ def deterministic_error_bound(method: str, n: int, L: float | None,
     """
     if method not in DETERMINISTIC:
         raise ValueError(f"method must be one of {DETERMINISTIC}")
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    rn = math.sqrt(n)
-    if method == "CFD":
-        Mv = _need(M, "M", method)
-        return rn * Mv * sigma**2 / 6.0 + rn * eps_f / sigma
-    Lv = _need(L, "L", method)
-    base = rn * Lv * sigma / 2.0 + 2.0 * rn * eps_f / sigma
-    if method == "LI":
-        return _need_pos(cond_qinv, "cond_qinv", method) * base
-    return base
+    return _bias(method, n, L, M, sigma, eps_f, cond_qinv)
 
 
 def smoothing_bias_bound(method: str, n: int, L: float | None, M: float | None,
@@ -148,16 +170,7 @@ def smoothing_bias_bound(method: str, n: int, L: float | None, M: float | None,
     """
     if method not in SMOOTHING:
         raise ValueError(f"method must be one of {SMOOTHING}")
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    rn = math.sqrt(n)
-    if method == "GSG":
-        return rn * _need(L, "L", method) * sigma + rn * eps_f / sigma
-    if method == "cGSG":
-        return n * _need(M, "M", method) * sigma**2 + rn * eps_f / sigma
-    if method == "BSG":
-        return _need(L, "L", method) * sigma + n * eps_f / sigma
-    return _need(M, "M", method) * sigma**2 + n * eps_f / sigma
+    return _bias(method, n, L, M, sigma, eps_f)
 
 
 def variance_kappa(method: str, n: int, N: int, L: float | None, M: float | None,
@@ -243,32 +256,19 @@ def bernstein_sample_size(method: str, n: int, delta: float, r: float,
 def error_floor(method: str, n: int, L: float | None, M: float | None,
                 eps_f: float, theta: float = 1.0,
                 cond_qinv: float | None = None) -> float:
-    """Smallest guaranteed error rho achievable given the noise level.
+    """Smallest guaranteed error rho achievable given the noise level: twice
+    the bound's curvature term at sigma_lo, over the method's lambda.
 
     With theta < 1 supplied, this is the gradient-norm threshold expression
     rho / theta used by the norm-condition tables.
     """
     if theta <= 0:
         return math.inf
-    if method == "FFD":
-        return 2.0 * math.sqrt(n * _need_pos(L, "L", method) * eps_f) / theta
-    if method == "CFD":
-        Mv = _need_pos(M, "M", method)
-        return (2.0 / 6.0 ** (1.0 / 3.0)) * math.sqrt(n) * (Mv * eps_f**2) ** (1.0 / 3.0) / theta
-    if method == "LI":
-        c = _need_pos(cond_qinv, "cond_qinv", method)
-        return 2.0 * c * math.sqrt(n * _need_pos(L, "L", method) * eps_f) / theta
-    if method == "GSG":
-        return 6.0 * n * math.sqrt(_need_pos(L, "L", method) * eps_f) / theta
-    if method == "cGSG":
-        Mv = _need_pos(M, "M", method)
-        return 12.0 * (n**3.5 * Mv * eps_f**2) ** (1.0 / 3.0) / theta
-    if method == "BSG":
-        return 4.0 * n * math.sqrt(_need_pos(L, "L", method) * eps_f) / theta
-    if method == "cBSG":
-        Mv = _need_pos(M, "M", method)
-        return 4.0 * (n**3.5 * Mv * eps_f**2) ** (1.0 / 3.0) / theta
-    raise ValueError(f"unknown method {method!r}")
+    if method not in _BOUNDS:
+        raise ValueError(f"unknown method {method!r}")
+    row, K, c = _constants(method, L, M, cond_qinv, positive=True)
+    lo = _sigma_lo(row, n, K, eps_f)
+    return 2.0 * c * _curvature(row, n, K, lo) / row.lam(n) / theta
 
 
 def _smoothing_n_min(method: str, n: int, theta: float, delta: float) -> int:
@@ -301,46 +301,6 @@ def _smoothing_n_min(method: str, n: int, theta: float, delta: float) -> int:
     return math.ceil((2.0 * n / theta**2 * shrink + mid + tail) * log_term)
 
 
-def _sigma_interval(method: str, n: int, theta: float, L, M, eps_f,
-                    grad_norm, cond_qinv):
-    """(sigma_lo, sigma_hi) for the method's table row; sigma_hi None when
-    grad_norm is unknown."""
-    rn = math.sqrt(n)
-    g = grad_norm
-    if method == "FFD":
-        Lv = _need_pos(L, "L", method)
-        lo = 2.0 * math.sqrt(eps_f / Lv)
-        hi = None if g is None else theta * g / (rn * Lv)
-    elif method == "CFD":
-        Mv = _need_pos(M, "M", method)
-        lo = (6.0 * eps_f / Mv) ** (1.0 / 3.0)
-        hi = None if g is None else math.sqrt(3.0 * theta * g / (rn * Mv))
-    elif method == "LI":
-        Lv = _need_pos(L, "L", method)
-        c = _need_pos(cond_qinv, "cond_qinv", method)
-        lo = 2.0 * math.sqrt(eps_f / Lv)
-        hi = None if g is None else theta * g / (c * rn * Lv)
-    elif method == "GSG":
-        Lv = _need_pos(L, "L", method)
-        lo = math.sqrt(eps_f / Lv)
-        hi = None if g is None else theta * g / (6.0 * n * Lv)
-    elif method == "cGSG":
-        Mv = _need_pos(M, "M", method)
-        lo = (eps_f / (rn * Mv)) ** (1.0 / 3.0)
-        hi = None if g is None else math.sqrt(theta * g / (12.0 * n**1.5 * Mv))
-    elif method == "BSG":
-        Lv = _need_pos(L, "L", method)
-        lo = math.sqrt(n * eps_f / Lv)
-        hi = None if g is None else theta * g / (4.0 * rn * Lv)
-    elif method == "cBSG":
-        Mv = _need_pos(M, "M", method)
-        lo = (n * eps_f / Mv) ** (1.0 / 3.0)
-        hi = None if g is None else math.sqrt(theta * g / (4.0 * rn * Mv))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return lo, hi
-
-
 def condition_table(method: str, n: int, theta: float, delta: float | None = None,
                     L: float | None = None, M: float | None = None,
                     eps_f: float = 0.0, grad_norm: float | None = None,
@@ -352,11 +312,11 @@ def condition_table(method: str, n: int, theta: float, delta: float | None = Non
     Smoothing methods get the guarantee-level sample sizes (probability
     1 - delta) with the fixed lambda split recorded in lambda_used; these are
     the tail-bound sample sizes evaluated at the split, not a numerical
-    optimum over lambda. grad_norm=None means
-    the local gradient norm is unknown: sigma_hi and the interval verdict are
-    then reported as unknown, everything else is still computed.
+    optimum over lambda. grad_norm=None means the local gradient norm is
+    unknown: sigma_hi and the interval verdict are then reported as unknown,
+    everything else is still computed.
     """
-    if method not in DETERMINISTIC + SMOOTHING:
+    if method not in _BOUNDS:
         raise ValueError(f"unknown method {method!r}")
     if not 0.0 <= theta < 1.0:
         raise ValueError("theta must lie in [0, 1)")
@@ -368,33 +328,32 @@ def condition_table(method: str, n: int, theta: float, delta: float | None = Non
         if v is not None and not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v!r}")
 
-    smoothing = method in SMOOTHING
-    lam = None
-    if smoothing:
+    if method in SMOOTHING:
         if delta is None or not 0.0 < delta < 1.0:
             raise ValueError(f"{method} requires delta in (0, 1)")
         n_min = _smoothing_n_min(method, n, theta, delta)
-        lam = LAMBDAS[method](n)
     else:
         n_min = n
         delta = None
 
     rho = error_floor(method, n, L, M, eps_f, theta=1.0, cond_qinv=cond_qinv)
     grad_norm_min = math.inf if theta == 0 else rho / theta
-    lo, hi = _sigma_interval(method, n, theta, L, M, eps_f, grad_norm, cond_qinv)
-
-    if grad_norm is None:
-        interval = "unknown"
-    elif grad_norm >= grad_norm_min and hi is not None and lo <= hi and hi > 0:
-        interval = "nonempty"
-    else:
-        interval = "empty"
-        hi = None
+    row, K, c = _constants(method, L, M, cond_qinv, positive=True)
+    lam = row.lam(n)
+    lo = _sigma_lo(row, n, K, eps_f)
+    interval, hi = "unknown", None
+    if grad_norm is not None:
+        # sigma_hi: the curvature term uses up lam's share of theta ||grad phi||
+        hi = _root(row.a_div / 2.0 * lam * theta * grad_norm / (c * row.a(n) * K), row.p)
+        ok = grad_norm >= grad_norm_min and lo <= hi and hi > 0
+        interval = "nonempty" if ok else "empty"
 
     return BoundReport(method=method, n=n, theta=theta, delta=delta,
-                       sigma_lo=lo if interval != "empty" else None,
-                       sigma_hi=hi, interval=interval, n_min=n_min, rho=rho,
-                       grad_norm_min=grad_norm_min, lambda_used=lam)
+                       sigma_lo=None if interval == "empty" else lo,
+                       sigma_hi=hi if interval == "nonempty" else None,
+                       interval=interval, n_min=n_min, rho=rho,
+                       grad_norm_min=grad_norm_min,
+                       lambda_used=lam if method in SMOOTHING else None)
 
 
 def ffd_exact_sigma_interval(n: int, L: float, eps_f: float, theta: float,

@@ -390,17 +390,16 @@ BOUND_PROB_HEADER = ("kind", "problem", "n", "method", "sigma", "N", "theta",
 
 
 def _missing_constant(problem, method: str) -> str | None:
-    """Why method's bounds cannot be evaluated on problem, or None: CFD,
-    cGSG and cBSG need the Hessian's Lipschitz constant M, the condition
-    table of cGSG and cBSG needs M > 0, and that of GSG and BSG L > 0."""
-    if method in ("GSG", "BSG") and not problem.lipschitz_gradient > 0:
-        return ("the condition table needs L > 0, the problem has "
-                f"L = {problem.lipschitz_gradient:g}")
-    M = problem.lipschitz_hessian
-    if M is None and method in ("CFD", "cGSG", "cBSG"):
-        return "the problem declares no Hessian Lipschitz constant M"
-    if M == 0 and method in ("cGSG", "cBSG"):
-        return "the condition table needs M > 0, the problem has M = 0"
+    """Why method's bounds cannot be evaluated on problem, or None: each
+    bound needs its constant K (L or M, from the bounds table), and the
+    condition table of a smoothing method needs K > 0."""
+    K = bnd._BOUNDS[method].K
+    value = problem.lipschitz_gradient if K == "L" else problem.lipschitz_hessian
+    if value is None:
+        kind = "gradient" if K == "L" else "Hessian"
+        return f"the problem declares no {kind} Lipschitz constant {K}"
+    if method in bnd.SMOOTHING and not value > 0:
+        return f"the condition table needs {K} > 0, the problem has {K} = {value:g}"
     return None
 
 
