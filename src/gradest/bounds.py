@@ -318,6 +318,8 @@ def condition_table(method: str, n: int, theta: float, delta: float | None = Non
     """
     if method not in _BOUNDS:
         raise ValueError(f"unknown method {method!r}")
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n!r}")
     if not 0.0 <= theta < 1.0:
         raise ValueError("theta must lie in [0, 1)")
     if grad_norm is not None and not 0 <= grad_norm < math.inf:

@@ -179,6 +179,9 @@ class ExperimentSpec:
             raise ValueError(f"N_list entries must be >= 1, got {self.N_list}")
         if not all(0 < t < 1 for t in self.taus):
             raise ValueError(f"taus must lie in (0, 1), got {self.taus}")
+        for name in ("theta", "delta"):
+            if not 0 < getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
 
     @classmethod
     def from_dict(cls, data: dict, **overrides) -> "ExperimentSpec":

@@ -205,6 +205,13 @@ def test_condition_table_rejects_non_finite_inputs():
         condition_table("LI", 4, 0.5, L=2.0, grad_norm=1.0, cond_qinv=inf)
 
 
+def test_condition_table_rejects_n_below_one():
+    for n in (0, -3):
+        for grad_norm in (1.0, None):
+            with pytest.raises(ValueError, match=f"^n must be positive, got {n}$"):
+                condition_table("FFD", n, 0.5, L=2.0, grad_norm=grad_norm)
+
+
 def test_smoothing_requires_delta_and_small_n_guard():
     with pytest.raises(ValueError):
         condition_table("GSG", 8, 0.5, None, L=1.0, grad_norm=1.0)

@@ -93,7 +93,11 @@ def test_spec_validation_errors():
            ("sample_factor must be positive and finite", dict(sample_factor=math.inf)),
            (r"taus must lie in \(0, 1\)", dict(taus=(2.0,))),
            (r"taus must lie in \(0, 1\)", dict(taus=(0.1, 0.0))),
-           (r"taus must lie in \(0, 1\)", dict(taus=(1.0,)))]
+           (r"taus must lie in \(0, 1\)", dict(taus=(1.0,))),
+           (r"theta must lie in \(0, 1\), got 2", dict(theta=2.0)),
+           (r"theta must lie in \(0, 1\), got 0", dict(theta=0.0)),
+           (r"delta must lie in \(0, 1\), got 0", dict(delta=0.0)),
+           (r"delta must lie in \(0, 1\), got 1", dict(delta=1.0))]
     for message, kwargs in bad:
         with pytest.raises(ValueError, match=message):
             ExperimentSpec(experiment="relative_error_sweep", **kwargs)
@@ -761,6 +765,12 @@ def test_cli_bad_inputs_exit_2_with_clean_error(tmp_path, capsys):
         ["bounds", "--method", "FFD", "--n", "4", "--L", "2", "--eps-f=-1"],
         ["bounds", "--method", "GSG", "--n", "4", "--delta", "0.1", "--L", "inf"],
         ["bounds", "--method", "FFD", "--n", "4", "--L", "2", "--grad-norm", "inf"],
+        ["bounds", "--method", "FFD", "--n", "0", "--L", "2", "--grad-norm", "1"],
+        ["bounds", "--method", "FFD", "--n", "0", "--L", "2"],
+        ["bounds", "--method", "FFD", "--n", "-3", "--L", "2"],
+        ["bound-check", "--methods", "FFD,CFD,LI", "--theta", "2", "--trials", "3"],
+        ["bound-check", "--methods", "FFD", "--theta", "0", "--trials", "3"],
+        ["bound-check", "--methods", "FFD,CFD,LI", "--delta", "0", "--trials", "3"],
         ["optimize", "--problem", "quadratic", "--direction", "newton"],
         ["optimize", "--problem", "quadratic", "--method", "FFD", "--N", "0"],
         ["estimate", "--problem", "quadratic", "--method", "newton"],
