@@ -1,6 +1,6 @@
 """SHA-256 digests of a fixed set of gradest CLI runs, for byte-identity checks.
 
-Runs twenty-four gradest invocations at seed 7, each in its own directory
+Runs twenty-six gradest invocations at seed 7, each in its own directory
 under a temporary root, with the gradest package from --src DIR (default:
 the src/ directory next to this script). Prints a header line naming the
 numpy version, the machine and numpy's SIMD baseline, since floating-point
@@ -66,6 +66,12 @@ INVOCATIONS = [
                "--out", "sweep.csv"]),
     ("theta_dist", ["theta-dist", "--n", "8", "--N-list", "1,4,16", "--trials", "200",
                     "--out", "theta.csv"]),
+    # cells whose trials span several estimator chunks: LI on sincos20 (3)
+    # and GSG at N = 512, n = 32 (7)
+    ("sweep_li_chunks", ["sweep", "--problems", "sincos20", "--methods", "LI",
+                         "--trials", "400", "--points", "1", "--out", "sweep.csv"]),
+    ("theta_dist_chunks", ["theta-dist", "--n", "32", "--N-list", "512", "--trials", "20",
+                           "--out", "theta.csv"]),
     ("bound_check_default", ["bound-check", "--trials", "50", "--points", "2",
                              "--out", "bc.csv"]),
     ("bound_check_grid", ["bound-check", "--problems", "quadratic,sphere",
