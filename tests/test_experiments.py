@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from gradest import experiments
+from gradest import estimators, experiments
 from gradest.cli import _sibling, main
 from gradest.core import make_standard_problems
 from gradest.estimators import METHODS
@@ -299,13 +299,35 @@ def test_csv_bytes_do_not_depend_on_the_trial_chunk_size(monkeypatch):
         ExperimentSpec(experiment="bound_validation", problems=("sincos20", "sincos10"),
                        eps_fs=(1e-6,), noise_kind="sinusoidal_deterministic",
                        points_per_problem=2, trials=8, seed=3),
+        # LI frames redrawn: run below a condition limit that some draws exceed
+        ExperimentSpec(experiment="relative_error_sweep", problems=("rosenbrock2",),
+                       methods=("LI",), sigmas=(0.01,), eps_fs=(0.0, 1e-3),
+                       points_per_problem=2, trials=60, seed=3),
     ]
+    redrawn = []
+    checked_frames = estimators._checked_frames
+
+    def counted(Q, redraw):
+        if redraw is None:
+            return checked_frames(Q, None)
+
+        def counting(count):
+            redrawn.append(count)
+            return redraw(count)
+        return checked_frames(Q, counting)
+
+    monkeypatch.setattr(estimators, "_checked_frames", counted)
 
     def texts():
         sweep = run_relative_error_sweep(specs[0])
         theta = run_theta_distribution(specs[1])
         bound = run_bound_validation(specs[2])
-        return [t.text() for t in (*sweep, theta, *bound)]
+        with monkeypatch.context() as low:
+            low.setattr(estimators, "COND_LIMIT", 30.0)
+            before = sum(redrawn)
+            redraws = run_relative_error_sweep(specs[3])
+            assert sum(redrawn) > before
+        return [t.text() for t in (*sweep, theta, *bound, *redraws)]
 
     default = texts()   # at the default _CHUNK_COORDS
     for chunk in (4096, 512, 1):   # 1: one trial per chunk
