@@ -10,11 +10,11 @@ Seven methods, split in two families:
 Evaluation accounting is exact: n+1 (FFD), 2n (CFD), n+1 (LI), N+1
 (GSG/BSG, the base value f(x) is evaluated once and reused), 2N (cGSG/cBSG).
 
-Every method runs through one core, estimate_trials, which estimates a
-stack of T independent trials with a single oracle batch. estimate is its
-T = 1 call and the one entry point for a single GradientEstimate; the
-experiment drivers call the core with whole cells of trials, drawn by
-trial_directions. LI solves Q g = d on every frame, drawn or fixed.
+Every estimate runs through one loop, estimate_trials: a chunk of trials
+at a time, it draws their directions (trial_directions) or takes a fixed
+set, checks and redraws the LI frames, and makes one oracle batch. estimate
+is its one-trial call; the experiment drivers pass whole cells of trials.
+LI solves Q g = d on every frame, drawn or fixed.
 """
 from __future__ import annotations
 
@@ -34,6 +34,12 @@ COND_LIMIT = 1e12
 METHODS = ("FFD", "CFD", "LI", "GSG", "cGSG", "BSG", "cBSG")
 # probe x +- sigma q (2k rows a trial) rather than x and x + sigma q (k + 1)
 CENTRAL = ("CFD", "cGSG", "cBSG")
+# use the coordinate axes and draw nothing
+AXES = ("FFD", "CFD")
+
+# Probe coordinates (rows x n) per chunk of trials: bounds the working set of
+# estimate_trials to a few MB at any trial count.
+_CHUNK_COORDS = 1 << 16
 
 __all__ = [
     "METHODS",
@@ -99,13 +105,60 @@ class EstimatorConfig:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
         if self.N is not None and self.N < 1:
             raise ValueError("N must be at least 1")
-        if self.direction_source is not None and self.method in ("FFD", "CFD"):
+        if self.direction_source is not None and self.method in AXES:
             raise ValueError(f"{self.method} uses the coordinate axes; "
                              "direction_source does not apply")
 
 
 def estimate_trials(oracle: NoisyOracle, x: Array, method: str, sigma: float,
-                    Q: Array, *, redraw=None):
+                    N: int | None, trials: int, rng, redraw=None):
+    """trials independent estimates at x, a chunk of at most _CHUNK_COORDS
+    probe coordinates at a time; the output does not depend on the chunk.
+
+    rng is a fixed DirectionSet (N x n, or n x n for LI) that every trial
+    uses, or a zero-argument callable returning the Generator each chunk's
+    directions are drawn from, in trial order (FFD/CFD draw none). redraw,
+    likewise a callable, gives the Generator a drawn LI frame above
+    COND_LIMIT is redrawn from, once. Both are called only when a chunk
+    draws or redraws and must return the same Generator each time, so a
+    caller may build its streams on first use. N is ignored by FFD, CFD, LI.
+
+    Returns (G, cond_Q, qinv_norm): G has shape (trials, n); cond_Q and
+    qinv_norm are per-trial arrays for LI and None for the other methods.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choices: {METHODS}")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    k = n if method in ("FFD", "CFD", "LI") else N
+    if k is None:
+        raise ValueError(f"{method} requires N")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    fixed = isinstance(rng, DirectionSet)
+    if fixed and rng.Q.shape != (k, n):
+        raise ValueError(f"direction matrix must be {k}x{n}, got {rng.Q.shape}")
+    again = None
+    if redraw is not None and not fixed:
+        again = lambda count: trial_directions("LI", n, n, count, redraw())
+    per_chunk = max(1, _CHUNK_COORDS // ((2 * k if method in CENTRAL else k + 1) * n))
+    parts = []
+    for start in range(0, trials, per_chunk):
+        count = min(per_chunk, trials - start)
+        if fixed:
+            Q = rng.Q[None].repeat(count, axis=0)
+        else:
+            Q = trial_directions(method, n, k, count, None if method in AXES else rng())
+        parts.append(_stack_estimates(oracle, x, method, sigma, Q, redraw=again))
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(None if p[0] is None else np.concatenate(p) for p in zip(*parts))
+
+
+def _stack_estimates(oracle: NoisyOracle, x: Array, method: str, sigma: float,
+                     Q: Array, *, redraw=None):
     """The estimator core: T independent estimates at x, one per direction set.
 
     Q is a stack of T direction sets, shape (T, k, n): the coordinate axes
@@ -128,17 +181,9 @@ def estimate_trials(oracle: NoisyOracle, x: Array, method: str, sigma: float,
     once by redraw(count), a (count, n, n) stack, when redraw is given, and
     a frame that is still singular raises SingularDirections.
 
-    Returns (G, cond_Q, qinv_norm): G has shape (T, n); cond_Q and qinv_norm
-    are per-trial arrays for LI and None for the other methods.
+    Returns (G, cond_Q, qinv_norm) as estimate_trials does.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choices: {METHODS}")
-    if not 0 < sigma < np.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
-    x = np.asarray(x, dtype=float)
     T, k, n = Q.shape
-    if n != x.size:
-        raise ValueError(f"directions have dimension {n}, point has {x.size}")
     cond = qinv = None
     if method == "LI":
         Q, cond, qinv = _checked_frames(Q, redraw)
@@ -159,7 +204,7 @@ def estimate_trials(oracle: NoisyOracle, x: Array, method: str, sigma: float,
     else:
         d = (F[:, 1:] - F[:, :1]) / sigma
 
-    if method in ("FFD", "CFD"):
+    if method in AXES:
         return d, cond, qinv
     if method == "LI":
         return np.linalg.solve(Q, d[:, :, None])[:, :, 0], cond, qinv
@@ -200,11 +245,13 @@ def trial_directions(method: str, n: int, N: int | None, T: int,
     for FFD/CFD, else draws from rng in trial order: square Gaussian frames
     scaled so each one's longest row has norm 1 for LI (N is ignored), N
     Gaussian rows for GSG/cGSG, N rows uniform on the sphere for BSG/cBSG."""
-    if method in ("FFD", "CFD"):
+    if method in AXES:
         return np.eye(n)[None].repeat(T, axis=0)
     k = n if method == "LI" else N
     if n < 1 or k < 1:
         raise ValueError("n and N must be positive")
+    if rng is None:
+        raise ValueError(f"{method} draws its directions: pass rng or a direction_source")
     Q = rng.standard_normal((T, k, n))
     if method in ("BSG", "cBSG"):
         return unit_rows(Q, rng)
@@ -220,35 +267,18 @@ def trial_directions(method: str, n: int, N: int | None, T: int,
 
 def estimate(oracle: NoisyOracle, x: Array, config: EstimatorConfig,
              rng: np.random.Generator | None = None) -> GradientEstimate:
-    """One gradient estimate at x: estimate_trials at T = 1, with its
-    evaluations counted.
-
-    Directions come from config.direction_source when it is set; a fixed
-    set is never redrawn, and a fixed LI frame goes through the same
-    condition check and solve as a drawn one. Otherwise FFD/CFD use the
-    coordinate axes and the other methods draw one direction set from rng
-    (trial_directions); a fresh LI frame that is numerically singular is
-    redrawn once from the same rng, and a second singular draw raises
-    SingularDirections. A method that must draw raises ValueError when rng
-    is None.
+    """One gradient estimate at x: estimate_trials at one trial, with its
+    evaluations counted. Directions come from config.direction_source when
+    it is set, and a fixed set is never redrawn. Otherwise a method that
+    draws reads rng, which a singular LI frame is also redrawn from once,
+    and raises ValueError when rng is None.
     """
     method, n = config.method, np.size(x)
     N = n if method in ("FFD", "CFD", "LI") else config.N
-    if N is None:
-        raise ValueError(f"{method} requires N")
-    fixed = config.direction_source
-    if fixed is not None:
-        if fixed.Q.shape != (N, n):
-            raise ValueError(f"direction matrix must be {N}x{n}, got {fixed.Q.shape}")
-        Q, redraw = fixed.Q[None], None
-    elif rng is None and method not in ("FFD", "CFD"):
-        raise ValueError(f"{method} draws its directions: pass rng or set a direction_source")
-    else:
-        Q = trial_directions(method, n, N, 1, rng)
-        redraw = lambda count: trial_directions(method, n, N, count, rng)
+    fixed, stream = config.direction_source, lambda: rng
     before = oracle.eval_count
-    G, cond, qinv = estimate_trials(oracle, x, method, config.sigma, Q,
-                                    redraw=redraw)
+    G, cond, qinv = estimate_trials(oracle, x, method, config.sigma, N, 1,
+                                    stream if fixed is None else fixed, stream)
     return GradientEstimate(
         G[0], method, float(config.sigma), N, oracle.eval_count - before,
         cond_Q=None if cond is None else float(cond[0]),

@@ -11,15 +11,15 @@ Four experiments are provided:
 Reproducibility contract: every random quantity is drawn from a substream
 keyed by (seed, fixed tag, structural indices), so reruns with the same seed
 produce byte-identical CSV text. Each experiment cell (one problem, point,
-sigma, noise level and method) estimates all of its trials through the
-batched estimator core: its directions come from one stream and its noise
-from another, both read in trial order, and trials are evaluated in chunks
-of at most _CHUNK_COORDS probe coordinates, so peak memory stays flat and
-the output does not depend on the chunk size. Floats are rendered with
-repr-faithful %.17g.
+sigma, noise level and method) estimates all of its trials in one
+estimators.estimate_trials call: its directions come from one stream and its
+noise from another, both read in trial order, and singular LI frames are
+redrawn from a third, so the output does not depend on how the trials are
+chunked. Floats are rendered with repr-faithful %.17g.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -28,8 +28,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .core import NoiseModel, NoisyOracle, get_problem, make_linear, make_standard_problems
-from .estimators import (CENTRAL, METHODS, EstimatorConfig, estimate_trials,
-                         method_name, trial_directions)
+from .estimators import METHODS, EstimatorConfig, estimate_trials, method_name
 from .optimizer import LineSearchConfig, OptimizationTrace, run_dfo
 from .sampling import RngStream
 
@@ -43,10 +42,6 @@ _TAG_BOUND = 104
 _TAG_BENCH = 105
 _TAG_REFERENCE = 106
 _TAG_REDRAW = 107
-
-# Probe coordinates (rows x n) per chunk of a cell's trials: bounds the
-# working set of the batched estimates to a few MB at any trial count.
-_CHUNK_COORDS = 1 << 16
 
 EXPERIMENTS = ("relative_error_sweep", "theta_distribution",
                "bound_validation", "optimizer_benchmark")
@@ -248,41 +243,13 @@ def make_oracle(objective, kind: str, eps_f: float, seed: int, *key) -> NoisyOra
     return NoisyOracle(objective, noise, rng=rng)
 
 
-def _direction_streams(seed: int, method: str, n: int, *key):
-    """(directions, redraw) for one cell: the generator its trials draw
-    their directions from, in trial order, and for LI the redraw of
-    singular frames from a substream of its own, so that a redraw never
-    shifts the cell's direction stream. Both None for FFD/CFD."""
-    if method in ("FFD", "CFD"):
-        return None, None
+def _cell_streams(seed: int, *key):
+    """One cell's direction stream, keyed key, and the stream its singular
+    LI frames are redrawn from, keyed (_TAG_REDRAW, *key), as estimate_trials
+    takes them: each builds its generator on first use, and only then."""
     stream = RngStream(seed)
-    rng = stream.generator(*key)
-    if method != "LI":
-        return rng, None
-    spare = stream.generator(_TAG_REDRAW, *key)
-    return rng, lambda count: trial_directions("LI", n, n, count, spare)
-
-
-def _cell_estimates(oracle, x, method: str, sigma: float, N: int | None,
-                    trials: int, streams):
-    """Estimates of one cell's trials at x, in chunks of at most
-    _CHUNK_COORDS probe coordinates: (G, qinv) with G of shape (trials, n)
-    and qinv the per-trial ||Q^-1|| for LI (None otherwise)."""
-    rng, redraw = streams
-    n = x.size
-    k = N if method in bnd.SMOOTHING else n
-    rows = 2 * k if method in CENTRAL else k + 1
-    per_chunk = max(1, _CHUNK_COORDS // (rows * n))
-    G = np.empty((trials, n))
-    qinv = np.empty(trials) if method == "LI" else None
-    for start in range(0, trials, per_chunk):
-        stop = min(trials, start + per_chunk)
-        Q = trial_directions(method, n, k, stop - start, rng)
-        G[start:stop], _, q = estimate_trials(oracle, x, method, sigma, Q,
-                                              redraw=redraw)
-        if qinv is not None:
-            qinv[start:stop] = q
-    return G, qinv
+    return (functools.cache(functools.partial(stream.generator, *key)),
+            functools.cache(functools.partial(stream.generator, _TAG_REDRAW, *key)))
 
 
 def _thetas(G, grad_true) -> np.ndarray:
@@ -336,10 +303,9 @@ def run_relative_error_sweep(spec: ExperimentSpec):
                         oracle = make_oracle(problem, spec.noise_kind, eps_f, spec.seed,
                                              _TAG_NOISE, p_idx, pt_idx, s_idx, e_idx,
                                              m_idx)
-                        streams = _direction_streams(spec.seed, method, n, _TAG_SWEEP,
-                                                     p_idx, pt_idx, s_idx, m_idx)
-                        G, _ = _cell_estimates(oracle, x, method, sigma, N, trials,
-                                               streams)
+                        streams = _cell_streams(spec.seed, _TAG_SWEEP, p_idx, pt_idx,
+                                                s_idx, m_idx)
+                        G = estimate_trials(oracle, x, method, sigma, N, trials, *streams)[0]
                         thetas = _thetas(G, grad_true)
                         cell = (problem.name, n, pt_idx, method, sigma, eps_f, N)
                         for t, theta in enumerate(thetas):
@@ -378,8 +344,8 @@ def run_theta_distribution(spec: ExperimentSpec) -> CsvTable:
     trials = spec.resolved_trials()
     table = CsvTable(THETA_HEADER)
     for N in spec.N_list:
-        streams = _direction_streams(spec.seed, "GSG", n, _TAG_THETA, N)
-        G, _ = _cell_estimates(NoisyOracle(problem), x, "GSG", 1.0, N, trials, streams)
+        G = estimate_trials(NoisyOracle(problem), x, "GSG", 1.0, N, trials,
+                            *_cell_streams(spec.seed, _TAG_THETA, N))[0]
         table.add(n, N, trials, spec.seed, *_theta_stats(_thetas(G, grad_true)))
     return table
 
@@ -448,11 +414,11 @@ def run_bound_validation(spec: ExperimentSpec):
                     key = (p_idx, m_idx, s_idx, e_idx)
                     oracle = make_oracle(problem, spec.noise_kind, eps_f, spec.seed,
                                          _TAG_NOISE, *key)
-                    streams = _direction_streams(spec.seed, method, n, _TAG_BOUND, *key)
+                    streams = _cell_streams(spec.seed, _TAG_BOUND, *key)
                     errs, bounds = [], []
                     for x in points:
-                        G, qinv = _cell_estimates(oracle, x, method, sigma, None,
-                                                  det_draws, streams)
+                        G, _, qinv = estimate_trials(oracle, x, method, sigma, None,
+                                                     det_draws, *streams)
                         errs.append(np.linalg.norm(G - problem.gradient_at(x), axis=1))
                         # LI's bound scales with each drawn frame's ||Q^-1||
                         qs = qinv if qinv is not None else [None] * det_draws
@@ -492,9 +458,8 @@ def run_bound_validation(spec: ExperimentSpec):
                 key = (p_idx, m_idx, e_idx)
                 oracle = make_oracle(problem, spec.noise_kind, eps_f, spec.seed,
                                      _TAG_NOISE, *key)
-                streams = _direction_streams(spec.seed, method, n, _TAG_BOUND, *key)
-                G, _ = _cell_estimates(oracle, x0, method, sigma, report.n_min,
-                                       trials, streams)
+                G = estimate_trials(oracle, x0, method, sigma, report.n_min, trials,
+                                    *_cell_streams(spec.seed, _TAG_BOUND, *key))[0]
                 failures = int(np.sum(_thetas(G, grad_true) > spec.theta))
                 rate = failures / trials
                 prob.add("probabilistic", problem.name, n, method, sigma,

@@ -18,6 +18,7 @@ from gradest.estimators import (
     estimate_trials,
     method_name,
     relative_error,
+    _stack_estimates,
     trial_directions,
 )
 from gradest.sampling import DirectionSet, RngStream, orthonormal_directions
@@ -84,8 +85,9 @@ def test_evaluation_accounting():
 def test_batched_cell_evaluation_accounting(method, per_trial):
     n, N, T = 6, 9, 7
     oracle = clean_oracle(make_sincos(n, 1.0, 2.0))
-    Q = trial_directions(method, n, N, T, RngStream(13).generator())
-    G, cond, qinv = estimate_trials(oracle, np.full(n, 0.2), method, 0.01, Q)
+    rng = RngStream(13).generator()
+    G, cond, qinv = estimate_trials(oracle, np.full(n, 0.2), method, 0.01, N, T,
+                                    lambda: rng)
     assert G.shape == (T, n)
     assert oracle.eval_count == T * per_trial(n, N)
     assert (cond is None) == (method != "LI")
@@ -102,7 +104,8 @@ def test_batched_core_matches_one_trial_at_a_time(method):
     noise = NoiseModel("uniform_iid", 1e-3, seed=1)
     Q = trial_directions(method, n, N, T, RngStream(14).generator())
     batched = NoisyOracle(p, noise, rng=RngStream(15).generator())
-    G, _, qinv = estimate_trials(batched, x, method, 0.05, Q)
+    rng = RngStream(14).generator()
+    G, _, qinv = estimate_trials(batched, x, method, 0.05, N, T, lambda: rng)
     single = NoisyOracle(p, noise, rng=RngStream(15).generator())
     for t in range(T):
         source = None if method in ("FFD", "CFD") else DirectionSet(Q[t])
@@ -122,14 +125,14 @@ def test_batched_li_redraws_a_singular_frame_once():
     p = make_linear(np.array([1.0, -2.0, 0.5]))
     oracle = clean_oracle(p)
     with pytest.raises(SingularDirections):
-        estimate_trials(oracle, np.zeros(n), "LI", 0.1, Q)
+        _stack_estimates(oracle, np.zeros(n), "LI", 0.1, Q)
     assert oracle.eval_count == 0
     with pytest.raises(SingularDirections):
-        estimate_trials(oracle, np.zeros(n), "LI", 0.1, Q,
-                        redraw=lambda count: np.stack([singular] * count))
+        _stack_estimates(oracle, np.zeros(n), "LI", 0.1, Q,
+                         redraw=lambda count: np.stack([singular] * count))
     assert oracle.eval_count == 0
-    G, cond, _ = estimate_trials(oracle, np.zeros(n), "LI", 0.1, Q,
-                                 redraw=lambda count: np.stack([good] * count))
+    G, cond, _ = _stack_estimates(oracle, np.zeros(n), "LI", 0.1, Q,
+                                  redraw=lambda count: np.stack([good] * count))
     assert np.max(np.abs(G - p.gradient_at(np.zeros(n)))) < 1e-10
     assert cond[0] == cond[1] < 1e12
     assert oracle.eval_count == 2 * (n + 1)
@@ -249,12 +252,11 @@ def test_estimator_config_validation():
 
 def test_sigma_must_be_positive_and_finite():
     oracle = clean_oracle(make_linear(np.ones(2)))
-    Q = np.eye(2)[None]
     for sigma in (math.inf, math.nan, -0.1):
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
             EstimatorConfig(method="FFD", sigma=sigma)
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
-            estimate_trials(oracle, np.zeros(2), "FFD", sigma, Q)
+            estimate_trials(oracle, np.zeros(2), "FFD", sigma, None, 1, None)
     assert oracle.eval_count == 0
 
 

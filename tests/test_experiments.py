@@ -331,7 +331,7 @@ def test_csv_bytes_do_not_depend_on_the_trial_chunk_size(monkeypatch):
 
     default = texts()   # at the default _CHUNK_COORDS
     for chunk in (4096, 512, 1):   # 1: one trial per chunk
-        monkeypatch.setattr(experiments, "_CHUNK_COORDS", chunk)
+        monkeypatch.setattr(estimators, "_CHUNK_COORDS", chunk)
         assert texts() == default, chunk
 
 
