@@ -385,8 +385,10 @@ def run_bound_validation(spec: ExperimentSpec):
     Deterministic rows (FFD/CFD/LI): per (method, sigma, eps_f) cell the
     worst measured ||g - grad phi|| over points x noise draws, against the
     worst-case bound (per-draw bounds for LI, whose constant ||Q^-1|| varies
-    with the drawn frame). Rows with sigma below ROUND_OFF_SIGMA are flagged
-    and excluded from pass/fail.
+    with the drawn frame). The bound counts the rounding of each function
+    value as noise: it is taken at eps_f + eps_mach max|phi|, the max over
+    the row's points. Rows with sigma below ROUND_OFF_SIGMA are flagged and
+    excluded from pass/fail.
 
     Probabilistic rows (GSG/cGSG/BSG/cBSG): sigma and N from condition_table
     at (theta, delta); empirical rate of norm-condition failures over the
@@ -406,6 +408,7 @@ def run_bound_validation(spec: ExperimentSpec):
     for p_idx, problem in enumerate(problems):
         n, L, M = problem.n, problem.lipschitz_gradient, problem.lipschitz_hessian
         points = _problem_points(problem, spec, p_idx)
+        rounding = np.finfo(float).eps * float(np.max(np.abs(problem.batch_value(points))))
         for m_idx, method in enumerate(det_methods):
             if _missing_constant(problem, method) is not None:
                 continue
@@ -423,7 +426,8 @@ def run_bound_validation(spec: ExperimentSpec):
                         # LI's bound scales with each drawn frame's ||Q^-1||
                         qs = qinv if qinv is not None else [None] * det_draws
                         bounds.append([bnd.deterministic_error_bound(
-                            method, n, L, M, sigma, eps_f, cond_qinv=q) for q in qs])
+                            method, n, L, M, sigma, eps_f + rounding, cond_qinv=q)
+                            for q in qs])
                     errs, bounds = np.concatenate(errs), np.concatenate(bounds)
                     min_margin = float(np.min(bounds - errs))
                     round_off = sigma < ROUND_OFF_SIGMA

@@ -358,6 +358,30 @@ def test_bound_validation_deterministic_rows():
             assert r["max_error"] <= r["bound"]
 
 
+def test_bound_check_counts_evaluation_rounding_as_noise(monkeypatch):
+    # at eps_f = 0 these bounds are tight to rounding (CFD is exact on a
+    # quadratic, FFD on an equal-diagonal one); the eps_mach max|phi|
+    # allowance lets them pass, yet is far too small to hide a 1e-6 bias
+    spec = ExperimentSpec(experiment="bound_validation",
+                          problems=("linear", "quadratic", "quadratic_diag", "sphere"),
+                          methods=("FFD", "CFD", "LI"), trials=20, seed=0)
+    det, _ = run_bound_validation(spec)
+    assert len(det.rows) == 12
+    assert all(det.column("passed")) and not any(det.column("round_off"))
+
+    core = estimators._stack_estimates
+
+    def biased(oracle, x, method, sigma, Q, **kw):
+        G, cond, qinv = core(oracle, x, method, sigma, Q, **kw)
+        return (G + 1e-6 if method == "FFD" else G), cond, qinv
+
+    monkeypatch.setattr(estimators, "_stack_estimates", biased)
+    det, _ = run_bound_validation(ExperimentSpec(
+        experiment="bound_validation", problems=("quadratic",), methods=("FFD",),
+        trials=20, seed=0))
+    assert det.column("passed") == [False]
+
+
 def test_bound_validation_probabilistic_rows_and_empty_interval():
     spec = ExperimentSpec(experiment="bound_validation",
                           problems=("sincos20",), methods=("GSG",),
