@@ -115,8 +115,11 @@ def _need(value, name: str, method: str, positive: bool = False) -> float:
     return v
 
 
-def _constants(method: str, L, M, cond_qinv, positive: bool = False):
-    """method's table row, its checked constant K and its factor c."""
+def _constants(method: str, n: int, L, M, cond_qinv, positive: bool = False):
+    """method's table row, its checked constant K and its factor c; the one
+    check that n is positive, for every bound that takes n."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n!r}")
     row = _BOUNDS[method]
     K = _need(L if row.K == "L" else M, row.K, method, positive)
     c = _need(cond_qinv, "cond_qinv", method, True) if method == "LI" else 1.0
@@ -134,7 +137,7 @@ def _root(x: float, k: int) -> float:
 def _bias(method: str, n: int, L, M, sigma: float, eps_f: float, cond_qinv=None) -> float:
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    row, K, c = _constants(method, L, M, cond_qinv)
+    row, K, c = _constants(method, n, L, M, cond_qinv)
     return c * (_curvature(row, n, K, sigma) + row.b(n) * eps_f / sigma)
 
 
@@ -184,23 +187,20 @@ def variance_kappa(method: str, n: int, N: int, L: float | None, M: float | None
     if N < 1:
         raise ValueError("N must be at least 1")
     g2 = grad_norm**2
+    K = _constants(method, n, L, M, None)[1]   # L for GSG/BSG, M for cGSG/cBSG
     if method == "GSG":
-        Lv = _need(L, "L", method)
-        core = (3.0 * g2 + (n + 2) * (n + 4) * Lv**2 * sigma**2 / 4.0
-                + 4.0 * eps_f**2 / sigma**2 + 2.0 * (n + 2) * Lv * eps_f)
+        core = (3.0 * g2 + (n + 2) * (n + 4) * K**2 * sigma**2 / 4.0
+                + 4.0 * eps_f**2 / sigma**2 + 2.0 * (n + 2) * K * eps_f)
     elif method == "cGSG":
-        Mv = _need(M, "M", method)
-        core = (3.0 * g2 + (n + 2) * (n + 4) * (n + 8) * Mv**2 * sigma**4 / 36.0
+        core = (3.0 * g2 + (n + 2) * (n + 4) * (n + 8) * K**2 * sigma**4 / 36.0
                 + eps_f**2 / sigma**2
-                + (n + 1) * (n + 3) * Mv * sigma * eps_f / (6.0 * math.sqrt(n)))
+                + (n + 1) * (n + 3) * K * sigma * eps_f / (6.0 * math.sqrt(n)))
     elif method == "BSG":
-        Lv = _need(L, "L", method)
-        core = (3.0 * n / (n + 2) * g2 + n * Lv**2 * sigma**2 / 4.0
-                + 4.0 * n * eps_f**2 / sigma**2 + 2.0 * n * Lv * eps_f)
+        core = (3.0 * n / (n + 2) * g2 + n * K**2 * sigma**2 / 4.0
+                + 4.0 * n * eps_f**2 / sigma**2 + 2.0 * n * K * eps_f)
     else:
-        Mv = _need(M, "M", method)
-        core = (3.0 * n / (n + 2) * g2 + n * Mv**2 * sigma**4 / 36.0
-                + n * eps_f**2 / sigma**2 + n * Mv * sigma * eps_f / 3.0)
+        core = (3.0 * n / (n + 2) * g2 + n * K**2 * sigma**4 / 36.0
+                + n * eps_f**2 / sigma**2 + n * K * sigma * eps_f / 3.0)
     return core / N
 
 
@@ -240,15 +240,13 @@ def bernstein_sample_size(method: str, n: int, delta: float, r: float,
         raise ValueError("r must be positive")
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    g = grad_norm
+    g, K = grad_norm, _constants(method, n, L, M, None)[1]   # L for BSG, M for cBSG
     if method == "BSG":
-        Lv = _need(L, "L", method)
-        var_term = g**2 / n + Lv**2 * sigma**2 / 4.0 + 4.0 * eps_f**2 / sigma**2 + 2.0 * Lv * eps_f
-        range_term = 2.0 * g + Lv * sigma + 4.0 * eps_f / sigma
+        var_term = g**2 / n + K**2 * sigma**2 / 4.0 + 4.0 * eps_f**2 / sigma**2 + 2.0 * K * eps_f
+        range_term = 2.0 * g + K * sigma + 4.0 * eps_f / sigma
     else:
-        Mv = _need(M, "M", method)
-        var_term = g**2 / n + Mv**2 * sigma**4 / 36.0 + eps_f**2 / sigma**2 + Mv * sigma * eps_f / 3.0
-        range_term = 2.0 * g + Mv * sigma**2 / 3.0 + 2.0 * eps_f / sigma
+        var_term = g**2 / n + K**2 * sigma**4 / 36.0 + eps_f**2 / sigma**2 + K * sigma * eps_f / 3.0
+        range_term = 2.0 * g + K * sigma**2 / 3.0 + 2.0 * eps_f / sigma
     total = (2.0 * n**2 / r**2 * var_term + 2.0 * n / (3.0 * r) * range_term)
     return math.ceil(total * math.log((n + 1) / delta))
 
@@ -262,11 +260,11 @@ def error_floor(method: str, n: int, L: float | None, M: float | None,
     With theta < 1 supplied, this is the gradient-norm threshold expression
     rho / theta used by the norm-condition tables.
     """
-    if theta <= 0:
-        return math.inf
     if method not in _BOUNDS:
         raise ValueError(f"unknown method {method!r}")
-    row, K, c = _constants(method, L, M, cond_qinv, positive=True)
+    row, K, c = _constants(method, n, L, M, cond_qinv, positive=True)
+    if theta <= 0:
+        return math.inf
     lo = _sigma_lo(row, n, K, eps_f)
     return 2.0 * c * _curvature(row, n, K, lo) / row.lam(n) / theta
 
@@ -318,8 +316,6 @@ def condition_table(method: str, n: int, theta: float, delta: float | None = Non
     """
     if method not in _BOUNDS:
         raise ValueError(f"unknown method {method!r}")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n!r}")
     if not 0.0 <= theta < 1.0:
         raise ValueError("theta must lie in [0, 1)")
     if grad_norm is not None and not 0 <= grad_norm < math.inf:
@@ -329,6 +325,7 @@ def condition_table(method: str, n: int, theta: float, delta: float | None = Non
     for name, v in (("L", L), ("M", M), ("cond_qinv", cond_qinv)):
         if v is not None and not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v!r}")
+    row, K, c = _constants(method, n, L, M, cond_qinv, positive=True)
 
     if method in SMOOTHING:
         if delta is None or not 0.0 < delta < 1.0:
@@ -340,7 +337,6 @@ def condition_table(method: str, n: int, theta: float, delta: float | None = Non
 
     rho = error_floor(method, n, L, M, eps_f, theta=1.0, cond_qinv=cond_qinv)
     grad_norm_min = math.inf if theta == 0 else rho / theta
-    row, K, c = _constants(method, L, M, cond_qinv, positive=True)
     lam = row.lam(n)
     lo = _sigma_lo(row, n, K, eps_f)
     interval, hi = "unknown", None
@@ -368,6 +364,7 @@ def ffd_exact_sigma_interval(n: int, L: float, eps_f: float, theta: float,
     (no sigma works). With eps_f = 0 the interval is (0, 2 theta ||grad|| /
     (sqrt(n) L)), open at 0.
     """
+    _constants("FFD", n, L, None, None)   # checks n
     if not L > 0:
         raise ValueError("L must be positive")
     if not 0.0 <= theta < 1.0:

@@ -210,6 +210,16 @@ def test_condition_table_rejects_n_below_one():
         for grad_norm in (1.0, None):
             with pytest.raises(ValueError, match=f"^n must be positive, got {n}$"):
                 condition_table("FFD", n, 0.5, L=2.0, grad_norm=grad_norm)
+        # every bound that takes n, by the same check
+        for call in (lambda: deterministic_error_bound("FFD", n, 2.0, None, 0.1),
+                     lambda: smoothing_bias_bound("GSG", n, 2.0, None, 0.1),
+                     lambda: variance_kappa("GSG", n, 4, 2.0, None, 0.1, 1e-6, 1.0),
+                     lambda: bernstein_sample_size("BSG", n, 0.1, 0.5, 2.0, None,
+                                                   0.1, 1e-6, 1.0),
+                     lambda: error_floor("FFD", n, 2.0, None, 1e-6),
+                     lambda: ffd_exact_sigma_interval(n, 2.0, 1e-6, 0.5, 1.0)):
+            with pytest.raises(ValueError, match=f"^n must be positive, got {n}$"):
+                call()
 
 
 def test_smoothing_requires_delta_and_small_n_guard():
