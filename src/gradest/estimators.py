@@ -152,7 +152,7 @@ def estimate_trials(oracle: NoisyOracle, x: Array, method: str, sigma: float,
         else:
             Q = trial_directions(method, n, k, count, None if method in AXES else rng())
         parts.append(_stack_estimates(oracle, x, method, sigma, Q, redraw=again))
-    if len(parts) == 1:
+    if len(parts) == 1:   # every estimate call: no copy
         return parts[0]
     return tuple(None if p[0] is None else np.concatenate(p) for p in zip(*parts))
 
