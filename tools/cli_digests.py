@@ -1,6 +1,6 @@
 """SHA-256 digests of a fixed set of gradest CLI runs, for byte-identity checks.
 
-Runs twenty-six gradest invocations at seed 7, each in its own directory
+Runs twenty-seven gradest invocations at seed 7, each in its own directory
 under a temporary root, with the gradest package from --src DIR (default:
 the src/ directory next to this script). Prints a header line naming the
 numpy version, the machine and numpy's SIMD baseline, since floating-point
@@ -56,6 +56,10 @@ INVOCATIONS = [
     ("optimize_cfd_fixed", ["optimize", "--problem", "rosenbrock2", "--method", "CFD",
                             "--step", "fixed", "--alpha", "0.001", "--budget", "600",
                             "--out", "trace.csv"]),
+    # FFD at sigma 1e-2 reaches a point where its L-BFGS step rounds away
+    # (x + alpha d == x) with its budget mostly unspent
+    ("optimize_null_step", ["optimize", "--problem", "rosenbrock2", "--sigma", "1e-2",
+                            "--budget", "600", "--out", "trace.csv"]),
     ("optimize_budget_one", ["optimize", "--problem", "quadratic", "--budget", "1",
                              "--out", "trace.csv"]),
     ("optimize_bsg_fixed", ["optimize", "--problem", "quadratic", "--method", "BSG",
