@@ -103,6 +103,11 @@ class NoiseModel:
         if self.kind == "none" and self.level != 0.0:
             raise ValueError("kind='none' requires level 0")
 
+    @property
+    def deterministic(self) -> bool:
+        """True when eps(x) draws nothing, so f at a given x never changes."""
+        return self.kind != "uniform_iid" or self.level == 0.0
+
 
 def _sum_in_order(A: Array) -> Array:
     """Row sums of A adding the columns in sequence from the left. A.sum(axis=1)

@@ -109,6 +109,11 @@ class EstimatorConfig:
             raise ValueError(f"{self.method} uses the coordinate axes; "
                              "direction_source does not apply")
 
+    @property
+    def deterministic(self) -> bool:
+        """True when estimate draws no directions: FFD, CFD or a fixed set."""
+        return self.method in AXES or self.direction_source is not None
+
 
 def estimate_trials(oracle: NoisyOracle, x: Array, method: str, sigma: float,
                     N: int | None, trials: int, rng, redraw=None):

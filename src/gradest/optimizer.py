@@ -232,8 +232,14 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
     grad_norm_stop (tested on the estimate g, not the true gradient),
     nonfinite (an estimate whose norm is not finite, from a NaN or infinite
     entry; recorded in place), three consecutive StepFailures of the line
-    search, or, for the fixed step only, divergence (a non-finite arrival,
-    or five increases in f in a row).
+    search, null_step, or, for the fixed step only, divergence (a
+    non-finite arrival, or five increases in f in a row).
+    null_step ends a deterministic run (noise and estimator both draw
+    nothing: NoiseModel.deterministic and EstimatorConfig.deterministic)
+    after a step whose arrival is bitwise the departure x, taken by the
+    fixed step or by an Armijo search that started from ALPHA0. The next
+    iteration would see the same x, f, g and history, so it and every later
+    one would repeat that record until eval_budget or max_iters.
     rng feeds the estimator's direction draws; FFD and CFD need none, and
     the other methods raise ValueError without rng or a direction_source.
     On a StepFailure the gradient is re-estimated at the same point (fresh
@@ -253,6 +259,7 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
     stop_norm = ls_cfg.grad_norm_stop
     alpha0 = ALPHA0
     consecutive_failures = increases = 0
+    repeats = oracle.noise.deterministic and estimator_cfg.deterministic
     k = 0
 
     while True:
@@ -290,6 +297,7 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
         slope = float(np.dot(g, d))
 
         diverged = False
+        may_repeat = repeats and alpha0 == ALPHA0
         if ls_cfg.step is None:
             try:
                 alpha, x_new, f_new, backtracks = armijo_search(
@@ -314,11 +322,15 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
             diverged = increases >= 5 or not (math.isfinite(f_new)
                                               and np.all(np.isfinite(x_new)))
 
+        null_step = may_repeat and x_new.tobytes() == x.tobytes()
         x, f_x = x_new, f_new
         trace.records.append(_record(k, oracle, x, f_x, g_norm, alpha, backtracks, slope))
         k += 1
         if diverged:
             trace.termination = "divergence"
+            break
+        if null_step:
+            trace.termination = "null_step"
             break
 
     if not trace.records:

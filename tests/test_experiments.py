@@ -409,7 +409,7 @@ def test_bound_validation_probabilistic_rows_and_empty_interval():
 
 # the termination values the README documents for bench rows
 BENCH_TERMINATIONS = {"eval_budget", "max_iters", "grad_norm_stop", "step_failure",
-                      "nonfinite", "divergence"}
+                      "nonfinite", "divergence", "null_step"}
 
 
 @pytest.fixture(scope="module")

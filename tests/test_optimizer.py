@@ -35,7 +35,7 @@ from gradest.optimizer import (
     lbfgs_direction,
     run_dfo,
 )
-from gradest.sampling import RngStream
+from gradest.sampling import DirectionSet, RngStream
 
 
 def quad_oracle(diag, b=None):
@@ -470,6 +470,100 @@ def test_norm_condition_sufficiency_along_trajectory(base_seed):
     assert fails / samples <= delta + 0.05
 
 
+# -------------------------------------------------------------- null step
+
+def test_noise_free_ffd_run_stops_on_its_null_step():
+    # at iteration 26 the L-BFGS step from alpha = 1 backtracks 25 times to
+    # alpha = 8.5e-14, where x + alpha d rounds back to x; every later
+    # iteration would repeat that one until the budget ran out
+    problem, x0 = get_problem("rosenbrock2")
+    oracle = NoisyOracle(problem)
+    trace = run_dfo(oracle, EstimatorConfig(method="FFD", sigma=1e-2),
+                    LineSearchConfig(eval_budget=600), x0)
+    assert trace.termination == "null_step"
+    assert len(trace.records) == 27 and oracle.eval_count == 145 < 600
+    prev, last = trace.records[-2:]
+    assert last.alpha > 0 and last.backtracks == 25
+    assert last.x.tobytes() == prev.x.tobytes() and last.f == prev.f
+
+
+def test_the_step_after_a_null_step_repeats_it():
+    # steepest descent: one more estimate and search from the final state
+    # reproduce the final record, so run_dfo lost nothing by stopping
+    problem, x0 = get_problem("trig10")
+    oracle = NoisyOracle(problem)
+    est_cfg = EstimatorConfig(method="FFD", sigma=1e-2)
+    ls_cfg = LineSearchConfig(direction="steepest_descent", eval_budget=600)
+    trace = run_dfo(oracle, est_cfg, ls_cfg, x0)
+    assert trace.termination == "null_step" and oracle.eval_count < 600
+    last = trace.records[-1]
+    g = estimate(oracle, last.x, est_cfg).g
+    assert float(np.linalg.norm(g)) == last.grad_est_norm
+    assert float(np.dot(g, -g)) == last.slope
+    alpha, x_new, f_new, backtracks = armijo_search(oracle, last.x, -g, g, last.f, ls_cfg)
+    assert (alpha, f_new, backtracks) == (last.alpha, last.f, last.backtracks)
+    assert x_new.tobytes() == last.x.tobytes()
+
+
+@pytest.mark.parametrize("noise, est_cfg", [
+    # noise of 1e-20 leaves every f value of the noise-free run unchanged, so
+    # the run takes the same null steps, but it draws and so goes on
+    (NoiseModel("uniform_iid", 1e-20, seed=3), EstimatorConfig(method="FFD", sigma=1e-2)),
+    (NoiseModel(), EstimatorConfig(method="GSG", sigma=1e-2, N=2)),
+])
+def test_runs_that_draw_never_end_on_a_null_step(noise, est_cfg):
+    problem, x0 = get_problem("rosenbrock2")
+    trace = run_dfo(NoisyOracle(problem, noise), est_cfg, LineSearchConfig(eval_budget=600),
+                    x0, rng=RngStream(0).generator())
+    assert trace.termination == "eval_budget"
+    xs = [x0] + [r.x for r in trace.records]
+    null_steps = [r for r, x in zip(trace.records, xs) if r.alpha > 0
+                  and r.x.tobytes() == x.tobytes()]
+    assert len(null_steps) >= 10
+
+
+def test_a_null_step_after_a_step_failure_does_not_stop_the_run():
+    # phi = 1 + |x - 2| from x0 = 2, where g = 1: from alpha0 = 1 every probe
+    # 2 - alpha moves x and raises f, so the search fails; from alpha0 / 2 the
+    # last probe, 2 - 1.03e-16, rounds to 2 and is accepted. That null step
+    # started below ALPHA0, and the next search, from ALPHA0, fails again.
+    p = ObjectiveFunction(name="kink", n=1, value_at=lambda x: 1.0 + abs(x[0] - 2.0),
+                          gradient_at=lambda x: np.sign(x - 2.0), lipschitz_gradient=1.0)
+    trace = run_dfo(NoisyOracle(p), EstimatorConfig(method="FFD", sigma=1e-5),
+                    LineSearchConfig(max_iters=6), np.full(1, 2.0))
+    assert trace.termination == "max_iters"
+    assert [r.backtracks for r in trace.records] == [MAX_BACKTRACKS + 1, MAX_BACKTRACKS] * 3
+    assert all(r.x[0] == 2.0 and r.f == 1.0 for r in trace.records)
+    assert all(r.alpha > 0 for r in trace.records[1::2])
+
+
+def test_sinusoidal_noise_and_fixed_directions_are_deterministic():
+    assert NoiseModel().deterministic
+    assert NoiseModel("uniform_iid", 0.0).deterministic
+    assert NoiseModel("sinusoidal_deterministic", 1e-3).deterministic
+    assert not NoiseModel("uniform_iid", 1e-20).deterministic
+    frame = DirectionSet(np.eye(2))
+    assert EstimatorConfig(method="CFD", sigma=1e-2).deterministic
+    assert EstimatorConfig(method="LI", sigma=1e-2, direction_source=frame).deterministic
+    assert not EstimatorConfig(method="LI", sigma=1e-2).deterministic
+    assert not EstimatorConfig(method="cBSG", sigma=1e-2, N=4).deterministic
+    # LI on the axes is FFD; both stop at the same null step, and so does FFD
+    # under sinusoidal noise too small to move f
+    problem, x0 = get_problem("rosenbrock2")
+    ffd = EstimatorConfig(method="FFD", sigma=1e-2)
+    runs = [(NoiseModel(), EstimatorConfig(method="LI", sigma=1e-2, direction_source=frame)),
+            (NoiseModel("sinusoidal_deterministic", 1e-20), ffd), (NoiseModel(), ffd)]
+    csv = []
+    for noise, est_cfg in runs:
+        trace = run_dfo(NoisyOracle(problem, noise), est_cfg,
+                        LineSearchConfig(eval_budget=600), x0)
+        assert trace.termination == "null_step" and trace.evals_used == 145
+        buf = io.StringIO()
+        trace.to_csv(buf)
+        csv.append(buf.getvalue())
+    assert csv[0] == csv[1] == csv[2]
+
+
 # -------------------------------------------------------------- fixed step
 
 def fixed_step(alpha, budget, **kw):
@@ -577,3 +671,4 @@ def test_trace_csv_format_and_nan_handling():
     buf = io.StringIO()
     nan_row.to_csv(buf)
     assert buf.getvalue().split("\n")[1] == "0,1,nan,nan,0,3,0"
+
