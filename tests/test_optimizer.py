@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gradest.bounds import condition_table
 from gradest.core import (
+    NOISE_KINDS,
     NoiseModel,
     NoisyOracle,
     ObjectiveFunction,
@@ -17,8 +18,9 @@ from gradest.core import (
     make_linear,
     make_quadratic,
     make_sincos,
+    make_standard_problems,
 )
-from gradest.estimators import EstimatorConfig, estimate, relative_error
+from gradest.estimators import CENTRAL, METHODS, EstimatorConfig, estimate, relative_error
 from gradest.optimizer import (
     ALPHA0,
     BACKTRACK,
@@ -672,3 +674,101 @@ def test_trace_csv_format_and_nan_handling():
     nan_row.to_csv(buf)
     assert buf.getvalue().split("\n")[1] == "0,1,nan,nan,0,3,0"
 
+
+# ----------------------------------------------------- run_dfo properties
+
+STANDARD = [name for name, _, _ in make_standard_problems()]
+
+
+def _estimate_cost(method, n, N):
+    k = n if method in ("FFD", "CFD", "LI") else N
+    return 2 * k if method in CENTRAL else k + 1
+
+
+def _property_run(name, method, N, fixed, sigma, noise, direction, step, budget, seed):
+    """A fresh oracle and run_dfo call: the same arguments give the same run."""
+    problem, x0 = get_problem(name)
+    n = problem.n
+    source = None
+    if fixed and method not in ("FFD", "CFD"):
+        k = n if method == "LI" else N
+        source = DirectionSet(np.random.default_rng(seed).standard_normal((k, n)))
+    est_cfg = EstimatorConfig(method=method, sigma=sigma, N=N, direction_source=source)
+    ls_cfg = LineSearchConfig(direction=direction, step=step, eval_budget=budget,
+                              max_iters=None)
+    oracle = NoisyOracle(problem, noise)
+    trace = run_dfo(oracle, est_cfg, ls_cfg, x0, rng=RngStream(seed).generator(1))
+    return problem, x0, est_cfg, ls_cfg, oracle, trace
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(STANDARD),
+    method=st.sampled_from(METHODS),
+    N=st.integers(1, 8),
+    fixed=st.booleans(),
+    sigma=st.sampled_from([1e-1, 1e-3, 1e-6]),
+    kind=st.sampled_from(NOISE_KINDS),
+    level=st.sampled_from([0.0, 1e-20, 1e-8, 1e-3]),
+    rule=st.sampled_from([("lbfgs", None), ("steepest_descent", None),
+                          ("steepest_descent", 1e-3), ("steepest_descent", 0.1)]),
+    budget=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(name="rosenbrock2", method="FFD", N=1, fixed=False, sigma=1e-2, kind="none",
+         level=0.0, rule=("lbfgs", None), budget=300, seed=0)
+@example(name="rosenbrock2", method="FFD", N=1, fixed=False, sigma=1e-2, kind="uniform_iid",
+         level=1e-20, rule=("lbfgs", None), budget=300, seed=0)
+def test_run_dfo_properties(name, method, N, fixed, sigma, kind, level, rule, budget, seed):
+    noise = NoiseModel(kind, 0.0 if kind == "none" else level, seed=seed)
+    direction, step = rule
+    args = (name, method, N, fixed, sigma, noise, direction, step, budget, seed)
+    problem, x0, est_cfg, ls_cfg, oracle, trace = _property_run(*args)
+    records = trace.records
+    cost = _estimate_cost(method, problem.n, N)
+    deterministic = noise.deterministic and est_cfg.deterministic
+
+    # exact accounting: f(x0), then each iteration's estimate and probes,
+    # every iteration starting under the budget
+    assert records[-1].evals_cumulative == oracle.eval_count
+    if math.isnan(records[0].grad_est_norm):
+        assert len(records) == 1 and oracle.eval_count == 1
+    else:
+        evals = 1
+        for r in records:
+            assert evals < budget
+            probes = (r.backtracks + 1 if r.alpha > 0
+                      else MAX_BACKTRACKS + 1 if r.backtracks == MAX_BACKTRACKS + 1 else 0)
+            assert r.evals_cumulative - evals == cost + probes
+            evals = r.evals_cumulative
+    if trace.termination == "eval_budget":
+        assert oracle.eval_count >= budget
+
+    # each accepted Armijo step passes the relaxed test that accepted it,
+    # recomputed from the trace; f(x0) is the first value of a fresh oracle
+    f_prev = NoisyOracle(problem, noise)(x0)
+    relax = 2.0 * noise.level
+    for r in records:
+        if step is None and r.alpha > 0:
+            assert r.f <= f_prev + ls_cfg.c1 * r.alpha * r.slope + relax
+        f_prev = r.f
+
+    # null_step ends only a deterministic run, on a step that stayed at x;
+    # in a deterministic run no earlier step from a full first probe did
+    xs = [x0] + [r.x for r in records]
+    failed = [False] + [r.alpha == 0 and r.backtracks == MAX_BACKTRACKS + 1 for r in records]
+    null = [r.alpha > 0 and r.x.tobytes() == x.tobytes() for r, x in zip(records, xs)]
+    if trace.termination == "null_step":
+        assert deterministic and null[-1]
+    if deterministic:
+        assert not any(is_null and not after_failure for is_null, after_failure
+                       in zip(null[:-1], failed[:-2]))
+
+    # the same arguments give the same trace
+    again = _property_run(*args)[-1]
+    assert again.termination == trace.termination
+    one, two = io.StringIO(), io.StringIO()
+    trace.to_csv(one)
+    again.to_csv(two)
+    assert one.getvalue() == two.getvalue()
+    assert all(a.x.tobytes() == b.x.tobytes() for a, b in zip(records, again.records))
