@@ -259,7 +259,7 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
     stop_norm = ls_cfg.grad_norm_stop
     alpha0 = ALPHA0
     consecutive_failures = increases = 0
-    repeats = oracle.noise.deterministic and estimator_cfg.deterministic
+    deterministic = oracle.noise.deterministic and estimator_cfg.deterministic
     k = 0
 
     while True:
@@ -297,7 +297,7 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
         slope = float(np.dot(g, d))
 
         diverged = False
-        may_repeat = repeats and alpha0 == ALPHA0
+        may_repeat = deterministic and alpha0 == ALPHA0
         if ls_cfg.step is None:
             try:
                 alpha, x_new, f_new, backtracks = armijo_search(
