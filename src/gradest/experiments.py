@@ -15,14 +15,21 @@ sigma, noise level and method) estimates all of its trials in one
 estimators.estimate_trials call: its directions come from one stream and its
 noise from another, both read in trial order, and singular LI frames are
 redrawn from a third, so the output does not depend on how the trials are
-chunked. Floats are rendered with repr-faithful %.17g.
+chunked.
+
+Every table's header declares each column's kind (Columns), and the table
+renders through one %-template built from the kinds: strings as %s,
+integers as %d, floats as repr-faithful %.17g, bools as true/false. A value
+that does not fit its column (a float in an int column, a bool in a float
+column, a non-string in a string column) or a row of the wrong length
+raises rather than render another way.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 
 import numpy as np
 
@@ -70,22 +77,37 @@ __all__ = [
 ]
 
 
-def _fmt(v) -> str:
-    # floats first: they are most of every table
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")   # also "inf", "-inf", "nan"
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return str(v)
+# column kind -> (%-conversion, accepted value types). A value that does not
+# fit its column raises rather than render another way: %d would truncate a
+# float, %s would write a float as its repr, %.17g would write True as 1.
+_KINDS = {
+    str: ("%s", str),
+    int: ("%d", (int, np.integer)),        # bool excluded by name below
+    float: ("%.17g", (float, np.floating)),
+    bool: ("%s", (bool, np.bool_)),        # written true / false
+}
+
+
+class Columns(tuple):
+    """A CSV header: the column names, each declared with its kind, one of
+    str, int, float or bool, as Columns(problem=str, n=int, sigma=float).
+    Compares and indexes as the tuple of names; the kinds compile to one
+    %-template per table."""
+
+    def __new__(cls, **kinds):
+        self = super().__new__(cls, kinds)
+        self.kinds = tuple(kinds.values())
+        self.template = ",".join(_KINDS[k][0] for k in self.kinds) + "\n"
+        return self
 
 
 @dataclass
 class CsvTable:
-    """In-memory CSV with deterministic text rendering."""
+    """In-memory CSV with deterministic text rendering: strings as they
+    are, integers in decimal, floats as repr-faithful %.17g (inf, -inf and
+    nan included), bools as true/false, each by its column's kind."""
 
-    header: tuple[str, ...]
+    header: Columns
     rows: list[tuple] = field(default_factory=list)
 
     def add(self, *row) -> None:
@@ -94,9 +116,22 @@ class CsvTable:
         self.rows.append(row)
 
     def text(self) -> str:
-        lines = [",".join(self.header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in self.rows)
-        return "\n".join(lines) + "\n"
+        """The CSV text. Raises ValueError on a row of the wrong length and
+        TypeError on a value that does not fit its column's kind."""
+        header, rows = self.header, self.rows
+        if set(map(len, rows)) - {len(header)}:
+            raise ValueError(f"every row must have {len(header)} fields")
+        for i, (name, kind) in enumerate(zip(header, header.kinds)):
+            accepts = _KINDS[kind][1]
+            for t in set(map(type, map(itemgetter(i), rows))):
+                if not issubclass(t, accepts) or (t is bool and kind is int):
+                    raise TypeError(f"column {name!r} holds {kind.__name__}, "
+                                    f"got a {t.__name__}")
+        if bool in header.kinds:   # the bound-check tables: a few rows each
+            words = [k is bool for k in header.kinds]
+            rows = [tuple(("true" if v else "false") if w else v
+                          for v, w in zip(row, words)) for row in rows]
+        return "".join([",".join(header) + "\n", *map(header.template.__mod__, rows)])
 
     def write(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -160,6 +195,9 @@ class ExperimentSpec:
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be nonempty")
         object.__setattr__(self, "methods", tuple(method_name(m) for m in self.methods))
+        # float columns take floats only: a JSON 1 or 0 becomes 1.0 or 0.0
+        for name in ("sigmas", "eps_fs", "taus"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         if not all(0 < s < math.inf for s in self.sigmas):
             raise ValueError(f"sigmas must be positive and finite, got {self.sigmas}")
         if not all(0 <= e < math.inf for e in self.eps_fs):
@@ -248,8 +286,17 @@ def _cell_streams(seed: int, *key):
     LI frames are redrawn from, keyed (_TAG_REDRAW, *key), as estimate_trials
     takes them: each builds its generator on first use, and only then."""
     stream = RngStream(seed)
-    return (functools.cache(functools.partial(stream.generator, *key)),
-            functools.cache(functools.partial(stream.generator, _TAG_REDRAW, *key)))
+
+    def on_first_use(*k):
+        made = None
+
+        def generator():
+            nonlocal made
+            if made is None:
+                made = stream.generator(*k)
+            return made
+        return generator
+    return on_first_use(*key), on_first_use(_TAG_REDRAW, *key)
 
 
 def _thetas(G, grad_true) -> np.ndarray:
@@ -272,11 +319,13 @@ def _problem_points(problem, spec: ExperimentSpec, problem_idx: int) -> np.ndarr
     return pts
 
 
-SWEEP_HEADER = ("problem", "n", "point", "method", "sigma", "eps_f", "N",
-                "trial", "seed", "theta", "log10_theta")
-SWEEP_SUMMARY_HEADER = ("problem", "n", "point", "method", "sigma", "eps_f",
-                        "N", "trials", "seed", "mean_theta", "median_theta",
-                        "var_theta", "success_rate")
+SWEEP_HEADER = Columns(problem=str, n=int, point=int, method=str, sigma=float,
+                       eps_f=float, N=int, trial=int, seed=int, theta=float,
+                       log10_theta=float)
+SWEEP_SUMMARY_HEADER = Columns(problem=str, n=int, point=int, method=str,
+                               sigma=float, eps_f=float, N=int, trials=int,
+                               seed=int, mean_theta=float, median_theta=float,
+                               var_theta=float, success_rate=float)
 
 
 def run_relative_error_sweep(spec: ExperimentSpec):
@@ -291,7 +340,7 @@ def run_relative_error_sweep(spec: ExperimentSpec):
     """
     trials = spec.resolved_trials()
     rows = CsvTable(SWEEP_HEADER)
-    summary = CsvTable(SWEEP_SUMMARY_HEADER)
+    cells, thetas = [], []   # per cell: its leading columns, its trials' theta
     for p_idx, problem in enumerate(spec.problem_list()):
         n = problem.n
         N = max(1, math.ceil(spec.sample_factor * n))
@@ -306,28 +355,44 @@ def run_relative_error_sweep(spec: ExperimentSpec):
                         streams = _cell_streams(spec.seed, _TAG_SWEEP, p_idx, pt_idx,
                                                 s_idx, m_idx)
                         G = estimate_trials(oracle, x, method, sigma, N, trials, *streams)[0]
-                        thetas = _thetas(G, grad_true)
                         cell = (problem.name, n, pt_idx, method, sigma, eps_f, N)
-                        for t, theta in enumerate(thetas):
-                            log10 = math.log10(theta) if theta > 0 else -math.inf
-                            rows.add(*cell, t, spec.seed, theta, log10)
-                        summary.add(*cell, trials, spec.seed, *_theta_stats(thetas))
+                        cells.append(cell)
+                        thetas.append(_thetas(G, grad_true))
+                        rows.rows.extend([
+                            (*cell, t, spec.seed, theta,
+                             math.log10(theta) if theta > 0 else -math.inf)
+                            for t, theta in enumerate(thetas[-1].tolist())])
+    summary = CsvTable(SWEEP_SUMMARY_HEADER)
+    summary.rows.extend([(*cell, trials, spec.seed, *stats)
+                         for cell, stats in zip(cells, _theta_stats(np.array(thetas)))])
     return rows, summary
 
 
-def _theta_stats(thetas) -> tuple[float, float, float, float]:
-    """(mean, median, variance ddof=1, success rate theta < 1/2) over the
-    finite thetas; nan throughout when there are none."""
-    ok = thetas[np.isfinite(thetas)]
-    if not ok.size:
-        return math.nan, math.nan, math.nan, math.nan
-    var = float(np.var(ok, ddof=1)) if ok.size > 1 else 0.0
-    return (float(np.mean(ok)), float(np.median(ok)), var,
-            float(np.mean(ok < 0.5)))
+def _theta_stats(thetas: np.ndarray) -> list[tuple[float, float, float, float]]:
+    """(mean, median, variance ddof=1, success rate theta < 1/2) of each row
+    of thetas, a (cells, trials) array, over the row's finite entries; nan
+    throughout for a row with none, variance 0 for a row with one.
+
+    Rows whose entries are all finite are reduced together along axis 1,
+    which gives the same bits as reducing each row on its own; any other
+    row is reduced on its own, over its finite entries.
+    """
+    finite = np.isfinite(thetas).all(axis=1)
+    ok = thetas[finite]
+    var = np.var(ok, axis=1, ddof=1) if thetas.shape[1] > 1 else np.zeros(len(ok))
+    whole = zip(np.mean(ok, axis=1).tolist(), np.median(ok, axis=1).tolist(),
+                var.tolist(), np.mean(ok < 0.5, axis=1).tolist())
+    return [next(whole) if f else _finite_stats(row[np.isfinite(row)])
+            for row, f in zip(thetas, finite.tolist())]
 
 
-THETA_HEADER = ("n", "N", "trials", "seed", "mean_theta", "median_theta",
-                "var_theta", "success_rate")
+def _finite_stats(ok: np.ndarray) -> tuple[float, float, float, float]:
+    """_theta_stats of the one row ok, whose entries are finite."""
+    return _theta_stats(ok[None])[0] if ok.size else (math.nan,) * 4
+
+
+THETA_HEADER = Columns(n=int, N=int, trials=int, seed=int, mean_theta=float,
+                       median_theta=float, var_theta=float, success_rate=float)
 
 
 def run_theta_distribution(spec: ExperimentSpec) -> CsvTable:
@@ -346,16 +411,17 @@ def run_theta_distribution(spec: ExperimentSpec) -> CsvTable:
     for N in spec.N_list:
         G = estimate_trials(NoisyOracle(problem), x, "GSG", 1.0, N, trials,
                             *_cell_streams(spec.seed, _TAG_THETA, N))[0]
-        table.add(n, N, trials, spec.seed, *_theta_stats(_thetas(G, grad_true)))
+        table.add(n, N, trials, spec.seed, *_theta_stats(_thetas(G, grad_true)[None])[0])
     return table
 
 
-BOUND_DET_HEADER = ("kind", "problem", "n", "method", "sigma", "eps_f",
-                    "trials", "seed", "max_error", "bound", "margin",
-                    "round_off", "passed")
-BOUND_PROB_HEADER = ("kind", "problem", "n", "method", "sigma", "N", "theta",
-                     "delta", "interval", "eps_f", "trials", "seed",
-                     "failures", "failure_rate", "passed")
+BOUND_DET_HEADER = Columns(kind=str, problem=str, n=int, method=str, sigma=float,
+                           eps_f=float, trials=int, seed=int, max_error=float,
+                           bound=float, margin=float, round_off=bool, passed=bool)
+BOUND_PROB_HEADER = Columns(kind=str, problem=str, n=int, method=str, sigma=float,
+                            N=int, theta=float, delta=float, interval=str,
+                            eps_f=float, trials=int, seed=int, failures=int,
+                            failure_rate=float, passed=bool)
 
 
 def _missing_constant(problem, method: str) -> str | None:
@@ -561,6 +627,11 @@ def parse_solver(text: str) -> SolverSpec:
     return SolverSpec(text.strip(), method, n_spec, sigma, parts[1], step, alpha)
 
 
+DATA_PROFILE_HEADER = Columns(tau=float, solver=str, budget_groups=int,
+                              fraction_solved=float)
+PERF_PROFILE_HEADER = Columns(tau=float, solver=str, alpha=float, fraction_solved=float)
+
+
 @dataclass
 class ProfileData:
     """Performance and data profile curves per (tau, solver).
@@ -577,7 +648,7 @@ class ProfileData:
     perf_profiles: dict
 
     def data_profile_table(self) -> CsvTable:
-        t = CsvTable(("tau", "solver", "budget_groups", "fraction_solved"))
+        t = CsvTable(DATA_PROFILE_HEADER)
         for tau in self.taus:
             for s in self.solvers:
                 curve = self.data_profiles[(tau, s)]
@@ -586,7 +657,7 @@ class ProfileData:
         return t
 
     def perf_profile_table(self) -> CsvTable:
-        t = CsvTable(("tau", "solver", "alpha", "fraction_solved"))
+        t = CsvTable(PERF_PROFILE_HEADER)
         for tau in self.taus:
             for s in self.solvers:
                 for a, v in zip(PERF_ALPHA_GRID, self.perf_profiles[(tau, s)]):
@@ -600,9 +671,10 @@ class BenchmarkResult:
     profiles: ProfileData
 
 
-BENCH_HEADER = ("problem", "n", "solver", "tau", "trial", "seed", "budget",
-                "evals_to_solve", "f0", "f_ref", "f_best", "termination",
-                "iters", "evals_used")
+BENCH_HEADER = Columns(problem=str, n=int, solver=str, tau=float, trial=int,
+                       seed=int, budget=int, evals_to_solve=float, f0=float,
+                       f_ref=float, f_best=float, termination=str, iters=int,
+                       evals_used=int)
 
 
 def _run_solver(problem, solver: SolverSpec, spec: ExperimentSpec, budget: int,

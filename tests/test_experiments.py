@@ -9,14 +9,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradest import estimators, experiments
 from gradest.cli import _sibling, main
 from gradest.core import make_standard_problems
 from gradest.estimators import METHODS
 from gradest.experiments import (BENCH_HEADER, BOUND_DET_HEADER,
-                                 BOUND_PROB_HEADER, SWEEP_HEADER,
-                                 SWEEP_SUMMARY_HEADER, THETA_HEADER,
+                                 BOUND_PROB_HEADER, DATA_PROFILE_HEADER,
+                                 PERF_PROFILE_HEADER, SWEEP_HEADER,
+                                 SWEEP_SUMMARY_HEADER, THETA_HEADER, CsvTable,
                                  ExperimentSpec, parse_solver,
                                  run_bound_validation,
                                  run_optimizer_benchmark,
@@ -199,6 +202,100 @@ def test_parse_solver_rejects_malformed():
                           solvers=("ffd+lbfgs+ls", "cfd+sd+fixed:inf"))
     with pytest.raises(ValueError, match="alpha"):
         run_optimizer_benchmark(spec)
+
+
+# ---------------------------------------------------------------- rendering
+
+TABLE_HEADERS = (SWEEP_HEADER, SWEEP_SUMMARY_HEADER, THETA_HEADER, BOUND_DET_HEADER,
+                 BOUND_PROB_HEADER, BENCH_HEADER, DATA_PROFILE_HEADER,
+                 PERF_PROFILE_HEADER)
+
+
+def _reference_fmt(v) -> str:
+    # the per-value renderer the typed columns replaced
+    if isinstance(v, (float, np.floating)):
+        return format(float(v), ".17g")
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return str(v)
+
+
+def _reference_text(table) -> str:
+    lines = [",".join(table.header)]
+    lines.extend(",".join(_reference_fmt(v) for v in row) for row in table.rows)
+    return "\n".join(lines) + "\n"
+
+
+_EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072009e-308,
+                1e17, 0.1, -1.5e-300)
+_VALUES = {
+    float: st.builds(lambda v, wrap: wrap(v),
+                     st.floats() | st.sampled_from(_EDGE_FLOATS),
+                     st.sampled_from((float, np.float64))),
+    int: st.builds(lambda v, wrap: wrap(v), st.integers(-2**63, 2**63 - 1),
+                   st.sampled_from((int, np.int64))),
+    bool: st.builds(lambda v, wrap: wrap(v), st.booleans(),
+                    st.sampled_from((bool, np.bool_))),
+    str: st.text(),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), header=st.sampled_from(TABLE_HEADERS))
+def test_typed_render_matches_the_per_value_reference(data, header):
+    row = st.tuples(*(_VALUES[kind] for kind in header.kinds))
+    table = CsvTable(header, data.draw(st.lists(row, max_size=6)))
+    assert table.text() == _reference_text(table)
+
+
+# a value of each kind, and values that fit no column of that kind
+_FITS = {str: "FFD", int: 3, float: 0.25, bool: True}
+_MISFITS = {str: (3, 0.25, None, True), int: (3.0, np.float64(3.0), True, "3"),
+            float: (True, np.bool_(False), 1, np.int64(1), "0.25"),
+            bool: (1, 0.0, "true", None)}
+
+
+@pytest.mark.parametrize("header", TABLE_HEADERS, ids=lambda h: h[0] + "_" + h[-1])
+def test_render_raises_on_a_value_that_does_not_fit_its_column(header):
+    row = tuple(_FITS[kind] for kind in header.kinds)
+    assert CsvTable(header, [row]).text() == _reference_text(CsvTable(header, [row]))
+    for i, kind in enumerate(header.kinds):
+        for bad in _MISFITS[kind]:
+            table = CsvTable(header, [row, row[:i] + (bad,) + row[i + 1:]])
+            with pytest.raises(TypeError, match=f"column '{header[i]}'"):
+                table.text()
+    for wrong in (row[:-1], row + (1,)):
+        with pytest.raises(ValueError, match="fields"):
+            CsvTable(header, [row, wrong]).text()
+        with pytest.raises(ValueError, match="fields"):
+            CsvTable(header).add(*wrong)
+
+
+def _reference_stats(thetas):
+    # the per-cell statistics the one summary pass replaced
+    ok = thetas[np.isfinite(thetas)]
+    if not ok.size:
+        return math.nan, math.nan, math.nan, math.nan
+    var = float(np.var(ok, ddof=1)) if ok.size > 1 else 0.0
+    return (float(np.mean(ok)), float(np.median(ok)), var, float(np.mean(ok < 0.5)))
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 20, 257])
+def test_summary_pass_equals_per_cell_statistics_bitwise(trials):
+    rng = np.random.default_rng(trials)
+    thetas = rng.lognormal(-1.0, 1.5, size=(60, trials))
+    thetas[:5] = 0.5                        # ties with the success threshold
+    thetas[5] = np.nan                      # a vanished gradient: nothing finite
+    thetas[6, : (trials + 1) // 2] = np.inf
+    thetas[7, -1] = np.nan                  # one non-finite trial
+    thetas[8, 0] = -np.inf
+    got = experiments._theta_stats(thetas)
+    assert len(got) == len(thetas)
+    for row, stats in zip(thetas, got):
+        assert all(type(v) is float for v in stats)
+        assert [v.hex() for v in stats] == [v.hex() for v in _reference_stats(row)]
 
 
 # ---------------------------------------------------------------- theta distribution
