@@ -333,8 +333,9 @@ def run_relative_error_sweep(spec: ExperimentSpec):
 
     Returns (rows, summary) CsvTables. Per-cell statistics are sample
     mean/median/variance (ddof=1) of theta plus the success rate theta < 1/2.
-    Cells whose true gradient vanishes record theta = nan and are excluded
-    from the summary statistics. Direction streams are keyed without eps_f,
+    Cells whose true gradient vanishes record theta = nan and log10_theta =
+    nan, as does any trial whose estimate is not finite; non-finite thetas
+    are excluded from the summary statistics. Direction streams are keyed without eps_f,
     so cells that differ only in noise level see the same directions
     (common random numbers): their difference in theta is the noise's doing.
     """
@@ -358,9 +359,10 @@ def run_relative_error_sweep(spec: ExperimentSpec):
                         cell = (problem.name, n, pt_idx, method, sigma, eps_f, N)
                         cells.append(cell)
                         thetas.append(_thetas(G, grad_true))
+                        # log10 0 is -inf, and a nan theta stays nan
                         rows.rows.extend([
-                            (*cell, t, spec.seed, theta,
-                             math.log10(theta) if theta > 0 else -math.inf)
+                            (*cell, t, spec.seed, theta, math.log10(theta) if theta > 0
+                             else -math.inf if theta == 0 else math.nan)
                             for t, theta in enumerate(thetas[-1].tolist())])
     summary = CsvTable(SWEEP_SUMMARY_HEADER)
     summary.rows.extend([(*cell, trials, spec.seed, *stats)

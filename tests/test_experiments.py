@@ -386,6 +386,30 @@ def test_sweep_noise_hurts_and_determinism(sweep_tables):
     assert summary2.text() == summary.text()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_log10_theta_is_nan_where_theta_is_nan(monkeypatch):
+    # at sigma = 1e200 most probes overflow, and theta is nan or inf
+    rows, _ = run_relative_error_sweep(ExperimentSpec(
+        experiment="relative_error_sweep", problems=("rosenbrock2",), sigmas=(1e200,),
+        trials=3, points_per_problem=1, seed=7))
+    theta, log10 = SWEEP_HEADER.index("theta"), SWEEP_HEADER.index("log10_theta")
+    assert sum(math.isnan(r[theta]) for r in rows.rows) == 17
+    for r in rows.rows:
+        if math.isnan(r[theta]):
+            assert math.isnan(r[log10])
+        else:
+            assert r[log10] == math.log10(r[theta])
+    assert "nan,-inf" not in rows.text()
+    # every theta the log maps: 0 -> -inf, nan -> nan, inf -> inf
+    monkeypatch.setattr(experiments, "_thetas",
+                        lambda G, grad: np.array([0.0, math.nan, 100.0, math.inf]))
+    rows, _ = run_relative_error_sweep(ExperimentSpec(
+        experiment="relative_error_sweep", problems=("sphere",), methods=("FFD",),
+        trials=4, points_per_problem=1))
+    assert [line.rsplit(",", 2)[1:] for line in rows.text().splitlines()[1:]] == [
+        ["0", "-inf"], ["nan", "nan"], ["100", "2"], ["inf", "inf"]]
+
+
 def test_csv_bytes_do_not_depend_on_the_trial_chunk_size(monkeypatch):
     specs = [
         ExperimentSpec(experiment="relative_error_sweep",
