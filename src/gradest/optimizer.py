@@ -236,10 +236,12 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
     non-finite arrival, or five increases in f in a row).
     null_step ends a deterministic run (noise and estimator both draw
     nothing: NoiseModel.deterministic and EstimatorConfig.deterministic)
-    after a step whose arrival is bitwise the departure x, taken by the
-    fixed step or by an Armijo search that started from ALPHA0. The next
-    iteration would see the same x, f, g and history, so it and every later
-    one would repeat that record until eval_budget or max_iters.
+    after a step whose arrival is bitwise the departure x, whatever alpha0
+    its search started from. The next iteration would see the same x, f, g,
+    history (no pair is added while x stays put) and alpha0 (an accepted
+    step restores ALPHA0) as the first search at x did, so from there the
+    run would repeat its records since arriving at x until eval_budget or
+    max_iters.
     rng feeds the estimator's direction draws; FFD and CFD need none, and
     the other methods raise ValueError without rng or a direction_source.
     On a StepFailure the gradient is re-estimated at the same point (fresh
@@ -297,7 +299,6 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
         slope = float(np.dot(g, d))
 
         diverged = False
-        may_repeat = deterministic and alpha0 == ALPHA0
         if ls_cfg.step is None:
             try:
                 alpha, x_new, f_new, backtracks = armijo_search(
@@ -322,7 +323,7 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
             diverged = increases >= 5 or not (math.isfinite(f_new)
                                               and np.all(np.isfinite(x_new)))
 
-        null_step = may_repeat and x_new.tobytes() == x.tobytes()
+        null_step = deterministic and x_new.tobytes() == x.tobytes()
         x, f_x = x_new, f_new
         trace.records.append(_record(k, oracle, x, f_x, g_norm, alpha, backtracks, slope))
         k += 1

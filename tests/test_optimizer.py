@@ -524,19 +524,30 @@ def test_runs_that_draw_never_end_on_a_null_step(noise, est_cfg):
     assert len(null_steps) >= 10
 
 
-def test_a_null_step_after_a_step_failure_does_not_stop_the_run():
+def test_a_null_step_after_a_step_failure_stops_a_deterministic_run():
     # phi = 1 + |x - 2| from x0 = 2, where g = 1: from alpha0 = 1 every probe
     # 2 - alpha moves x and raises f, so the search fails; from alpha0 / 2 the
-    # last probe, 2 - 1.03e-16, rounds to 2 and is accepted. That null step
-    # started below ALPHA0, and the next search, from ALPHA0, fails again.
+    # last probe, 2 - 1.03e-16, rounds to 2 and is accepted. The run is back
+    # where its first search started, so it stops there
     p = ObjectiveFunction(name="kink", n=1, value_at=lambda x: 1.0 + abs(x[0] - 2.0),
                           gradient_at=lambda x: np.sign(x - 2.0), lipschitz_gradient=1.0)
-    trace = run_dfo(NoisyOracle(p), EstimatorConfig(method="FFD", sigma=1e-5),
-                    LineSearchConfig(max_iters=6), np.full(1, 2.0))
-    assert trace.termination == "max_iters"
-    assert [r.backtracks for r in trace.records] == [MAX_BACKTRACKS + 1, MAX_BACKTRACKS] * 3
+    oracle = NoisyOracle(p)
+    est_cfg, ls_cfg = EstimatorConfig(method="FFD", sigma=1e-5), LineSearchConfig(max_iters=6)
+    trace = run_dfo(oracle, est_cfg, ls_cfg, np.full(1, 2.0))
+    assert trace.termination == "null_step"
+    assert [r.backtracks for r in trace.records] == [MAX_BACKTRACKS + 1, MAX_BACKTRACKS]
     assert all(r.x[0] == 2.0 and r.f == 1.0 for r in trace.records)
-    assert all(r.alpha > 0 for r in trace.records[1::2])
+    failure, null = trace.records
+    assert failure.alpha == 0 and null.alpha > 0
+    # one more iteration would repeat both records
+    g = estimate(oracle, null.x, est_cfg).g
+    assert float(np.linalg.norm(g)) == null.grad_est_norm == failure.grad_est_norm
+    with pytest.raises(StepFailure):
+        armijo_search(oracle, null.x, -g, g, null.f, ls_cfg)
+    alpha, x_new, f_new, backtracks = armijo_search(oracle, null.x, -g, g, null.f, ls_cfg,
+                                                    ALPHA0 / 2)
+    assert (alpha, f_new, backtracks) == (null.alpha, null.f, null.backtracks)
+    assert x_new.tobytes() == null.x.tobytes()
 
 
 def test_sinusoidal_noise_and_fixed_directions_are_deterministic():
@@ -754,15 +765,13 @@ def test_run_dfo_properties(name, method, N, fixed, sigma, kind, level, rule, bu
         f_prev = r.f
 
     # null_step ends only a deterministic run, on a step that stayed at x;
-    # in a deterministic run no earlier step from a full first probe did
+    # in a deterministic run no earlier step did
     xs = [x0] + [r.x for r in records]
-    failed = [False] + [r.alpha == 0 and r.backtracks == MAX_BACKTRACKS + 1 for r in records]
     null = [r.alpha > 0 and r.x.tobytes() == x.tobytes() for r, x in zip(records, xs)]
     if trace.termination == "null_step":
         assert deterministic and null[-1]
     if deterministic:
-        assert not any(is_null and not after_failure for is_null, after_failure
-                       in zip(null[:-1], failed[:-2]))
+        assert not any(null[:-1])
 
     # the same arguments give the same trace
     again = _property_run(*args)[-1]
