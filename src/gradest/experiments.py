@@ -335,9 +335,10 @@ def run_relative_error_sweep(spec: ExperimentSpec):
     mean/median/variance (ddof=1) of theta plus the success rate theta < 1/2.
     Cells whose true gradient vanishes record theta = nan and log10_theta =
     nan, as does any trial whose estimate is not finite; non-finite thetas
-    are excluded from the summary statistics. Direction streams are keyed without eps_f,
-    so cells that differ only in noise level see the same directions
-    (common random numbers): their difference in theta is the noise's doing.
+    are excluded from the summary statistics. Direction streams are keyed
+    without eps_f, so cells that differ only in noise level see the same
+    directions (common random numbers): their difference in theta is the
+    noise's doing.
     """
     trials = spec.resolved_trials()
     rows = CsvTable(SWEEP_HEADER)

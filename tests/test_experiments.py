@@ -62,6 +62,16 @@ def test_spec_coerces_lists_to_tuples():
     assert spec.sigmas == (0.1, 0.01)
 
 
+def test_spec_stores_json_integers_of_float_grids_as_floats():
+    # they land in float columns, which take floats only, and print as before
+    spec = ExperimentSpec.from_dict({"experiment": "relative_error_sweep", "sigmas": [1],
+                                     "eps_fs": [0], "taus": [0.5], "problems": ["sphere"],
+                                     "methods": ["FFD"], "points_per_problem": 1, "trials": 1})
+    assert all(type(v) is float for v in spec.sigmas + spec.eps_fs + spec.taus)
+    rows, summary = run_relative_error_sweep(spec)
+    assert rows.text().splitlines()[1].startswith("sphere,6,0,FFD,1,0,24,0,0,")
+
+
 def test_spec_from_json_file(tmp_path):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({"experiment": "theta_distribution",
