@@ -68,7 +68,7 @@ def test_spec_stores_json_integers_of_float_grids_as_floats():
                                      "eps_fs": [0], "taus": [0.5], "problems": ["sphere"],
                                      "methods": ["FFD"], "points_per_problem": 1, "trials": 1})
     assert all(type(v) is float for v in spec.sigmas + spec.eps_fs + spec.taus)
-    rows, summary = run_relative_error_sweep(spec)
+    rows = run_relative_error_sweep(spec)[0]
     assert rows.text().splitlines()[1].startswith("sphere,6,0,FFD,1,0,24,0,0,")
 
 
