@@ -25,7 +25,7 @@ from . import bounds as bnd
 from .core import get_problem
 from .estimators import (EstimatorConfig, ZeroGradient, estimate, method_name,
                          relative_error)
-from .experiments import (ExperimentSpec, SolverSpec, bound_check_skips, make_oracle,
+from .experiments import (ExperimentSpec, bound_check_skips, make_oracle, parse_solver,
                           run_bound_validation, run_optimizer_benchmark,
                           run_relative_error_sweep, run_theta_distribution)
 from .sampling import RngStream
@@ -174,12 +174,8 @@ def _cmd_bound_check(args) -> int:
 
 def _cmd_optimize(args) -> int:
     problem, x0 = get_problem(args.problem)
-    direction = args.direction or ("lbfgs" if args.step == "ls" else "sd")
-    solver = SolverSpec(f"{args.method}+{direction}+{args.step}", args.method,
-                        None if args.N is None else str(args.N), args.sigma,
-                        direction, args.step, args.alpha)
     oracle = make_oracle(problem, args.noise_kind, args.eps_f, args.seed, 1)
-    trace = solver.run(oracle, x0, args.budget, RngStream(args.seed).generator(3),
+    trace = args.solver.run(oracle, x0, args.budget, RngStream(args.seed).generator(3),
                        max_iters=args.max_iters, grad_norm_stop=args.grad_stop)
     out = args.out or "trace.csv"
     with open(out, "w", newline="") as fh:
@@ -293,15 +289,9 @@ def main(argv=None) -> int:
     p = sub.add_parser("optimize", parents=[single, noise],
                        help="one DFO run, trace to CSV")
     p.add_argument("--problem", required=True)
-    p.add_argument("--method", type=_METHOD, default="FFD")
-    p.add_argument("--sigma", type=float, default=1e-5)
-    p.add_argument("--N", type=int, default=None,
-                   help="smoothing sample size (default 4n)")
-    p.add_argument("--direction", default=None,
-                   help="lbfgs or sd (steepest_descent), any case (default lbfgs "
-                        "for --step ls, sd for --step fixed, which takes sd only)")
-    p.add_argument("--step", default="ls", choices=("ls", "fixed"))
-    p.add_argument("--alpha", type=float, default=0.01, help="fixed step size")
+    p.add_argument("--solver", type=_arg_type(parse_solver), default="ffd+lbfgs+ls",
+                   help="solver spec as bench --solvers takes it, like gsg:n+sd+ls "
+                        "(default %(default)s)")
     p.add_argument("--budget", type=int, default=10_000)
     p.add_argument("--max-iters", type=int, default=1_000_000)
     p.add_argument("--grad-stop", type=float, default=None)

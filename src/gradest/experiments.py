@@ -548,8 +548,8 @@ class SolverSpec:
 
     method: any estimator name, case-insensitive. N: positive integer or
     multiple of the dimension like "4n" (smoothing methods only; default 4n).
-    sigma: positive finite float (default 1e-5). direction: "lbfgs" or "sd"
-    (or "steepest_descent", the stored spelling), case-insensitive.
+    sigma: positive finite float (default 1e-5). direction: as
+    LineSearchConfig reads it, "lbfgs" or "sd", stored by its full name.
     step: "ls" (Armijo) or "fixed[:alpha]" with a positive finite alpha
     (default 0.01); the fixed step is steepest descent, so it rejects lbfgs.
     """
@@ -563,26 +563,22 @@ class SolverSpec:
     alpha: float
 
     def __post_init__(self) -> None:
-        direction = self.direction.strip().lower()
-        direction = "steepest_descent" if direction == "sd" else direction
-        if direction not in ("steepest_descent", "lbfgs"):
-            raise ValueError(f"direction must be lbfgs or sd, got {self.direction!r} "
-                             f"in solver spec {self.label!r}")
-        object.__setattr__(self, "direction", direction)
-        mult = self.n_spec.removesuffix("n") if self.n_spec is not None else ""
-        if mult and not float(mult) > 0:
-            raise ValueError(f"N must be positive, got {self.n_spec!r} "
-                             f"in solver spec {self.label!r}")
-        if not 0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r} "
-                             f"in solver spec {self.label!r}")
         try:
-            self.line_search()
+            if self.n_spec is not None and self.method in bnd.DETERMINISTIC:
+                raise ValueError(f"N applies to the smoothing methods only, got "
+                                 f"{self.n_spec!r} for {self.method}; write sigma with "
+                                 f"a decimal point, as in ffd:1.0")
+            mult = self.n_spec.removesuffix("n") if self.n_spec is not None else ""
+            if mult and not float(mult) > 0:
+                raise ValueError(f"N must be positive, got {self.n_spec!r}")
+            EstimatorConfig(self.method, self.sigma)
+            direction = self.line_search().direction
         except ValueError as err:
             raise ValueError(f"{err} in solver spec {self.label!r}") from None
+        object.__setattr__(self, "direction", direction)
 
     def resolve_N(self, n: int) -> int | None:
-        if self.method in ("FFD", "CFD", "LI"):
+        if self.method in bnd.DETERMINISTIC:
             return None
         s = self.n_spec if self.n_spec is not None else "4n"
         if s.endswith("n"):

@@ -63,7 +63,8 @@ class LineSearchConfig:
     steepest_descent direction only. noise_relaxation None
     means automatic: 2 * oracle noise level when the oracle is noisy, 0
     otherwise. grad_norm_stop None means relative, 1e-6 * ||g(x0)||.
-    direction is "steepest_descent" or "lbfgs". The backtracking schedule
+    direction is "lbfgs" or "sd" (stored as "steepest_descent"), in any case
+    and with surrounding blanks. The backtracking schedule
     (ALPHA0, BACKTRACK, MAX_BACKTRACKS) and the L-BFGS MEMORY are module
     constants.
     """
@@ -79,8 +80,11 @@ class LineSearchConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.c1 < 1.0:
             raise ValueError("c1 must lie in (0, 1)")
-        if self.direction not in ("steepest_descent", "lbfgs"):
-            raise ValueError("direction must be steepest_descent or lbfgs")
+        direction = self.direction.strip().lower()
+        direction = "steepest_descent" if direction == "sd" else direction
+        if direction not in ("steepest_descent", "lbfgs"):
+            raise ValueError(f"direction must be lbfgs or sd, got {self.direction!r}")
+        object.__setattr__(self, "direction", direction)
         if self.eval_budget is not None and self.eval_budget < 1:
             raise ValueError("budget must be positive")
         if self.max_iters is not None and self.max_iters < 0:

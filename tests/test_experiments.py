@@ -20,7 +20,7 @@ from gradest.experiments import (BENCH_HEADER, BOUND_DET_HEADER,
                                  BOUND_PROB_HEADER, DATA_PROFILE_HEADER,
                                  PERF_PROFILE_HEADER, SWEEP_HEADER,
                                  SWEEP_SUMMARY_HEADER, THETA_HEADER, CsvTable,
-                                 ExperimentSpec, parse_solver,
+                                 ExperimentSpec, SolverSpec, parse_solver,
                                  run_bound_validation,
                                  run_optimizer_benchmark,
                                  run_relative_error_sweep,
@@ -207,6 +207,14 @@ def test_parse_solver_rejects_malformed():
             parse_solver(text)
     with pytest.raises(ValueError, match="fixed step takes direction sd"):
         parse_solver("cfd+lbfgs+fixed:0.001")
+    # a bare number on FFD, CFD or LI is an N token, which they do not take:
+    # it raises rather than run at the default sigma
+    for text in ("ffd:1+lbfgs+ls", "cfd:4n+sd+ls", "li:12:1e-3+lbfgs+ls"):
+        with pytest.raises(ValueError, match="N applies to the smoothing methods only"):
+            parse_solver(text)
+    with pytest.raises(ValueError, match="N applies.*in solver spec 'li'"):
+        SolverSpec("li", "LI", "n", 1e-5, "lbfgs", "ls", 0.01)
+    assert parse_solver("ffd:1.0+lbfgs+ls").sigma == 1.0
     # a malformed solver fails before any solver runs
     spec = ExperimentSpec(experiment="optimizer_benchmark", problems=("quadratic",),
                           solvers=("ffd+lbfgs+ls", "cfd+sd+fixed:inf"))
@@ -776,8 +784,8 @@ def test_bound_check_skips_smoothing_pairs_without_positive_L(tmp_path, capsys):
 
 def test_cli_optimize_writes_trace(tmp_path, capsys):
     out = tmp_path / "trace.csv"
-    rc = main(["optimize", "--problem", "rosenbrock2", "--method", "FFD",
-               "--sigma", "1e-6", "--budget", "500", "--out", str(out)])
+    rc = main(["optimize", "--problem", "rosenbrock2", "--solver", "ffd:1e-6+lbfgs+ls",
+               "--budget", "500", "--out", str(out)])
     captured = capsys.readouterr().out
     assert rc == 0
     assert "termination=" in captured
@@ -795,13 +803,10 @@ def test_cli_optimize_matches_the_bench_run_of_the_same_solver(tmp_path, capsys)
                           budget_factor=200, taus=(0.1,), seed=4)
     rows = {r[2]: dict(zip(BENCH_HEADER, r))
             for r in run_optimizer_benchmark(spec).raw.rows}
-    flags = {"ffd+lbfgs+ls": [],
-             "cfd+sd+fixed:0.001": ["--method", "CFD", "--step", "fixed",
-                                    "--alpha", "0.001"]}
-    for solver, extra in flags.items():
+    for solver in spec.solvers:
         out = tmp_path / "trace.csv"
         assert main(["optimize", "--problem", "rosenbrock2", "--budget", "600",
-                     "--out", str(out), *extra]) == 0
+                     "--solver", solver, "--out", str(out)]) == 0
         printed = dict(kv.split("=") for kv in capsys.readouterr().out.split()[:2])
         last = dict(zip(TRACE_COLUMNS, out.read_text().splitlines()[-1].split(",")))
         bench = rows[solver]
@@ -812,16 +817,16 @@ def test_cli_optimize_matches_the_bench_run_of_the_same_solver(tmp_path, capsys)
 
 def test_cli_optimize_defaults_N_and_reads_direction_in_any_case(tmp_path, capsys):
     out = tmp_path / "trace.csv"
-    for extra in (["--method", "gsg"], ["--direction", "SD"]):
+    for solver in ("gsg+lbfgs+ls", "ffd+SD+ls"):
         rc = main(["optimize", "--problem", "quadratic", "--budget", "200",
-                   "--out", str(out), *extra])
+                   "--solver", solver, "--out", str(out)])
         assert rc == 0, capsys.readouterr().err
         assert "termination=" in capsys.readouterr().out
-    # gsg without --N runs at N = 4n, the solver-string default: f(x0) and
-    # one estimate of 4n + 1 = 17 evaluations on the 4-dimensional quadratic,
-    # which the gradient-norm stop then ends
-    main(["optimize", "--problem", "quadratic", "--method", "gsg",
-          "--grad-stop", "1e300", "--out", str(out)])
+    # gsg without an N token runs at N = 4n: f(x0) and one estimate of
+    # 4n + 1 = 17 evaluations on the 4-dimensional quadratic, which the
+    # gradient-norm stop then ends
+    assert main(["optimize", "--problem", "quadratic", "--solver", "gsg+SD+ls",
+                 "--grad-stop", "1e300", "--out", str(out)]) == 0
     assert "termination=grad_norm_stop iters=1 evals=18 " in capsys.readouterr().out
 
 
@@ -835,20 +840,10 @@ def test_cli_optimize_budget_spent_on_x0_writes_one_row(tmp_path, capsys):
     assert out.read_text().splitlines()[1:] == ["0,2,nan,2,0,1,0"]
 
 
-def test_cli_optimize_fixed_step_defaults_to_steepest_descent(tmp_path):
-    out = tmp_path / "trace.csv"
-    texts = []
-    for extra in ([], ["--direction", "sd"]):
-        assert main(["optimize", "--problem", "quadratic", "--step", "fixed",
-                     "--budget", "100", "--out", str(out), *extra]) == 0
-        texts.append(out.read_text())
-    assert texts[0] == texts[1]
-
-
 @pytest.mark.parametrize("flags, message", [
     (["--budget", "0"], "budget must be positive"),
     (["--budget", "-3"], "budget must be positive"),
-    (["--step", "fixed", "--budget", "0"], "budget must be positive"),
+    (["--solver", "ffd+sd+fixed", "--budget", "0"], "budget must be positive"),
     (["--max-iters", "-2"], "max_iters must be nonnegative"),
     (["--grad-stop", "nan"], "grad_norm_stop must be finite and nonnegative"),
     (["--grad-stop", "-1"], "grad_norm_stop must be finite and nonnegative"),
@@ -885,7 +880,7 @@ def test_cli_method_names_are_case_insensitive(tmp_path, capsys):
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["method"] == "GSG"
     out = tmp_path / "trace.csv"
-    rc = main(["optimize", "--problem", "rosenbrock2", "--method", "ffd",
+    rc = main(["optimize", "--problem", "rosenbrock2", "--solver", "Ffd+LBFGS+LS",
                "--budget", "30", "--out", str(out)])
     assert rc == 0
     assert "termination=" in capsys.readouterr().out
@@ -948,8 +943,6 @@ def test_cli_bad_inputs_exit_2_with_clean_error(tmp_path, capsys):
         ["bound-check", "--methods", "FFD,CFD,LI", "--theta", "2", "--trials", "3"],
         ["bound-check", "--methods", "FFD", "--theta", "0", "--trials", "3"],
         ["bound-check", "--methods", "FFD,CFD,LI", "--delta", "0", "--trials", "3"],
-        ["optimize", "--problem", "quadratic", "--direction", "newton"],
-        ["optimize", "--problem", "quadratic", "--method", "FFD", "--N", "0"],
         ["estimate", "--problem", "quadratic", "--method", "newton"],
         ["estimate", "--problem", "nowhere", "--method", "FFD"],
         ["estimate", "--problem", "quadratic", "--method", "FFD",
@@ -960,9 +953,6 @@ def test_cli_bad_inputs_exit_2_with_clean_error(tmp_path, capsys):
         ["bench", "--problems", "quadratic", "--solvers", "cfd+lbfgs+fixed:0.001"],
         ["bench", "--problems", "quadratic", "--solvers", "ffd+lbfgs+ls,ffd:-1+lbfgs+ls"],
         ["bench", "--problems", "quadratic", "--solvers", "ffd:nan+lbfgs+ls"],
-        ["optimize", "--problem", "quadratic", "--step", "fixed", "--alpha", "inf"],
-        ["optimize", "--problem", "quadratic", "--step", "fixed", "--direction", "lbfgs"],
-        ["optimize", "--problem", "quadratic", "--sigma", "0"],
         ["bound-check", "--methods", "FFD,foo", "--trials", "3"],
         ["sweep", "--sigmas", "abc"],
         ["theta-dist", "--N-list", "2,x"],
@@ -982,3 +972,14 @@ def test_cli_bad_inputs_exit_2_with_clean_error(tmp_path, capsys):
         assert rc == 2
         assert err.startswith("gradest: error: ")
         assert "Traceback" not in err
+    # a bad --solver fails on the check it targets, naming the spec
+    for solver, message in [("ffd+newton+ls", "direction must be lbfgs or sd"),
+                            ("gsg:0+sd+ls", "N must be positive"),
+                            ("ffd:1+lbfgs+ls", "N applies to the smoothing methods only"),
+                            ("cfd+sd+fixed:inf", "alpha must be positive and finite"),
+                            ("cfd+lbfgs+fixed", "fixed step takes direction sd"),
+                            ("ffd:0.0+lbfgs+ls", "sigma must be positive and finite")]:
+        assert main(["optimize", "--problem", "quadratic", "--solver", solver]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gradest: error: argument --solver: ")
+        assert message in err and f"in solver spec '{solver}'" in err

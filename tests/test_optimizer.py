@@ -245,8 +245,11 @@ def test_lbfgs_on_cached_pairs_matches_reference_bitwise(n, kinds, g_exp, seed):
 def test_config_validation():
     with pytest.raises(ValueError):
         LineSearchConfig(c1=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="direction must be lbfgs or sd, got 'newton'"):
         LineSearchConfig(direction="newton")
+    for text, stored in (("SD", "steepest_descent"), (" lbfgs ", "lbfgs"),
+                         ("steepest_descent", "steepest_descent")):
+        assert LineSearchConfig(direction=text).direction == stored
     for budget in (0, -3):
         with pytest.raises(ValueError, match="budget must be positive"):
             LineSearchConfig(eval_budget=budget)

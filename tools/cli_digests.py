@@ -47,24 +47,24 @@ INVOCATIONS = [
                        "--eps-f", "1e-4", "--out", "est.json"]),
     ("optimize_ffd_lbfgs", ["optimize", "--problem", "rosenbrock2",
                             "--budget", "600", "--out", "trace.csv"]),
-    ("optimize_gsg_sd", ["optimize", "--problem", "quadratic", "--method", "GSG",
-                         "--N", "8", "--direction", "sd", "--eps-f", "1e-4",
-                         "--budget", "2000", "--out", "trace.csv"]),
-    ("optimize_li_stop", ["optimize", "--problem", "rosenbrock2", "--method", "LI",
-                          "--sigma", "1e-6", "--budget", "900", "--grad-stop", "1e-4",
-                          "--out", "trace.csv"]),
-    ("optimize_cfd_fixed", ["optimize", "--problem", "rosenbrock2", "--method", "CFD",
-                            "--step", "fixed", "--alpha", "0.001", "--budget", "600",
+    ("optimize_gsg_sd", ["optimize", "--problem", "quadratic", "--solver", "gsg:8+sd+ls",
+                         "--eps-f", "1e-4", "--budget", "2000", "--out", "trace.csv"]),
+    ("optimize_li_stop", ["optimize", "--problem", "rosenbrock2",
+                          "--solver", "li:1e-6+lbfgs+ls", "--budget", "900",
+                          "--grad-stop", "1e-4", "--out", "trace.csv"]),
+    ("optimize_cfd_fixed", ["optimize", "--problem", "rosenbrock2",
+                            "--solver", "cfd+sd+fixed:0.001", "--budget", "600",
                             "--out", "trace.csv"]),
     # FFD at sigma 1e-2 reaches a point where its L-BFGS step rounds away
     # (x + alpha d == x) with its budget mostly unspent
-    ("optimize_null_step", ["optimize", "--problem", "rosenbrock2", "--sigma", "1e-2",
-                            "--budget", "600", "--out", "trace.csv"]),
+    ("optimize_null_step", ["optimize", "--problem", "rosenbrock2",
+                            "--solver", "ffd:1e-2+lbfgs+ls", "--budget", "600",
+                            "--out", "trace.csv"]),
     ("optimize_budget_one", ["optimize", "--problem", "quadratic", "--budget", "1",
                              "--out", "trace.csv"]),
-    ("optimize_bsg_fixed", ["optimize", "--problem", "quadratic", "--method", "BSG",
-                            "--N", "4", "--step", "fixed", "--alpha", "0.05",
-                            "--eps-f", "1e-3", "--budget", "800", "--out", "trace.csv"]),
+    ("optimize_bsg_fixed", ["optimize", "--problem", "quadratic",
+                            "--solver", "bsg:4+sd+fixed:0.05", "--eps-f", "1e-3",
+                            "--budget", "800", "--out", "trace.csv"]),
     ("sweep", ["sweep", "--problems", "quadratic,rosenbrock2", "--trials", "5",
                "--points", "2", "--sigmas", "1e-2,1e-5", "--eps-fs", "0,1e-3",
                "--out", "sweep.csv"]),
