@@ -9,7 +9,9 @@ flag left out keeps the file's value or else the spec default. They run
 single-threaded: each cell's trials go through the batched estimator core
 with their own direction and noise streams, so the same seed always writes
 the same bytes. A usage error or a bad input value prints one
-"gradest: error: ..." line and returns 2.
+"gradest: error: ..." line and returns 2. Numpy's floating-point warnings
+are silenced for the run: a probe that overflows shows up as a non-finite
+value in the output, not as a warning on stderr.
 """
 from __future__ import annotations
 
@@ -306,7 +308,8 @@ def main(argv=None) -> int:
 
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.fn(args)
     except KeyError as exc:
         print(f"gradest: error: {exc.args[0]}", file=sys.stderr)
         return 2

@@ -6,6 +6,7 @@ content of the drivers is covered in test_acceptance.py at full scale.
 """
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -854,6 +855,21 @@ def test_cli_optimize_rejects_bad_loop_limits(tmp_path, capsys, flags, message):
     assert main(["optimize", "--problem", "quadratic", "--out", str(out), *flags]) == 2
     assert capsys.readouterr().err.startswith(f"gradest: error: {message}")
     assert not out.exists()
+
+
+def test_cli_overflowing_probes_write_nothing_to_stderr(tmp_path, capsys):
+    # sigma = 1e200 overflows rosenbrock's probes: the CSV records a
+    # non-finite theta, and no numpy RuntimeWarning escapes (one would raise here)
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--problems", "rosenbrock2", "--sigmas", "1e200",
+                     "--trials", "3", "--points", "1", "--seed", "7",
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [dict(zip(SWEEP_HEADER, line.split(",")))
+            for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 21 and not any(math.isfinite(float(r["theta"])) for r in rows)
 
 
 def test_cli_bench_writes_profiles(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """SHA-256 digests of a fixed set of gradest CLI runs, for byte-identity checks.
 
-Runs twenty-seven gradest invocations at seed 7, each in its own directory
+Runs twenty-eight gradest invocations at seed 7, each in its own directory
 under a temporary root, with the gradest package from --src DIR (default:
 the src/ directory next to this script). Prints a header line naming the
 numpy version, the machine and numpy's SIMD baseline, since floating-point
@@ -68,6 +68,9 @@ INVOCATIONS = [
     ("sweep", ["sweep", "--problems", "quadratic,rosenbrock2", "--trials", "5",
                "--points", "2", "--sigmas", "1e-2,1e-5", "--eps-fs", "0,1e-3",
                "--out", "sweep.csv"]),
+    # sigma = 1e200 overflows every probe: non-finite thetas, empty stderr
+    ("sweep_overflow", ["sweep", "--problems", "rosenbrock2", "--sigmas", "1e200",
+                        "--trials", "3", "--points", "1", "--out", "sweep.csv"]),
     ("theta_dist", ["theta-dist", "--n", "8", "--N-list", "1,4,16", "--trials", "200",
                     "--out", "theta.csv"]),
     # cells whose trials span several estimator chunks: LI on sincos20 (3)
