@@ -178,7 +178,7 @@ def _cmd_optimize(args) -> int:
     problem, x0 = get_problem(args.problem)
     oracle = make_oracle(problem, args.noise_kind, args.eps_f, args.seed, 1)
     trace = args.solver.run(oracle, x0, args.budget, RngStream(args.seed).generator(3),
-                       max_iters=args.max_iters, grad_norm_stop=args.grad_stop)
+                            max_iters=args.max_iters, grad_norm_stop=args.grad_stop)
     out = args.out or "trace.csv"
     with open(out, "w", newline="") as fh:
         trace.to_csv(fh)
