@@ -98,9 +98,10 @@ def orthonormal_directions(n: int, rng: np.random.Generator) -> DirectionSet:
     return DirectionSet((Q * np.sign(d)).T)
 
 
-# Chunk size for Monte Carlo accumulation; bounds the working set to a few
-# tens of MB even at n = 20.
-_MC_CHUNK = 1 << 16
+# Draws per chunk of Monte Carlo accumulation: the chunk's (m, n) arrays
+# take under 1 MB each at n = 20, and the n x n accumulators are updated
+# once per chunk.
+_MC_CHUNK = 1 << 12
 
 
 def monte_carlo_moment(
