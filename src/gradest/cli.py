@@ -5,13 +5,14 @@ bench. Every subcommand takes --out and --seed. The experiment subcommands
 (sweep, theta-dist, bound-check, bench) build one ExperimentSpec: each of
 their flags is stored under its ExperimentSpec field name, and the spec is
 the --spec JSON file's fields updated with the flags that were given, so a
-flag left out keeps the file's value or else the spec default. They run
-single-threaded: each cell's trials go through the batched estimator core
-with their own direction and noise streams, so the same seed always writes
-the same bytes. A usage error or a bad input value prints one
-"gradest: error: ..." line and returns 2. Numpy's floating-point warnings
-are silenced for the run: a probe that overflows shows up as a non-finite
-value in the output, not as a warning on stderr.
+flag left out keeps the file's value or else the spec default. Each cell's
+trials go through the batched estimator core with their own direction and
+noise streams, so the same seed always writes the same bytes, whether
+bound-check runs its probabilistic cells on one CPU or several. A usage
+error or a bad input value prints one "gradest: error: ..." line and
+returns 2. Numpy's floating-point warnings are silenced for the run: a
+probe that overflows shows up as a non-finite value in the output, not as
+a warning on stderr.
 """
 from __future__ import annotations
 

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
 
@@ -448,6 +450,51 @@ def bound_check_skips(spec: ExperimentSpec) -> list[tuple[str, str, str]]:
             if (why := _missing_constant(p, m)) is not None]
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_order(fn, cells: list) -> list:
+    """[fn(cell) for cell in cells], computed by the calling thread and up
+    to _usable_cpus() - 1 helper threads; with one CPU or one cell it is
+    that plain loop. Each thread takes the next cell in order until none is
+    left or a cell has raised. The exception of the first cell that raised
+    is then raised, as the plain loop would raise it: every earlier cell
+    was taken before it and has finished. fn must not write what another
+    cell reads, so the results do not depend on which thread made them.
+    Numpy releases the GIL in its draws, ufuncs and BLAS calls, so cells
+    of large batches run in parallel."""
+    workers = min(len(cells), _usable_cpus())
+    if workers <= 1:
+        return [fn(cell) for cell in cells]
+    results, errors = [None] * len(cells), {}
+    order, lock = iter(range(len(cells))), threading.Lock()
+
+    def work():
+        while not errors:
+            with lock:
+                i = next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(cells[i])
+            except BaseException as exc:   # re-raised below, in cell order
+                errors[i] = exc
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def run_bound_validation(spec: ExperimentSpec):
     """Measured estimator errors against the closed-form guarantees.
 
@@ -461,7 +508,10 @@ def run_bound_validation(spec: ExperimentSpec):
 
     Probabilistic rows (GSG/cGSG/BSG/cBSG): sigma and N from condition_table
     at (theta, delta); empirical rate of norm-condition failures over the
-    trials at the problem's x0, passing when rate <= delta + 0.05.
+    trials at the problem's x0, passing when rate <= delta + 0.05. These
+    cells run concurrently on the CPUs the process may use (_in_order);
+    each reads only its own noise and direction streams, so the tables do
+    not depend on how many CPUs there are.
 
     Pairs listed by bound_check_skips get no rows.
     """
@@ -505,6 +555,18 @@ def run_bound_validation(spec: ExperimentSpec):
                             float(np.max(errs)), float(np.max(bounds)), min_margin,
                             round_off, True if round_off else min_margin >= 0.0)
 
+    def failures(cell):
+        """(failures, failure_rate, passed) of one checked cell: its noise
+        and direction streams are its own, so any thread may compute it."""
+        problem, x0, grad_true, method, sigma, N, eps_f, key = cell
+        oracle = make_oracle(problem, spec.noise_kind, eps_f, spec.seed, _TAG_NOISE, *key)
+        G = estimate_trials(oracle, x0, method, sigma, N, trials,
+                            *_cell_streams(spec.seed, _TAG_BOUND, *key))[0]
+        count = int(np.sum(_thetas(G, grad_true) > spec.theta))
+        rate = count / trials
+        return count, rate, rate <= spec.delta + 0.05
+
+    rows, cells = [], []   # each row's leading columns and, if known, the rest
     for p_idx, problem in enumerate(problems):
         n, L, M = problem.n, problem.lipschitz_gradient, problem.lipschitz_hessian
         x0 = problem.x0 if problem.x0 is not None else np.zeros(n)
@@ -520,25 +582,22 @@ def run_bound_validation(spec: ExperimentSpec):
                     # no admissible sigma at this (theta, delta, eps_f): nothing
                     # to check, so the row is excluded from pass/fail like
                     # round-off rows
-                    prob.add("probabilistic", problem.name, n, method,
-                             math.nan, report.n_min, spec.theta, spec.delta,
-                             report.interval, eps_f, 0, spec.seed, 0, math.nan, True)
+                    rows.append((("probabilistic", problem.name, n, method, math.nan,
+                                  report.n_min, spec.theta, spec.delta, report.interval,
+                                  eps_f, 0, spec.seed), (0, math.nan, True)))
                     continue
                 if report.sigma_lo > 0:
                     sigma = math.sqrt(report.sigma_lo * report.sigma_hi)
                 else:
                     sigma = report.sigma_hi / 2.0
-                key = (p_idx, m_idx, e_idx)
-                oracle = make_oracle(problem, spec.noise_kind, eps_f, spec.seed,
-                                     _TAG_NOISE, *key)
-                G = estimate_trials(oracle, x0, method, sigma, report.n_min, trials,
-                                    *_cell_streams(spec.seed, _TAG_BOUND, *key))[0]
-                failures = int(np.sum(_thetas(G, grad_true) > spec.theta))
-                rate = failures / trials
-                prob.add("probabilistic", problem.name, n, method, sigma,
-                         report.n_min, spec.theta, spec.delta, report.interval, eps_f,
-                         trials, spec.seed, failures, rate,
-                         rate <= spec.delta + 0.05)
+                rows.append((("probabilistic", problem.name, n, method, sigma,
+                              report.n_min, spec.theta, spec.delta, report.interval,
+                              eps_f, trials, spec.seed), None))
+                cells.append((problem, x0, grad_true, method, sigma, report.n_min, eps_f,
+                              (p_idx, m_idx, e_idx)))
+    tails = iter(_in_order(failures, cells))
+    for lead, tail in rows:
+        prob.add(*lead, *(tail or next(tails)))
     return det, prob
 
 

@@ -4,8 +4,11 @@ Determinism contracts (same seed -> byte-identical CSV, at any chunk size
 of the batched trials) are checked on deliberately tiny grids; statistical
 content of the drivers is covered in test_acceptance.py at full scale.
 """
+import dataclasses
 import json
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 
 from gradest import estimators, experiments
 from gradest.cli import _sibling, main
-from gradest.core import make_standard_problems
+from gradest.core import get_problem, make_standard_problems
 from gradest.estimators import METHODS
 from gradest.experiments import (BENCH_HEADER, BOUND_DET_HEADER,
                                  BOUND_PROB_HEADER, DATA_PROFILE_HEADER,
@@ -542,6 +545,134 @@ def test_bound_validation_probabilistic_rows_and_empty_interval():
     assert empty["trials"] == 0
     assert np.isnan(empty["sigma"]) and np.isnan(empty["failure_rate"])
     assert empty["passed"] is True
+
+
+def _cells_that_fail_at_different_rates(monkeypatch):
+    """A bound-check spec whose probabilistic cells fail at distinct rates,
+    so a row filled from the wrong cell shows: N is cut 40-fold below the
+    condition table's. sincos10 has two checked GSG cells, one empty-interval
+    row (GSG at eps_f 1e-3) and two cBSG cells; linear's smoothing pairs are
+    skipped (L = M = 0)."""
+    table = experiments.bnd.condition_table
+
+    def coarse(*args, **kwargs):
+        report = table(*args, **kwargs)
+        return dataclasses.replace(report, n_min=max(1, report.n_min // 40))
+
+    monkeypatch.setattr(experiments.bnd, "condition_table", coarse)
+    return ExperimentSpec(experiment="bound_validation", problems=("sincos10", "linear"),
+                          methods=("FFD", "GSG", "cBSG"), eps_fs=(1e-6, 1e-3),
+                          trials=40, seed=3)
+
+
+def test_bound_validation_bytes_do_not_depend_on_the_worker_count(monkeypatch):
+    spec = _cells_that_fail_at_different_rates(monkeypatch)
+    helpers = []
+
+    class Spy(threading.Thread):
+        def start(self):
+            helpers.append(self)
+            super().start()
+
+    monkeypatch.setattr(experiments.threading, "Thread", Spy)
+    tables = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        tables[cpus] = run_bound_validation(spec)
+    assert len(helpers) == 1   # one helper beside the calling thread, at 2 CPUs only
+    assert [t.text() for t in tables[1]] == [t.text() for t in tables[2]]
+    det, prob = tables[2]
+    assert len(det.rows) == 4   # FFD on both problems at both eps_f
+    rows = [dict(zip(BOUND_PROB_HEADER, r)) for r in prob.rows]
+    assert [(r["method"], r["interval"]) for r in rows] == [
+        ("GSG", "nonempty"), ("GSG", "empty"), ("cBSG", "nonempty"), ("cBSG", "nonempty")]
+    # each checked row holds the count of its own cell, keyed (problem,
+    # smoothing method, eps_f) and recounted here from that cell's streams
+    problem = get_problem("sincos10")[0]
+    grad = problem.gradient_at(problem.x0)
+    counts = []
+    for r, key in zip([r for r in rows if r["interval"] == "nonempty"],
+                      [(0, 0, 0), (0, 1, 0), (0, 1, 1)]):
+        oracle = experiments.make_oracle(problem, spec.noise_kind, r["eps_f"], spec.seed,
+                                         experiments._TAG_NOISE, *key)
+        G = estimators.estimate_trials(
+            oracle, problem.x0, r["method"], r["sigma"], r["N"], spec.trials,
+            *experiments._cell_streams(spec.seed, experiments._TAG_BOUND, *key))[0]
+        counts.append(int(np.sum(experiments._thetas(G, grad) > spec.theta)))
+        assert r["failures"] == counts[-1]
+    assert len(set(counts)) == 3 and 0 < min(counts) and max(counts) < 40
+
+
+def test_a_failing_cell_raises_as_in_the_serial_loop(monkeypatch):
+    spec = _cells_that_fail_at_different_rates(monkeypatch)
+    real = experiments.estimate_trials
+
+    def singular_for_cbsg(oracle, x, method, sigma, *args):
+        if method == "cBSG":
+            raise estimators.SingularDirections(f"cBSG at sigma {sigma!r}")
+        return real(oracle, x, method, sigma, *args)
+
+    monkeypatch.setattr(experiments, "estimate_trials", singular_for_cbsg)
+    messages = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        before = threading.active_count()
+        with pytest.raises(estimators.SingularDirections) as err:
+            run_bound_validation(spec)
+        assert threading.active_count() == before
+        messages.append(str(err.value))
+    # both cBSG cells raise; the first in row order surfaces, at any count
+    assert messages[0] == messages[1]
+
+
+def test_in_order_runs_cells_side_by_side_and_keeps_their_order(monkeypatch):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    second_done = threading.Event()
+
+    def cell(i):
+        if i == 0:   # finishes only once another thread has run cell 1
+            assert second_done.wait(timeout=30)
+        if i == 1:
+            second_done.set()
+        return i * i
+
+    assert experiments._in_order(cell, list(range(5))) == [0, 1, 4, 9, 16]
+    assert experiments._in_order(cell, []) == []
+    # cell 3 raises first, then cell 2; the first in order surfaces
+    third_raised = threading.Event()
+
+    def fails(i):
+        if i == 2:
+            assert third_raised.wait(timeout=30)
+            raise KeyError("two")
+        if i == 3:
+            third_raised.set()
+            raise ValueError("three")
+        return i
+
+    with pytest.raises(KeyError, match="two"):
+        experiments._in_order(fails, list(range(6)))
+
+
+def test_in_order_takes_every_cell_once_under_contention(monkeypatch):
+    # more threads than cores, switching every microsecond: a cell taken
+    # twice or skipped would show in the tally
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            taken = []
+
+            def cell(i):
+                taken.append(i)
+                return -i
+
+            out = experiments._in_order(cell, list(range(300)))
+            assert out == [-i for i in range(300)]
+            assert sorted(taken) == list(range(300))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------- benchmark
