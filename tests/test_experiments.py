@@ -824,6 +824,15 @@ def test_cli_estimate_with_noise_and_point(capsys):
     assert out["evals_used"] == 16
 
 
+def test_cli_estimate_rejects_N_on_the_deterministic_methods(capsys):
+    for method in ("FFD", "cfd", "LI"):
+        rc = main(["estimate", "--problem", "quadratic", "--method", method, "--N", "5"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("gradest: error: N applies to the smoothing methods only")
+        assert err.count("\n") == 1
+
+
 def test_cli_bounds_report(capsys):
     rc = main(["bounds", "--method", "GSG", "--n", "32", "--theta", "0.5",
                "--delta", "0.1", "--L", "2", "--eps-f", "1e-6",
