@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_mean_within, run_with_resample
-from gradest.core import NoiseModel, NoisyOracle, make_linear, make_quadratic, make_sincos
+from gradest.core import (NOISE_KINDS, NoiseModel, NoisyOracle, make_linear, make_quadratic,
+                          make_sincos, make_standard_problems)
 from gradest.estimators import (
+    CENTRAL,
     METHODS,
     EstimatorConfig,
     SingularDirections,
@@ -325,3 +327,50 @@ def test_ffd_error_within_deterministic_bound_on_quadratics(diag, sigma, scale):
     round_off = 8 * math.sqrt(n) * np.finfo(float).eps \
         * max(1.0, abs(p.value_at(x))) / sigma
     assert err <= bound * (1 + 1e-9) + round_off
+
+
+_PROBLEMS = [p for _, p, _ in make_standard_problems()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p_idx=st.integers(0, len(_PROBLEMS) - 1),
+    method=st.sampled_from(METHODS),
+    log_sigma=st.floats(-8.0, 0.0),
+    N=st.integers(1, 12),
+    trials=st.integers(1, 6),
+    kind=st.sampled_from(NOISE_KINDS),
+    log_level=st.floats(-10.0, -1.0),
+    fixed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_estimate_trials_is_finite_or_raises_and_counts_every_row(
+        p_idx, method, log_sigma, N, trials, kind, log_level, fixed, seed):
+    # any problem, method, sigma, N, trial count and noise: estimate_trials
+    # returns a finite G or raises its typed error, and the oracle counts
+    # exactly trials x rows per trial (a redrawn LI frame costs nothing)
+    problem = _PROBLEMS[p_idx]
+    n = problem.n
+    x = problem.x0 + np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    level = 0.0 if kind == "none" else 10.0 ** log_level
+    oracle = NoisyOracle(problem, NoiseModel(kind, level, seed),
+                         rng=RngStream(seed).generator(1))
+    k = n if method in ("FFD", "CFD", "LI") else N
+    stream = RngStream(seed).generator(2)
+    draws = lambda: stream
+    source = draws
+    if fixed and method not in ("FFD", "CFD"):
+        source = DirectionSet(stream.standard_normal((k, n)))
+    try:
+        G, cond, qinv = estimate_trials(oracle, x, method, 10.0 ** log_sigma, N, trials,
+                                        source, draws)
+    except SingularDirections:
+        assert method == "LI" and oracle.eval_count == 0   # checked before probing
+        return
+    assert G.shape == (trials, n) and np.all(np.isfinite(G))
+    assert oracle.eval_count == trials * (2 * k if method in CENTRAL else k + 1)
+    if method == "LI":
+        assert cond.shape == qinv.shape == (trials,)
+        assert np.all(np.isfinite(cond)) and np.all(qinv > 0)
+    else:
+        assert cond is None and qinv is None
