@@ -487,9 +487,11 @@ def _in_order(fn, cells: list) -> list:
     helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
     for helper in helpers:
         helper.start()
-    work()
-    for helper in helpers:
-        helper.join()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
     if errors:
         raise errors[min(errors)]
     return results
