@@ -193,19 +193,16 @@ def _stack_estimates(oracle: NoisyOracle, x: Array, method: str, sigma: float,
     if method == "LI":
         Q, cond, qinv = _checked_frames(Q, redraw)
 
-    # the steps sigma q are written into P and offset by x in place: no
-    # chunk-sized temporary, and the same operations as x +- sigma q
+    step = sigma * Q
     central = method in CENTRAL
     if central:
         P = np.empty((T, 2 * k, n))
-        np.multiply(sigma, Q, out=P[:, k:])
-        np.add(x, P[:, k:], out=P[:, :k])
-        np.subtract(x, P[:, k:], out=P[:, k:])
+        np.add(x, step, out=P[:, :k])
+        np.subtract(x, step, out=P[:, k:])
     else:
         P = np.empty((T, k + 1, n))
         P[:, 0] = x
-        np.multiply(sigma, Q, out=P[:, 1:])
-        np.add(x, P[:, 1:], out=P[:, 1:])
+        np.add(x, step, out=P[:, 1:])
     F = oracle.eval_batch(P.reshape(-1, n)).reshape(T, -1)
     if central:
         d = (F[:, :k] - F[:, k:]) / (2 * sigma)
