@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
 
@@ -457,46 +456,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _in_order(fn, cells: list) -> list:
-    """[fn(cell) for cell in cells], computed by the calling thread and up
-    to _usable_cpus() - 1 helper threads; with one CPU or one cell it is
-    that plain loop. Each thread takes the next cell in order until none is
-    left or a cell has raised. The exception of the first cell that raised
-    is then raised, as the plain loop would raise it: every earlier cell
-    was taken before it and has finished. fn must not write what another
-    cell reads, so the results do not depend on which thread made them.
-    Numpy releases the GIL in its draws, ufuncs and BLAS calls, so cells
-    of large batches run in parallel."""
-    workers = min(len(cells), _usable_cpus())
-    if workers <= 1:
-        return [fn(cell) for cell in cells]
-    results, errors = [None] * len(cells), {}
-    order, lock = iter(range(len(cells))), threading.Lock()
-
-    def work():
-        while not errors:
-            with lock:
-                i = next(order, None)
-            if i is None:
-                return
-            try:
-                results[i] = fn(cells[i])
-            except BaseException as exc:   # re-raised below, in cell order
-                errors[i] = exc
-
-    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
-    for helper in helpers:
-        helper.start()
-    try:
-        work()
-    finally:
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
 def run_bound_validation(spec: ExperimentSpec):
     """Measured estimator errors against the closed-form guarantees.
 
@@ -511,9 +470,11 @@ def run_bound_validation(spec: ExperimentSpec):
     Probabilistic rows (GSG/cGSG/BSG/cBSG): sigma and N from condition_table
     at (theta, delta); empirical rate of norm-condition failures over the
     trials at the problem's x0, passing when rate <= delta + 0.05. These
-    cells run concurrently on the CPUs the process may use (_in_order);
-    each reads only its own noise and direction streams, so the tables do
-    not depend on how many CPUs there are.
+    cells run concurrently on a thread pool as large as the CPUs the
+    process may use (numpy releases the GIL in its draws, ufuncs and BLAS
+    calls). Each reads only its own noise and direction streams, so the
+    tables do not depend on how many CPUs there are; a cell that raises
+    surfaces in row order, as a plain loop would raise it.
 
     Pairs listed by bound_check_skips get no rows.
     """
@@ -597,7 +558,10 @@ def run_bound_validation(spec: ExperimentSpec):
                               eps_f, trials, spec.seed), None))
                 cells.append((problem, x0, grad_true, method, sigma, report.n_min, eps_f,
                               (p_idx, m_idx, e_idx)))
-    tails = iter(_in_order(failures, cells))
+    # imported here, not at module level: only bound-check pays for it
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(_usable_cpus()) as pool:
+        tails = pool.map(failures, cells)
     for lead, tail in rows:
         prob.add(*lead, *(tail or next(tails)))
     return det, prob

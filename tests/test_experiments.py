@@ -4,10 +4,10 @@ Determinism contracts (same seed -> byte-identical CSV, at any chunk size
 of the batched trials) are checked on deliberately tiny grids; statistical
 content of the drivers is covered in test_acceptance.py at full scale.
 """
+import concurrent.futures
 import dataclasses
 import json
 import math
-import sys
 import threading
 import warnings
 
@@ -567,19 +567,19 @@ def _cells_that_fail_at_different_rates(monkeypatch):
 
 def test_bound_validation_bytes_do_not_depend_on_the_worker_count(monkeypatch):
     spec = _cells_that_fail_at_different_rates(monkeypatch)
-    helpers = []
+    pools = []
 
-    class Spy(threading.Thread):
-        def start(self):
-            helpers.append(self)
-            super().start()
+    class Spy(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
 
-    monkeypatch.setattr(experiments.threading, "Thread", Spy)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
     tables = {}
     for cpus in (1, 2):
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
         tables[cpus] = run_bound_validation(spec)
-    assert len(helpers) == 1   # one helper beside the calling thread, at 2 CPUs only
+    assert pools == [1, 2]
     assert [t.text() for t in tables[1]] == [t.text() for t in tables[2]]
     det, prob = tables[2]
     assert len(det.rows) == 4   # FFD on both problems at both eps_f
@@ -605,6 +605,9 @@ def test_bound_validation_bytes_do_not_depend_on_the_worker_count(monkeypatch):
 
 def test_a_failing_cell_raises_as_in_the_serial_loop(monkeypatch):
     spec = _cells_that_fail_at_different_rates(monkeypatch)
+    sigmas = [r[BOUND_PROB_HEADER.index("sigma")] for r in run_bound_validation(spec)[1].rows
+              if r[BOUND_PROB_HEADER.index("method")] == "cBSG"]
+    assert len(sigmas) == len(set(sigmas)) == 2
     real = experiments.estimate_trials
 
     def singular_for_cbsg(oracle, x, method, sigma, *args):
@@ -622,57 +625,7 @@ def test_a_failing_cell_raises_as_in_the_serial_loop(monkeypatch):
         assert threading.active_count() == before
         messages.append(str(err.value))
     # both cBSG cells raise; the first in row order surfaces, at any count
-    assert messages[0] == messages[1]
-
-
-def test_in_order_runs_cells_side_by_side_and_keeps_their_order(monkeypatch):
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
-    second_done = threading.Event()
-
-    def cell(i):
-        if i == 0:   # finishes only once another thread has run cell 1
-            assert second_done.wait(timeout=30)
-        if i == 1:
-            second_done.set()
-        return i * i
-
-    assert experiments._in_order(cell, list(range(5))) == [0, 1, 4, 9, 16]
-    assert experiments._in_order(cell, []) == []
-    # cell 3 raises first, then cell 2; the first in order surfaces
-    third_raised = threading.Event()
-
-    def fails(i):
-        if i == 2:
-            assert third_raised.wait(timeout=30)
-            raise KeyError("two")
-        if i == 3:
-            third_raised.set()
-            raise ValueError("three")
-        return i
-
-    with pytest.raises(KeyError, match="two"):
-        experiments._in_order(fails, list(range(6)))
-
-
-def test_in_order_takes_every_cell_once_under_contention(monkeypatch):
-    # more threads than cores, switching every microsecond: a cell taken
-    # twice or skipped would show in the tally
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            taken = []
-
-            def cell(i):
-                taken.append(i)
-                return -i
-
-            out = experiments._in_order(cell, list(range(300)))
-            assert out == [-i for i in range(300)]
-            assert sorted(taken) == list(range(300))
-    finally:
-        sys.setswitchinterval(interval)
+    assert messages == [f"cBSG at sigma {sigmas[0]!r}"] * 2
 
 
 # ---------------------------------------------------------------- benchmark
