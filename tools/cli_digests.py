@@ -1,6 +1,6 @@
 """SHA-256 digests of a fixed set of gradest CLI runs, for byte-identity checks.
 
-Runs twenty-eight gradest invocations at seed 7, each in its own directory
+Runs twenty-nine gradest invocations at seed 7, each in its own directory
 under a temporary root, with the gradest package from --src DIR (default:
 the src/ directory next to this script). Prints a header line naming the
 numpy version, the machine and numpy's SIMD baseline, since floating-point
@@ -71,6 +71,10 @@ INVOCATIONS = [
     # sigma = 1e200 overflows every probe: non-finite thetas, empty stderr
     ("sweep_overflow", ["sweep", "--problems", "rosenbrock2", "--sigmas", "1e200",
                         "--trials", "3", "--points", "1", "--out", "sweep.csv"]),
+    # all seven methods under the deterministic sinusoidal noise
+    ("sweep_sinusoidal", ["sweep", "--problems", "sincos10", "--noise-kind",
+                          "sinusoidal_deterministic", "--eps-fs", "1e-4",
+                          "--trials", "5", "--points", "1", "--out", "sweep.csv"]),
     ("theta_dist", ["theta-dist", "--n", "8", "--N-list", "1,4,16", "--trials", "200",
                     "--out", "theta.csv"]),
     # cells whose trials span several estimator chunks: LI on sincos20 (3)
