@@ -10,11 +10,14 @@ Seven methods, split in two families:
 Evaluation accounting is exact: n+1 (FFD), 2n (CFD), n+1 (LI), N+1
 (GSG/BSG, the base value f(x) is evaluated once and reused), 2N (cGSG/cBSG).
 
-Every estimate runs through one loop, estimate_trials: a chunk of trials
-at a time, it draws their directions (trial_directions) or takes a fixed
-set, checks and redraws the LI frames, and makes one oracle batch. estimate
-is its one-trial call; the experiment drivers pass whole cells of trials.
-LI solves Q g = d on every frame, drawn or fixed.
+Every estimate runs through one loop, estimate_trials(oracle, x, config,
+trials, rng, redraw): an EstimatorConfig names the method, sigma, N and an
+optional fixed direction set, and is the one place they are checked; rng
+and redraw are plain Generators. A chunk of trials at a time, the loop
+draws their directions (trial_directions) or takes the fixed set, checks
+and redraws the LI frames, and makes one oracle batch. estimate is its
+one-trial call; the experiment drivers pass whole cells of trials. LI
+solves Q g = d on every frame, drawn or fixed.
 """
 from __future__ import annotations
 
@@ -86,11 +89,12 @@ class GradientEstimate:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Method selection for estimate and the optimizer drivers.
+    """Method selection for estimate, estimate_trials and the drivers, and
+    the one place the method, sigma and N are checked.
 
     N applies to the smoothing methods. direction_source is an optional
     fixed DirectionSet for LI (n x n) or a smoothing method (N x n); when it
-    is absent, estimate draws fresh directions from the rng it is given.
+    is absent, fresh directions are drawn from the Generator passed along.
     """
 
     method: str
@@ -115,47 +119,43 @@ class EstimatorConfig:
         return self.method in AXES or self.direction_source is not None
 
 
-def estimate_trials(oracle: NoisyOracle, x: Array, method: str, sigma: float,
-                    N: int | None, trials: int, rng, redraw=None):
-    """trials independent estimates at x, a chunk of at most _CHUNK_COORDS
-    probe coordinates at a time; the output does not depend on the chunk.
+def estimate_trials(oracle: NoisyOracle, x: Array, config: EstimatorConfig,
+                    trials: int, rng: np.random.Generator | None = None,
+                    redraw: np.random.Generator | None = None):
+    """trials independent estimates at x by config's method, sigma and N, a
+    chunk of at most _CHUNK_COORDS probe coordinates at a time; the output
+    does not depend on the chunk.
 
-    rng is a fixed DirectionSet (N x n, or n x n for LI) that every trial
-    uses, or a zero-argument callable returning the Generator each chunk's
-    directions are drawn from, in trial order (FFD/CFD draw none). redraw,
-    likewise a callable, gives the Generator a drawn LI frame above
-    COND_LIMIT is redrawn from, once. Both are called only when a chunk
-    draws or redraws and must return the same Generator each time, so a
-    caller may build its streams on first use. N is ignored by FFD, CFD, LI.
+    Every trial uses config.direction_source when it is set (N x n, or n x n
+    for LI), and a fixed set is never redrawn. Otherwise each chunk's
+    directions are drawn from rng in trial order (FFD/CFD draw none), and a
+    drawn LI frame above COND_LIMIT is redrawn once from redraw when it is
+    given. N is ignored by FFD, CFD, LI.
 
     Returns (G, cond_Q, qinv_norm): G has shape (trials, n); cond_Q and
     qinv_norm are per-trial arrays for LI and None for the other methods.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choices: {METHODS}")
-    if not 0 < sigma < np.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+    method, sigma, fixed = config.method, config.sigma, config.direction_source
     x = np.asarray(x, dtype=float)
     n = x.size
-    k = n if method in ("FFD", "CFD", "LI") else N
+    k = n if method in ("FFD", "CFD", "LI") else config.N
     if k is None:
         raise ValueError(f"{method} requires N")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    fixed = isinstance(rng, DirectionSet)
-    if fixed and rng.Q.shape != (k, n):
-        raise ValueError(f"direction matrix must be {k}x{n}, got {rng.Q.shape}")
+    if fixed is not None and fixed.Q.shape != (k, n):
+        raise ValueError(f"direction matrix must be {k}x{n}, got {fixed.Q.shape}")
     again = None
-    if redraw is not None and not fixed:
-        again = lambda count: trial_directions("LI", n, n, count, redraw())
+    if redraw is not None and fixed is None:
+        again = lambda count: trial_directions("LI", n, n, count, redraw)
     per_chunk = max(1, _CHUNK_COORDS // ((2 * k if method in CENTRAL else k + 1) * n))
     parts = []
     for start in range(0, trials, per_chunk):
         count = min(per_chunk, trials - start)
-        if fixed:
-            Q = rng.Q[None].repeat(count, axis=0)
+        if fixed is not None:
+            Q = fixed.Q[None].repeat(count, axis=0)
         else:
-            Q = trial_directions(method, n, k, count, None if method in AXES else rng())
+            Q = trial_directions(method, n, k, count, rng)
         parts.append(_stack_estimates(oracle, x, method, sigma, Q, redraw=again))
     if len(parts) == 1:   # every estimate call: no copy
         return parts[0]
@@ -278,12 +278,10 @@ def estimate(oracle: NoisyOracle, x: Array, config: EstimatorConfig,
     draws reads rng, which a singular LI frame is also redrawn from once,
     and raises ValueError when rng is None.
     """
-    method, n = config.method, np.size(x)
-    N = n if method in ("FFD", "CFD", "LI") else config.N
-    fixed, stream = config.direction_source, lambda: rng
+    method = config.method
+    N = np.size(x) if method in ("FFD", "CFD", "LI") else config.N
     before = oracle.eval_count
-    G, cond, qinv = estimate_trials(oracle, x, method, config.sigma, N, 1,
-                                    stream if fixed is None else fixed, stream)
+    G, cond, qinv = estimate_trials(oracle, x, config, 1, rng, rng)
     return GradientEstimate(
         G[0], method, float(config.sigma), N, oracle.eval_count - before,
         cond_Q=None if cond is None else float(cond[0]),

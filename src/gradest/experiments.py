@@ -12,10 +12,12 @@ Reproducibility contract: every random quantity is drawn from a substream
 keyed by (seed, fixed tag, structural indices), so reruns with the same seed
 produce byte-identical CSV text. Each experiment cell (one problem, point,
 sigma, noise level and method) estimates all of its trials in one
-estimators.estimate_trials call: its directions come from one stream and its
-noise from another, both read in trial order, and singular LI frames are
-redrawn from a third, so the output does not depend on how the trials are
-chunked.
+estimators.estimate_trials call with one EstimatorConfig: its directions
+come from one Generator and its noise from another, both read in trial
+order, and singular LI frames are redrawn from a third, so the output does
+not depend on how the trials are chunked. A cell builds only the
+Generators it reads: FFD and CFD cells no direction stream, and only LI
+cells a redraw stream.
 
 Every table's header declares each column's kind (Columns), and the table
 renders through one %-template built from the kinds: strings as %s,
@@ -282,22 +284,14 @@ def make_oracle(objective, kind: str, eps_f: float, seed: int, *key) -> NoisyOra
     return NoisyOracle(objective, noise, rng=rng)
 
 
-def _cell_streams(seed: int, *key):
-    """One cell's direction stream, keyed key, and the stream its singular
-    LI frames are redrawn from, keyed (_TAG_REDRAW, *key), as estimate_trials
-    takes them: each builds its generator on first use, and only then."""
-    stream = RngStream(seed)
-
-    def on_first_use(*k):
-        made = None
-
-        def generator():
-            nonlocal made
-            if made is None:
-                made = stream.generator(*k)
-            return made
-        return generator
-    return on_first_use(*key), on_first_use(_TAG_REDRAW, *key)
+def _cell_streams(seed: int, config: EstimatorConfig, *key):
+    """One cell's direction Generator, keyed key, and the Generator its
+    singular LI frames are redrawn from, keyed (_TAG_REDRAW, *key), as
+    estimate_trials takes them: None for a stream the cell does not read,
+    so FFD/CFD cells build neither and only LI cells build the second."""
+    gen = RngStream(seed).generator
+    return (None if config.deterministic else gen(*key),
+            gen(_TAG_REDRAW, *key) if config.method == "LI" else None)
 
 
 def _thetas(G, grad_true) -> np.ndarray:
@@ -309,14 +303,11 @@ def _thetas(G, grad_true) -> np.ndarray:
 
 
 def _problem_points(problem, spec: ExperimentSpec, problem_idx: int) -> np.ndarray:
-    """points_per_problem draws, uniform on the problem's box (x0 +- 1 when
-    no box is declared)."""
-    lo = problem.box_lo if problem.box_lo is not None else problem.x0 - 1.0
-    hi = problem.box_hi if problem.box_hi is not None else problem.x0 + 1.0
+    """points_per_problem draws, uniform on the problem's box."""
     pts = np.empty((spec.points_per_problem, problem.n))
     for j in range(spec.points_per_problem):
         rng = RngStream(spec.seed).generator(_TAG_POINTS, problem_idx, j)
-        pts[j] = rng.uniform(lo, hi)
+        pts[j] = rng.uniform(problem.box_lo, problem.box_hi)
     return pts
 
 
@@ -355,9 +346,10 @@ def run_relative_error_sweep(spec: ExperimentSpec):
                         oracle = make_oracle(problem, spec.noise_kind, eps_f, spec.seed,
                                              _TAG_NOISE, p_idx, pt_idx, s_idx, e_idx,
                                              m_idx)
-                        streams = _cell_streams(spec.seed, _TAG_SWEEP, p_idx, pt_idx,
-                                                s_idx, m_idx)
-                        G = estimate_trials(oracle, x, method, sigma, N, trials, *streams)[0]
+                        config = EstimatorConfig(method, sigma, N)
+                        streams = _cell_streams(spec.seed, config, _TAG_SWEEP, p_idx,
+                                                pt_idx, s_idx, m_idx)
+                        G = estimate_trials(oracle, x, config, trials, *streams)[0]
                         cell = (problem.name, n, pt_idx, method, sigma, eps_f, N)
                         cells.append(cell)
                         thetas.append(_thetas(G, grad_true))
@@ -413,8 +405,9 @@ def run_theta_distribution(spec: ExperimentSpec) -> CsvTable:
     trials = spec.resolved_trials()
     table = CsvTable(THETA_HEADER)
     for N in spec.N_list:
-        G = estimate_trials(NoisyOracle(problem), x, "GSG", 1.0, N, trials,
-                            *_cell_streams(spec.seed, _TAG_THETA, N))[0]
+        config = EstimatorConfig("GSG", 1.0, N)
+        G = estimate_trials(NoisyOracle(problem), x, config, trials,
+                            *_cell_streams(spec.seed, config, _TAG_THETA, N))[0]
         table.add(n, N, trials, spec.seed, *_theta_stats(_thetas(G, grad_true)[None])[0])
     return table
 
@@ -499,11 +492,11 @@ def run_bound_validation(spec: ExperimentSpec):
                     key = (p_idx, m_idx, s_idx, e_idx)
                     oracle = make_oracle(problem, spec.noise_kind, eps_f, spec.seed,
                                          _TAG_NOISE, *key)
-                    streams = _cell_streams(spec.seed, _TAG_BOUND, *key)
+                    config = EstimatorConfig(method, sigma)
+                    streams = _cell_streams(spec.seed, config, _TAG_BOUND, *key)
                     errs, bounds = [], []
                     for x in points:
-                        G, _, qinv = estimate_trials(oracle, x, method, sigma, None,
-                                                     det_draws, *streams)
+                        G, _, qinv = estimate_trials(oracle, x, config, det_draws, *streams)
                         errs.append(np.linalg.norm(G - problem.gradient_at(x), axis=1))
                         # LI's bound scales with each drawn frame's ||Q^-1||
                         qs = qinv if qinv is not None else [None] * det_draws
@@ -521,10 +514,10 @@ def run_bound_validation(spec: ExperimentSpec):
     def failures(cell):
         """(failures, failure_rate, passed) of one checked cell: its noise
         and direction streams are its own, so any thread may compute it."""
-        problem, x0, grad_true, method, sigma, N, eps_f, key = cell
+        problem, grad_true, config, eps_f, key = cell
         oracle = make_oracle(problem, spec.noise_kind, eps_f, spec.seed, _TAG_NOISE, *key)
-        G = estimate_trials(oracle, x0, method, sigma, N, trials,
-                            *_cell_streams(spec.seed, _TAG_BOUND, *key))[0]
+        G = estimate_trials(oracle, problem.x0, config, trials,
+                            *_cell_streams(spec.seed, config, _TAG_BOUND, *key))[0]
         count = int(np.sum(_thetas(G, grad_true) > spec.theta))
         rate = count / trials
         return count, rate, rate <= spec.delta + 0.05
@@ -532,8 +525,7 @@ def run_bound_validation(spec: ExperimentSpec):
     rows, cells = [], []   # each row's leading columns and, if known, the rest
     for p_idx, problem in enumerate(problems):
         n, L, M = problem.n, problem.lipschitz_gradient, problem.lipschitz_hessian
-        x0 = problem.x0 if problem.x0 is not None else np.zeros(n)
-        grad_true = problem.gradient_at(x0)
+        grad_true = problem.gradient_at(problem.x0)
         grad_norm = float(np.linalg.norm(grad_true))
         for m_idx, method in enumerate(smooth_methods):
             if _missing_constant(problem, method) is not None:
@@ -556,7 +548,8 @@ def run_bound_validation(spec: ExperimentSpec):
                 rows.append((("probabilistic", problem.name, n, method, sigma,
                               report.n_min, spec.theta, spec.delta, report.interval,
                               eps_f, trials, spec.seed), None))
-                cells.append((problem, x0, grad_true, method, sigma, report.n_min, eps_f,
+                cells.append((problem, grad_true,
+                              EstimatorConfig(method, sigma, report.n_min), eps_f,
                               (p_idx, m_idx, e_idx)))
     # imported here, not at module level: only bound-check pays for it
     from concurrent.futures import ThreadPoolExecutor
@@ -708,8 +701,7 @@ def _run_solver(problem, solver: SolverSpec, spec: ExperimentSpec, budget: int,
     oracle = make_oracle(problem, spec.noise_kind, spec.eps_fs[0], spec.seed,
                          _TAG_NOISE, *rng_indices)
     rng = RngStream(spec.seed).generator(_TAG_BENCH, *rng_indices)
-    x0 = problem.x0 if problem.x0 is not None else np.zeros(problem.n)
-    trace = solver.run(oracle, x0, budget, rng, max_iters=10_000_000,
+    trace = solver.run(oracle, problem.x0, budget, rng, max_iters=10_000_000,
                        grad_norm_stop=None)
     X = np.stack([r.x for r in trace.records])
     phi = problem.batch_value(X)
@@ -737,8 +729,7 @@ def run_optimizer_benchmark(spec: ExperimentSpec) -> BenchmarkResult:
     instances = []  # (problem, trial, budget, f0, f_ref, solver runs)
     for p_idx, problem in enumerate(problems):
         budget = spec.budget_factor * (problem.n + 1)
-        x0 = problem.x0 if problem.x0 is not None else np.zeros(problem.n)
-        f0 = float(problem.value_at(x0))
+        f0 = float(problem.value_at(problem.x0))
         for t in range(trials):
             runs = [_run_solver(problem, solver, spec, budget, (_TAG_BENCH, p_idx, s_idx, t))
                     for s_idx, solver in enumerate(solvers)]

@@ -88,8 +88,8 @@ def test_batched_cell_evaluation_accounting(method, per_trial):
     n, N, T = 6, 9, 7
     oracle = clean_oracle(make_sincos(n, 1.0, 2.0))
     rng = RngStream(13).generator()
-    G, cond, qinv = estimate_trials(oracle, np.full(n, 0.2), method, 0.01, N, T,
-                                    lambda: rng)
+    G, cond, qinv = estimate_trials(oracle, np.full(n, 0.2),
+                                    EstimatorConfig(method, 0.01, N), T, rng)
     assert G.shape == (T, n)
     assert oracle.eval_count == T * per_trial(n, N)
     assert (cond is None) == (method != "LI")
@@ -107,7 +107,7 @@ def test_batched_core_matches_one_trial_at_a_time(method):
     Q = trial_directions(method, n, N, T, RngStream(14).generator())
     batched = NoisyOracle(p, noise, rng=RngStream(15).generator())
     rng = RngStream(14).generator()
-    G, _, qinv = estimate_trials(batched, x, method, 0.05, N, T, lambda: rng)
+    G, _, qinv = estimate_trials(batched, x, EstimatorConfig(method, 0.05, N), T, rng)
     single = NoisyOracle(p, noise, rng=RngStream(15).generator())
     for t in range(T):
         source = None if method in ("FFD", "CFD") else DirectionSet(Q[t])
@@ -253,13 +253,9 @@ def test_estimator_config_validation():
 
 
 def test_sigma_must_be_positive_and_finite():
-    oracle = clean_oracle(make_linear(np.ones(2)))
     for sigma in (math.inf, math.nan, -0.1):
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
             EstimatorConfig(method="FFD", sigma=sigma)
-        with pytest.raises(ValueError, match="sigma must be positive and finite"):
-            estimate_trials(oracle, np.zeros(2), "FFD", sigma, None, 1, None)
-    assert oracle.eval_count == 0
 
 
 def test_method_name_ignores_case_and_lists_choices():
@@ -357,13 +353,12 @@ def test_estimate_trials_is_finite_or_raises_and_counts_every_row(
                          rng=RngStream(seed).generator(1))
     k = n if method in ("FFD", "CFD", "LI") else N
     stream = RngStream(seed).generator(2)
-    draws = lambda: stream
-    source = draws
+    source = None
     if fixed and method not in ("FFD", "CFD"):
         source = DirectionSet(stream.standard_normal((k, n)))
+    config = EstimatorConfig(method, 10.0 ** log_sigma, N, direction_source=source)
     try:
-        G, cond, qinv = estimate_trials(oracle, x, method, 10.0 ** log_sigma, N, trials,
-                                        source, draws)
+        G, cond, qinv = estimate_trials(oracle, x, config, trials, stream, stream)
     except SingularDirections:
         assert method == "LI" and oracle.eval_count == 0   # checked before probing
         return

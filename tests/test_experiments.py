@@ -595,9 +595,10 @@ def test_bound_validation_bytes_do_not_depend_on_the_worker_count(monkeypatch):
                       [(0, 0, 0), (0, 1, 0), (0, 1, 1)]):
         oracle = experiments.make_oracle(problem, spec.noise_kind, r["eps_f"], spec.seed,
                                          experiments._TAG_NOISE, *key)
+        config = estimators.EstimatorConfig(r["method"], r["sigma"], r["N"])
         G = estimators.estimate_trials(
-            oracle, problem.x0, r["method"], r["sigma"], r["N"], spec.trials,
-            *experiments._cell_streams(spec.seed, experiments._TAG_BOUND, *key))[0]
+            oracle, problem.x0, config, spec.trials,
+            *experiments._cell_streams(spec.seed, config, experiments._TAG_BOUND, *key))[0]
         counts.append(int(np.sum(experiments._thetas(G, grad) > spec.theta)))
         assert r["failures"] == counts[-1]
     assert len(set(counts)) == 3 and 0 < min(counts) and max(counts) < 40
@@ -610,10 +611,10 @@ def test_a_failing_cell_raises_as_in_the_serial_loop(monkeypatch):
     assert len(sigmas) == len(set(sigmas)) == 2
     real = experiments.estimate_trials
 
-    def singular_for_cbsg(oracle, x, method, sigma, *args):
-        if method == "cBSG":
-            raise estimators.SingularDirections(f"cBSG at sigma {sigma!r}")
-        return real(oracle, x, method, sigma, *args)
+    def singular_for_cbsg(oracle, x, config, *args):
+        if config.method == "cBSG":
+            raise estimators.SingularDirections(f"cBSG at sigma {config.sigma!r}")
+        return real(oracle, x, config, *args)
 
     monkeypatch.setattr(experiments, "estimate_trials", singular_for_cbsg)
     messages = []
