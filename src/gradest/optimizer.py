@@ -146,6 +146,9 @@ def armijo_search(oracle: NoisyOracle, x: Array, d: Array, g: Array,
 
         f(x + alpha d) <= f_x + c1 * alpha * g'd + relaxation.
 
+    A probe whose f is NaN fails the comparison, so it counts as a rejected
+    probe and the search backtracks from it like any other.
+
     Returns (alpha, x_new, f_new, backtracks). Raises NotDescent when
     g'd is not negative (NaN included) and StepFailure when MAX_BACKTRACKS
     is exhausted.
@@ -234,8 +237,9 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
 
     Terminates on eval_budget (tested before each estimate), max_iters,
     grad_norm_stop (tested on the estimate g, not the true gradient),
-    nonfinite (an estimate whose norm is not finite, from a NaN or infinite
-    entry; recorded in place), three consecutive StepFailures of the line
+    nonfinite (a non-finite f(x0), which ends the run before its first
+    estimate, or an estimate whose norm is not finite, from a NaN or
+    infinite entry; recorded in place), three consecutive StepFailures of the line
     search, null_step, or, for the fixed step only, divergence (a
     non-finite arrival, or five increases in f in a row).
     null_step ends a deterministic run (noise and estimator both draw
@@ -259,6 +263,10 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
     x = np.array(x0, dtype=float)
     trace = OptimizationTrace()
     f_x = oracle(x)
+    if not math.isfinite(f_x):
+        trace.records.append(_record(0, oracle, x, f_x, math.nan, 0.0, 0, 0.0))
+        trace.termination = "nonfinite"
+        return trace
 
     history: list[CurvaturePair] = []
     prev_x = prev_g = None

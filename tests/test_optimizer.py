@@ -117,6 +117,24 @@ def test_armijo_first_probe_is_at_the_given_alpha0():
     assert x_new[0] == 0.5 and f_new == 0.125
 
 
+def test_armijo_backtracks_out_of_a_nan_region():
+    # phi is NaN beyond x[0] > 0.5: the unit step lands there, fails the
+    # Armijo comparison like any rejected probe, and one backtrack leaves it
+    def value(x):
+        return math.nan if x[0] > 0.5 else float(x @ x)
+
+    p = ObjectiveFunction(name="cliff", n=2, value_at=value,
+                          gradient_at=lambda x: 2 * x, lipschitz_gradient=2.0)
+    oracle = NoisyOracle(p)
+    x = np.array([-1.0, 0.0])
+    g = 2 * x
+    assert math.isnan(value(x - g))   # the first probe, at alpha 1
+    alpha, x_new, f_new, backtracks = armijo_search(
+        oracle, x, -g, g, value(x), LineSearchConfig())
+    assert alpha == BACKTRACK and backtracks == 1 and oracle.eval_count == 2
+    assert np.array_equal(x_new, x - BACKTRACK * g) and f_new == value(x_new)
+
+
 def test_armijo_default_relaxation_absorbs_noise_on_flat_function():
     flat = make_quadratic(np.diag([1e-12]), np.zeros(1), name="flat")
     noisy = NoisyOracle(flat, NoiseModel("uniform_iid", 0.1, seed=1))
@@ -419,6 +437,30 @@ def test_nonfinite_estimate_stops_in_place():
     assert oracle.eval_count == 1 + (3 + 1)  # f(x0), then one FFD estimate
     [rec] = trace.records
     assert rec.alpha == 0.0 and rec.evals_cumulative == oracle.eval_count
+    assert np.array_equal(rec.x, x0)
+
+
+@pytest.mark.parametrize("config", [
+    EstimatorConfig("FFD", 1e-5), EstimatorConfig("CFD", 1e-5),
+    EstimatorConfig("cGSG", 1e-5, 4)], ids=lambda c: c.method)
+def test_nonfinite_f_at_x0_stops_at_once(config):
+    # phi is NaN at x0 alone, so no estimate's base row needs to carry the
+    # NaN: every method stops on that one evaluation, before its first
+    # estimate, rather than spend its budget on failed line searches
+    x0 = np.ones(2)
+
+    def value(x):
+        return math.nan if np.array_equal(x, x0) else float(x @ x)
+
+    p = ObjectiveFunction(name="hole", n=2, value_at=value,
+                          gradient_at=lambda x: 2 * x, lipschitz_gradient=2.0)
+    oracle = NoisyOracle(p)
+    trace = run_dfo(oracle, config, LineSearchConfig(eval_budget=10_000), x0,
+                    RngStream(4).generator())
+    assert trace.termination == "nonfinite"
+    [rec] = trace.records
+    assert rec.iteration == 0 and math.isnan(rec.f) and math.isnan(rec.grad_est_norm)
+    assert rec.alpha == 0.0 and rec.evals_cumulative == oracle.eval_count == 1
     assert np.array_equal(rec.x, x0)
 
 
