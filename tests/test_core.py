@@ -91,6 +91,15 @@ def test_registry_names_and_lookup():
         get_problem("nonexistent_problem")
 
 
+@pytest.mark.parametrize("name", [name for name, _, _ in make_standard_problems()])
+def test_every_standard_problem_declares_its_start_inside_its_box(name):
+    # the experiment drivers read x0 and the box of every problem they run
+    problem = get_problem(name)[0]
+    for field in (problem.x0, problem.box_lo, problem.box_hi):
+        assert field is not None and np.shape(field) == (problem.n,)
+    assert np.all(problem.box_lo <= problem.x0) and np.all(problem.x0 <= problem.box_hi)
+
+
 def test_quadratic_minimum_and_lipschitz():
     A = np.diag([1.0, 4.0, 9.0])
     b = np.array([1.0, 1.0, 1.0])

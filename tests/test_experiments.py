@@ -30,6 +30,7 @@ from gradest.experiments import (BENCH_HEADER, BOUND_DET_HEADER,
                                  run_relative_error_sweep,
                                  run_theta_distribution)
 from gradest.optimizer import TRACE_COLUMNS
+from gradest.sampling import RngStream
 
 
 # ---------------------------------------------------------------- spec
@@ -430,6 +431,27 @@ def test_sweep_log10_theta_is_nan_where_theta_is_nan(monkeypatch):
         trials=4, points_per_problem=1))
     assert [line.rsplit(",", 2)[1:] for line in rows.text().splitlines()[1:]] == [
         ["0", "-inf"], ["nan", "nan"], ["100", "2"], ["inf", "inf"]]
+
+
+def test_sweep_cells_build_only_the_streams_they_read(monkeypatch):
+    # a Philox stream costs about 30 us to build: FFD/CFD cells draw nothing
+    # and build none, and only LI cells build the stream frames are redrawn from
+    built = []
+    generator = RngStream.generator
+
+    def spy(self, *indices):
+        built.append(indices)
+        return generator(self, *indices)
+
+    monkeypatch.setattr(RngStream, "generator", spy)
+    spec = ExperimentSpec(experiment="relative_error_sweep", problems=("sincos10",),
+                          points_per_problem=1, trials=3, seed=5)
+    run_relative_error_sweep(spec)
+    cell_keys = [k for k in built
+                 if k[0] in (experiments._TAG_SWEEP, experiments._TAG_REDRAW)]
+    counts = {m: sum(spec.methods[k[-1]] == m for k in cell_keys) for m in METHODS}
+    assert counts == {"FFD": 0, "CFD": 0, "LI": 2, "GSG": 1, "cGSG": 1, "BSG": 1,
+                      "cBSG": 1}
 
 
 def test_csv_bytes_do_not_depend_on_the_trial_chunk_size(monkeypatch):
