@@ -239,8 +239,8 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
     grad_norm_stop (tested on the estimate g, not the true gradient),
     nonfinite (a non-finite f(x0), which ends the run before its first
     estimate, or an estimate whose norm is not finite, from a NaN or
-    infinite entry; recorded in place), three consecutive StepFailures of the line
-    search, null_step, or, for the fixed step only, divergence (a
+    infinite entry; recorded in place), three consecutive StepFailures of
+    the line search, null_step, or, for the fixed step only, divergence (a
     non-finite arrival, or five increases in f in a row).
     null_step ends a deterministic run (noise and estimator both draw
     nothing: NoiseModel.deterministic and EstimatorConfig.deterministic)
