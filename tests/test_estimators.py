@@ -190,8 +190,10 @@ def test_li_singular_frame_rejected_before_any_evaluation():
     Q = np.vstack([row, row, [0.0, 0.0, 1.0]])
     frame = DirectionSet(Q)
     oracle = clean_oracle(make_linear(np.ones(3)))
-    with pytest.raises(SingularDirections):
-        estimate(oracle, np.zeros(3), EstimatorConfig("LI", 0.1, direction_source=frame))
+    for rng in (None, RngStream(8).generator()):   # a fixed frame is never redrawn
+        with pytest.raises(SingularDirections):
+            estimate(oracle, np.zeros(3),
+                     EstimatorConfig("LI", 0.1, direction_source=frame), rng)
     assert oracle.eval_count == 0
 
 
