@@ -1,6 +1,6 @@
 """SHA-256 digests of a fixed set of gradest CLI runs, for byte-identity checks.
 
-Runs twenty-nine gradest invocations at seed 7, each in its own directory
+Runs thirty gradest invocations at seed 7, each in its own directory
 under a temporary root, with the gradest package from --src DIR (default:
 the src/ directory next to this script). Prints a header line naming the
 numpy version, the machine and numpy's SIMD baseline, since floating-point
@@ -83,6 +83,10 @@ INVOCATIONS = [
                          "--trials", "400", "--points", "1", "--out", "sweep.csv"]),
     ("theta_dist_chunks", ["theta-dist", "--n", "32", "--N-list", "512", "--trials", "20",
                            "--out", "theta.csv"]),
+    # an N list out of size order, so the longest-first cell order differs
+    # from the row order
+    ("theta_dist_unsorted", ["theta-dist", "--n", "16", "--N-list", "64,1,256,8",
+                             "--trials", "30", "--out", "theta.csv"]),
     ("bound_check_default", ["bound-check", "--trials", "50", "--points", "2",
                              "--out", "bc.csv"]),
     ("bound_check_grid", ["bound-check", "--problems", "quadratic,sphere",
