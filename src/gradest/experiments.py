@@ -31,7 +31,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -118,8 +120,9 @@ class CsvTable:
             raise ValueError(f"row has {len(row)} fields, header has {len(self.header)}")
         self.rows.append(row)
 
-    def text(self) -> str:
-        """The CSV text. Raises ValueError on a row of the wrong length and
+    def _lines(self):
+        """An iterator over the CSV lines, the header's first. Every row is
+        checked before this returns: ValueError on a row of the wrong length,
         TypeError on a value that does not fit its column's kind."""
         header, rows = self.header, self.rows
         if set(map(len, rows)) - {len(header)}:
@@ -132,13 +135,20 @@ class CsvTable:
                                     f"got a {t.__name__}")
         if bool in header.kinds:   # the bound-check tables: a few rows each
             words = [k is bool for k in header.kinds]
-            rows = [tuple(("true" if v else "false") if w else v
-                          for v, w in zip(row, words)) for row in rows]
-        return "".join([",".join(header) + "\n", *map(header.template.__mod__, rows)])
+            rows = (tuple(("true" if v else "false") if w else v
+                          for v, w in zip(row, words)) for row in rows)
+        return chain([",".join(header) + "\n"], map(header.template.__mod__, rows))
+
+    def text(self) -> str:
+        """The CSV text; raises as _lines does."""
+        return "".join(self._lines())
 
     def write(self, path) -> None:
+        """Writes the CSV text to path line by line, without holding all of
+        it; raises as _lines does, before the file is opened."""
+        lines = self._lines()
         with open(path, "w", newline="") as fh:
-            fh.write(self.text())
+            fh.writelines(lines)
 
     def column(self, name: str) -> list:
         i = self.header.index(name)
@@ -294,6 +304,63 @@ def _cell_streams(seed: int, config: EstimatorConfig, *key):
             gen(_TAG_REDRAW, *key) if config.method == "LI" else None)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_cells(fn, cells) -> list:
+    """[fn(cell) for cell in cells], computed on the calling thread and one
+    helper thread per further usable CPU (no helper for one CPU or one
+    cell). numpy releases the GIL in its draws, ufuncs and BLAS calls, so
+    cells that read only their own streams overlap and give the bytes of
+    the serial loop.
+
+    Each thread takes the next unstarted cell, in the given order; once a
+    cell has raised, no thread starts another. The helpers are joined before
+    this returns or raises, also when the calling thread is interrupted, and
+    the exception of the first failing cell in the given order is raised, as
+    the serial loop would raise it. The calling thread works instead of
+    waiting on a pool: each pool thread would get a malloc arena of its own,
+    which keeps the memory freed in it.
+    """
+    cells = list(cells)
+    results, errors = [None] * len(cells), {}
+    todo = list(range(len(cells)))[::-1]   # popped from the end: in cell order
+    lock = threading.Lock()
+
+    def take():
+        with lock:
+            return todo.pop() if todo else None
+
+    def work():
+        while (i := take()) is not None:
+            try:
+                results[i] = fn(cells[i])
+            except BaseException as exc:   # re-raised below, after the join
+                with lock:
+                    errors[i] = exc
+                    todo.clear()
+
+    helpers = []
+    try:
+        for _ in range(min(_usable_cpus(), len(cells)) - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        with lock:
+            todo.clear()   # an interrupted calling thread stops the helpers
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def _thetas(G, grad_true) -> np.ndarray:
     """Relative error of each row of G; nan where the gradient vanishes."""
     denom = np.linalg.norm(grad_true)
@@ -396,19 +463,29 @@ def run_theta_distribution(spec: ExperimentSpec) -> CsvTable:
     GSG estimator, no noise, as a function of the sample size N.
 
     sigma is immaterial for a linear objective (the difference quotient is
-    exact along every direction); it is fixed to 1.
+    exact along every direction); it is fixed to 1. The cells, one per
+    distinct N, run through _map_cells, the largest N first; each reads only
+    its own direction stream, so the rows, written in N_list order, do not
+    depend on the number of CPUs.
     """
     n = spec.n
     problem = make_linear(np.ones(n))
     x = np.ones(n)
     grad_true = np.ones(n)
     trials = spec.resolved_trials()
-    table = CsvTable(THETA_HEADER)
-    for N in spec.N_list:
+
+    def stats(N):
         config = EstimatorConfig("GSG", 1.0, N)
         G = estimate_trials(NoisyOracle(problem), x, config, trials,
                             *_cell_streams(spec.seed, config, _TAG_THETA, N))[0]
-        table.add(n, N, trials, spec.seed, *_theta_stats(_thetas(G, grad_true)[None])[0])
+        return _theta_stats(_thetas(G, grad_true)[None])[0]
+
+    # a cell costs (N + 1) probe rows per trial: the longest start first
+    order = sorted(set(spec.N_list), reverse=True)
+    by_N = dict(zip(order, _map_cells(stats, order)))
+    table = CsvTable(THETA_HEADER)
+    for N in spec.N_list:
+        table.add(n, N, trials, spec.seed, *by_N[N])
     return table
 
 
@@ -442,13 +519,6 @@ def bound_check_skips(spec: ExperimentSpec) -> list[tuple[str, str, str]]:
             if (why := _missing_constant(p, m)) is not None]
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_bound_validation(spec: ExperimentSpec):
     """Measured estimator errors against the closed-form guarantees.
 
@@ -463,11 +533,10 @@ def run_bound_validation(spec: ExperimentSpec):
     Probabilistic rows (GSG/cGSG/BSG/cBSG): sigma and N from condition_table
     at (theta, delta); empirical rate of norm-condition failures over the
     trials at the problem's x0, passing when rate <= delta + 0.05. These
-    cells run concurrently on a thread pool as large as the CPUs the
-    process may use (numpy releases the GIL in its draws, ufuncs and BLAS
-    calls). Each reads only its own noise and direction streams, so the
-    tables do not depend on how many CPUs there are; a cell that raises
-    surfaces in row order, as a plain loop would raise it.
+    cells run in row order through _map_cells, on as many threads as the
+    process has usable CPUs. Each reads only its own noise and direction
+    streams, so the tables do not depend on how many CPUs there are; a cell
+    that raises surfaces in row order, as a plain loop would raise it.
 
     Pairs listed by bound_check_skips get no rows.
     """
@@ -551,10 +620,7 @@ def run_bound_validation(spec: ExperimentSpec):
                 cells.append((problem, grad_true,
                               EstimatorConfig(method, sigma, report.n_min), eps_f,
                               (p_idx, m_idx, e_idx)))
-    # imported here, not at module level: only bound-check pays for it
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(_usable_cpus()) as pool:
-        tails = pool.map(failures, cells)
+    tails = iter(_map_cells(failures, cells))
     for lead, tail in rows:
         prob.add(*lead, *(tail or next(tails)))
     return det, prob

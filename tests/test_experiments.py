@@ -4,11 +4,11 @@ Determinism contracts (same seed -> byte-identical CSV, at any chunk size
 of the batched trials) are checked on deliberately tiny grids; statistical
 content of the drivers is covered in test_acceptance.py at full scale.
 """
-import concurrent.futures
 import dataclasses
 import json
 import math
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -294,6 +294,28 @@ def test_render_raises_on_a_value_that_does_not_fit_its_column(header):
             CsvTable(header, [row, wrong]).text()
         with pytest.raises(ValueError, match="fields"):
             CsvTable(header).add(*wrong)
+
+
+def test_write_streams_the_bytes_of_text(tmp_path):
+    sweep, _ = run_relative_error_sweep(ExperimentSpec(**SWEEP_SPEC))
+    _, prob = run_bound_validation(ExperimentSpec(
+        experiment="bound_validation", problems=("sincos10",), methods=("GSG",),
+        eps_fs=(1e-6, 1e-3), trials=10, seed=1))
+    assert BOUND_PROB_HEADER.kinds[-1] is bool
+    for table in (sweep, prob):
+        path = tmp_path / "t.csv"
+        table.write(path)
+        assert path.read_bytes() == table.text().encode()
+
+
+def test_write_checks_every_row_before_it_opens_the_file(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old,bytes\n")
+    table = CsvTable(THETA_HEADER, [(8, 4, 10, 0, 0.5, 0.5, 0.1, 1.0),
+                                    (8, 4.0, 10, 0, 0.5, 0.5, 0.1, 1.0)])
+    with pytest.raises(TypeError, match="column 'N'"):
+        table.write(path)
+    assert path.read_bytes() == b"old,bytes\n"
 
 
 def _reference_stats(thetas):
@@ -587,21 +609,28 @@ def _cells_that_fail_at_different_rates(monkeypatch):
                           trials=40, seed=3)
 
 
+def _count_thread_starts(monkeypatch) -> list:
+    """A list that grows by one entry per threading.Thread started."""
+    starts, start = [], threading.Thread.start
+
+    def spy(self):
+        starts.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return starts
+
+
 def test_bound_validation_bytes_do_not_depend_on_the_worker_count(monkeypatch):
     spec = _cells_that_fail_at_different_rates(monkeypatch)
-    pools = []
-
-    class Spy(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
-    tables = {}
+    starts = _count_thread_starts(monkeypatch)
+    tables, helpers = {}, []
     for cpus in (1, 2):
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        before = len(starts)
         tables[cpus] = run_bound_validation(spec)
-    assert pools == [1, 2]
+        helpers.append(len(starts) - before)
+    assert helpers == [0, 1]
     assert [t.text() for t in tables[1]] == [t.text() for t in tables[2]]
     det, prob = tables[2]
     assert len(det.rows) == 4   # FFD on both problems at both eps_f
@@ -649,6 +678,82 @@ def test_a_failing_cell_raises_as_in_the_serial_loop(monkeypatch):
         messages.append(str(err.value))
     # both cBSG cells raise; the first in row order surfaces, at any count
     assert messages == [f"cBSG at sigma {sigmas[0]!r}"] * 2
+
+
+def test_map_cells_returns_results_in_cell_order(monkeypatch):
+    # the later cells finish first: the results still come back in order
+    delays = [0.03, 0.02, 0.01, 0.0, 0.0]
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    got = experiments._map_cells(lambda c: time.sleep(delays[c]) or c * c, range(5))
+    assert got == [0, 1, 4, 9, 16]
+
+
+@pytest.mark.parametrize("cpus,cells,helpers", [(1, 4, 0), (2, 1, 0), (2, 4, 1), (4, 2, 1)])
+def test_map_cells_starts_one_helper_per_further_cpu(monkeypatch, cpus, cells, helpers):
+    starts = _count_thread_starts(monkeypatch)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    before = threading.active_count()
+    assert experiments._map_cells(str, range(cells)) == [str(c) for c in range(cells)]
+    assert len(starts) == helpers
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_map_cells_raises_the_first_failure_in_cell_order(monkeypatch, cpus):
+    # cell 2 raises before cell 1, which waits for it: cell 1's exception
+    # surfaces, as in the serial loop
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    raised = threading.Event()
+
+    def fn(c):
+        if c == 1:
+            raised.wait(timeout=1.0 if cpus > 1 else 0.0)
+            raise KeyError(c)
+        if c == 2:
+            raised.set()
+            raise ValueError(c)
+        return c
+
+    before = threading.active_count()
+    with pytest.raises(KeyError):
+        experiments._map_cells(fn, range(4))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_map_cells_starts_no_cell_after_a_failure(monkeypatch, cpus):
+    # cell 0 raises at once; cell 1, if the other thread took it in time,
+    # runs until well after that; cells 2 and on never start
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    started, raised = [], threading.Event()
+
+    def fn(c):
+        started.append(c)
+        if c == 0:
+            raised.set()
+            raise ValueError(c)
+        raised.wait(timeout=1.0)
+        time.sleep(0.05)
+        return c
+
+    before = threading.active_count()
+    with pytest.raises(ValueError):
+        experiments._map_cells(fn, range(6))
+    assert threading.active_count() == before
+    assert sorted(started) in ([[0]] if cpus == 1 else [[0], [0, 1]])
+
+
+def test_theta_distribution_text_does_not_depend_on_the_cpu_count(monkeypatch):
+    # the cells start largest N first, the rows follow N_list
+    spec = ExperimentSpec(experiment="theta_distribution", n=8, N_list=(16, 1, 64, 4, 16),
+                          trials=50, seed=9)
+    texts = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        texts.append(run_theta_distribution(spec).text())
+    assert texts[0] == texts[1]
+    assert [line.split(",")[1] for line in texts[0].splitlines()[1:]] == [
+        "16", "1", "64", "4", "16"]
 
 
 # ---------------------------------------------------------------- benchmark
