@@ -81,9 +81,6 @@ def _spec_from_args(args, experiment: str) -> ExperimentSpec:
 
 
 def _cmd_estimate(args) -> int:
-    if args.N is not None and args.method in bnd.DETERMINISTIC:
-        raise ValueError(f"N applies to the smoothing methods only, got --N {args.N} "
-                         f"for {args.method}")
     problem, x0 = get_problem(args.problem)
     x = np.array(args.point) if args.point else x0
     if x.shape != (problem.n,):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import DETERMINISTIC
 from .core import NoisyOracle
 from .sampling import DirectionSet, unit_rows
 
@@ -92,7 +93,8 @@ class EstimatorConfig:
     """Method selection for estimate, estimate_trials and the drivers, and
     the one place the method, sigma and N are checked.
 
-    N applies to the smoothing methods. direction_source is an optional
+    N applies to the smoothing methods only; FFD, CFD and LI probe n
+    directions and reject an N. direction_source is an optional
     fixed DirectionSet for LI (n x n) or a smoothing method (N x n); when it
     is absent, fresh directions are drawn from the Generator passed along.
     """
@@ -107,6 +109,9 @@ class EstimatorConfig:
             raise ValueError(f"unknown method {self.method!r}; choices: {METHODS}")
         if not 0 < self.sigma < np.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
+        if self.N is not None and self.method in DETERMINISTIC:
+            raise ValueError(f"N applies to the smoothing methods only, got N = {self.N} "
+                             f"for {self.method}")
         if self.N is not None and self.N < 1:
             raise ValueError("N must be at least 1")
         if self.direction_source is not None and self.method in AXES:
@@ -130,7 +135,7 @@ def estimate_trials(oracle: NoisyOracle, x: Array, config: EstimatorConfig,
     for LI), and a fixed set is never redrawn. Otherwise each chunk's
     directions are drawn from rng in trial order (FFD/CFD draw none), and a
     drawn LI frame above COND_LIMIT is redrawn once from redraw when it is
-    given. N is ignored by FFD, CFD, LI.
+    given. FFD, CFD and LI probe n directions; a smoothing method N.
 
     Returns (G, cond_Q, qinv_norm): G has shape (trials, n); cond_Q and
     qinv_norm are per-trial arrays for LI and None for the other methods.
@@ -138,7 +143,7 @@ def estimate_trials(oracle: NoisyOracle, x: Array, config: EstimatorConfig,
     method, sigma, fixed = config.method, config.sigma, config.direction_source
     x = np.asarray(x, dtype=float)
     n = x.size
-    k = n if method in ("FFD", "CFD", "LI") else config.N
+    k = n if method in DETERMINISTIC else config.N
     if k is None:
         raise ValueError(f"{method} requires N")
     if trials < 1:
@@ -279,7 +284,7 @@ def estimate(oracle: NoisyOracle, x: Array, config: EstimatorConfig,
     and raises ValueError when rng is None.
     """
     method = config.method
-    N = np.size(x) if method in ("FFD", "CFD", "LI") else config.N
+    N = np.size(x) if method in DETERMINISTIC else config.N
     before = oracle.eval_count
     G, cond, qinv = estimate_trials(oracle, x, config, 1, rng, rng)
     return GradientEstimate(

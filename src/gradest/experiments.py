@@ -394,7 +394,9 @@ def run_relative_error_sweep(spec: ExperimentSpec):
     mean/median/variance (ddof=1) of theta plus the success rate theta < 1/2.
     Cells whose true gradient vanishes record theta = nan and log10_theta =
     nan, as does any trial whose estimate is not finite; non-finite thetas
-    are excluded from the summary statistics. Direction streams are keyed
+    are excluded from the summary statistics. The N column holds the number
+    of directions probed: ceil(sample_factor n) for the smoothing methods,
+    n for FFD, CFD and LI. Direction streams are keyed
     without eps_f, so cells that differ only in noise level see the same
     directions (common random numbers): their difference in theta is the
     noise's doing.
@@ -413,11 +415,12 @@ def run_relative_error_sweep(spec: ExperimentSpec):
                         oracle = make_oracle(problem, spec.noise_kind, eps_f, spec.seed,
                                              _TAG_NOISE, p_idx, pt_idx, s_idx, e_idx,
                                              m_idx)
-                        config = EstimatorConfig(method, sigma, N)
+                        config = EstimatorConfig(method, sigma,
+                                                 N if method in bnd.SMOOTHING else None)
                         streams = _cell_streams(spec.seed, config, _TAG_SWEEP, p_idx,
                                                 pt_idx, s_idx, m_idx)
                         G = estimate_trials(oracle, x, config, trials, *streams)[0]
-                        cell = (problem.name, n, pt_idx, method, sigma, eps_f, N)
+                        cell = (problem.name, n, pt_idx, method, sigma, eps_f, config.N or n)
                         cells.append(cell)
                         thetas.append(_thetas(G, grad_true))
                         # log10 0 is -inf, and a nan theta stays nan

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_mean_within, run_with_resample
+from gradest.bounds import SMOOTHING
 from gradest.core import (NOISE_KINDS, NoiseModel, NoisyOracle, make_linear, make_quadratic,
                           make_sincos, make_standard_problems)
 from gradest.estimators import (
@@ -88,8 +89,8 @@ def test_batched_cell_evaluation_accounting(method, per_trial):
     n, N, T = 6, 9, 7
     oracle = clean_oracle(make_sincos(n, 1.0, 2.0))
     rng = RngStream(13).generator()
-    G, cond, qinv = estimate_trials(oracle, np.full(n, 0.2),
-                                    EstimatorConfig(method, 0.01, N), T, rng)
+    config = EstimatorConfig(method, 0.01, N if method in SMOOTHING else None)
+    G, cond, qinv = estimate_trials(oracle, np.full(n, 0.2), config, T, rng)
     assert G.shape == (T, n)
     assert oracle.eval_count == T * per_trial(n, N)
     assert (cond is None) == (method != "LI")
@@ -107,11 +108,13 @@ def test_batched_core_matches_one_trial_at_a_time(method):
     Q = trial_directions(method, n, N, T, RngStream(14).generator())
     batched = NoisyOracle(p, noise, rng=RngStream(15).generator())
     rng = RngStream(14).generator()
-    G, _, qinv = estimate_trials(batched, x, EstimatorConfig(method, 0.05, N), T, rng)
+    config = EstimatorConfig(method, 0.05, N if method in SMOOTHING else None)
+    G, _, qinv = estimate_trials(batched, x, config, T, rng)
     single = NoisyOracle(p, noise, rng=RngStream(15).generator())
     for t in range(T):
         source = None if method in ("FFD", "CFD") else DirectionSet(Q[t])
-        est = estimate(single, x, EstimatorConfig(method, 0.05, N, direction_source=source))
+        est = estimate(single, x, EstimatorConfig(method, 0.05, config.N,
+                                                  direction_source=source))
         if method == "LI":
             assert abs(est.qinv_norm - qinv[t]) <= 1e-12 * qinv[t]
         assert np.max(np.abs(est.g - G[t])) <= 1e-9 * max(1.0, np.max(np.abs(G[t])))
@@ -252,6 +255,9 @@ def test_estimator_config_validation():
     with pytest.raises(ValueError, match="direction_source"):
         EstimatorConfig(method="FFD", sigma=0.1,
                         direction_source=DirectionSet(np.eye(2)))
+    for method in ("FFD", "CFD", "LI"):
+        with pytest.raises(ValueError, match="N applies to the smoothing methods only"):
+            EstimatorConfig(method=method, sigma=0.1, N=4)
 
 
 def test_sigma_must_be_positive_and_finite():
@@ -358,7 +364,8 @@ def test_estimate_trials_is_finite_or_raises_and_counts_every_row(
     source = None
     if fixed and method not in ("FFD", "CFD"):
         source = DirectionSet(stream.standard_normal((k, n)))
-    config = EstimatorConfig(method, 10.0 ** log_sigma, N, direction_source=source)
+    config = EstimatorConfig(method, 10.0 ** log_sigma, N if method in SMOOTHING else None,
+                             direction_source=source)
     try:
         G, cond, qinv = estimate_trials(oracle, x, config, trials, stream, stream)
     except SingularDirections:

@@ -74,7 +74,7 @@ def test_spec_stores_json_integers_of_float_grids_as_floats():
                                      "methods": ["FFD"], "points_per_problem": 1, "trials": 1})
     assert all(type(v) is float for v in spec.sigmas + spec.eps_fs + spec.taus)
     rows = run_relative_error_sweep(spec)[0]
-    assert rows.text().splitlines()[1].startswith("sphere,6,0,FFD,1,0,24,0,0,")
+    assert rows.text().splitlines()[1].startswith("sphere,6,0,FFD,1,0,6,0,0,")
 
 
 def test_spec_from_json_file(tmp_path):

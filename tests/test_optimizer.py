@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradest.bounds import condition_table
+from gradest.bounds import SMOOTHING, condition_table
 from gradest.core import (
     NOISE_KINDS,
     NoiseModel,
@@ -749,7 +749,8 @@ def _property_run(name, method, N, fixed, sigma, noise, direction, step, budget,
     if fixed and method not in ("FFD", "CFD"):
         k = n if method == "LI" else N
         source = DirectionSet(np.random.default_rng(seed).standard_normal((k, n)))
-    est_cfg = EstimatorConfig(method=method, sigma=sigma, N=N, direction_source=source)
+    est_cfg = EstimatorConfig(method=method, sigma=sigma, N=N if method in SMOOTHING else None,
+                              direction_source=source)
     ls_cfg = LineSearchConfig(direction=direction, step=step, eval_budget=budget,
                               max_iters=None)
     oracle = NoisyOracle(problem, noise)
