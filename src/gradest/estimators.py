@@ -135,7 +135,7 @@ def estimate_trials(oracle: NoisyOracle, x: Array, config: EstimatorConfig,
     for LI), and a fixed set is never redrawn. Otherwise each chunk's
     directions are drawn from rng in trial order (FFD/CFD draw none), and a
     drawn LI frame above COND_LIMIT is redrawn once from redraw when it is
-    given. FFD, CFD and LI probe n directions; a smoothing method N.
+    given. FFD, CFD and LI probe n directions, the smoothing methods N.
 
     Returns (G, cond_Q, qinv_norm): G has shape (trials, n); cond_Q and
     qinv_norm are per-trial arrays for LI and None for the other methods.

@@ -396,10 +396,9 @@ def run_relative_error_sweep(spec: ExperimentSpec):
     nan, as does any trial whose estimate is not finite; non-finite thetas
     are excluded from the summary statistics. The N column holds the number
     of directions probed: ceil(sample_factor n) for the smoothing methods,
-    n for FFD, CFD and LI. Direction streams are keyed
-    without eps_f, so cells that differ only in noise level see the same
-    directions (common random numbers): their difference in theta is the
-    noise's doing.
+    n for FFD, CFD and LI. Direction streams are keyed without eps_f, so
+    cells that differ only in noise level see the same directions (common
+    random numbers): their difference in theta is the noise's doing.
     """
     trials = spec.resolved_trials()
     rows = CsvTable(SWEEP_HEADER)
