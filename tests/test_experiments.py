@@ -7,6 +7,7 @@ content of the drivers is covered in test_acceptance.py at full scale.
 import dataclasses
 import json
 import math
+import sys
 import threading
 import time
 import warnings
@@ -686,6 +687,20 @@ def test_map_cells_returns_results_in_cell_order(monkeypatch):
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     got = experiments._map_cells(lambda c: time.sleep(delays[c]) or c * c, range(5))
     assert got == [0, 1, 4, 9, 16]
+
+
+def test_map_cells_runs_every_cell_once_under_contention(monkeypatch):
+    # more threads than cores, switching every microsecond: a cell taken
+    # twice or lost would show in the calls or the results
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
+    calls, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = experiments._map_cells(lambda c: calls.append(c) or -c, range(400))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(calls) == list(range(400))
+    assert got == [-c for c in range(400)]
 
 
 @pytest.mark.parametrize("cpus,cells,helpers", [(1, 4, 0), (2, 1, 0), (2, 4, 1), (4, 2, 1)])
