@@ -1,6 +1,6 @@
 """SHA-256 digests of a fixed set of gradest CLI runs, for byte-identity checks.
 
-Runs thirty gradest invocations at seed 7, each in its own directory
+Runs thirty-two gradest invocations at seed 7, each in its own directory
 under a temporary root, with the gradest package from --src DIR (default:
 the src/ directory next to this script). Prints a header line naming the
 numpy version, the machine and numpy's SIMD baseline, since floating-point
@@ -49,6 +49,9 @@ INVOCATIONS = [
                             "--budget", "600", "--out", "trace.csv"]),
     ("optimize_gsg_sd", ["optimize", "--problem", "quadratic", "--solver", "gsg:8+sd+ls",
                          "--eps-f", "1e-4", "--budget", "2000", "--out", "trace.csv"]),
+    # a fractional multiple of n: N = ceil(1.5 * 5) = 8
+    ("optimize_gsg_fraction", ["optimize", "--problem", "trig5", "--solver", "gsg:1.5n+sd+ls",
+                               "--eps-f", "1e-4", "--budget", "300", "--out", "trace.csv"]),
     ("optimize_li_stop", ["optimize", "--problem", "rosenbrock2",
                           "--solver", "li:1e-6+lbfgs+ls", "--budget", "900",
                           "--grad-stop", "1e-4", "--out", "trace.csv"]),
@@ -68,6 +71,10 @@ INVOCATIONS = [
     ("sweep", ["sweep", "--problems", "quadratic,rosenbrock2", "--trials", "5",
                "--points", "2", "--sigmas", "1e-2,1e-5", "--eps-fs", "0,1e-3",
                "--out", "sweep.csv"]),
+    # the N column reads ceil(1.5 * 5) = 8 for GSG and n = 5 for LI
+    ("sweep_sample_factor", ["sweep", "--problems", "trig5", "--methods", "GSG,LI",
+                             "--sample-factor", "1.5", "--trials", "3", "--points", "1",
+                             "--out", "sweep.csv"]),
     # sigma = 1e200 overflows every probe: non-finite thetas, empty stderr
     ("sweep_overflow", ["sweep", "--problems", "rosenbrock2", "--sigmas", "1e200",
                         "--trials", "3", "--points", "1", "--out", "sweep.csv"]),
