@@ -92,9 +92,9 @@ def _cmd_estimate(args) -> int:
     est = estimate(oracle, x, cfg, RngStream(args.seed).generator(2))
     out = {
         "problem": problem.name,
-        "method": est.method,
-        "sigma": est.sigma,
-        "N": est.N,
+        "method": cfg.method,
+        "sigma": cfg.sigma,
+        "N": cfg.N or x.size,
         "evals_used": est.evals_used,
         "point": [float(v) for v in x],
         "g": [float(v) for v in est.g],

@@ -12,7 +12,8 @@ Evaluation accounting is exact: n+1 (FFD), 2n (CFD), n+1 (LI), N+1
 
 Every estimate runs through one loop, estimate_trials(oracle, x, config,
 trials, rng, redraw): an EstimatorConfig names the method, sigma, N and an
-optional fixed direction set, and is the one place they are checked; rng
+optional fixed direction set, and is the one place they are checked, so
+config.N or n is the direction count everywhere; rng
 and redraw are plain Generators. A chunk of trials at a time, the loop
 draws their directions (trial_directions) or takes the fixed set, checks
 and redraws the LI frames, and makes one oracle batch. estimate is its
@@ -80,9 +81,6 @@ class ZeroGradient(ValueError):
 @dataclass(frozen=True)
 class GradientEstimate:
     g: Array
-    method: str
-    sigma: float
-    N: int
     evals_used: int
     cond_Q: float | None = None     # LI only: 2-norm condition number of Q
     qinv_norm: float | None = None  # LI only: ||Q^-1||_2, the bound constant
@@ -93,8 +91,8 @@ class EstimatorConfig:
     """Method selection for estimate, estimate_trials and the drivers, and
     the one place the method, sigma and N are checked.
 
-    N applies to the smoothing methods only; FFD, CFD and LI probe n
-    directions and reject an N. direction_source is an optional
+    The smoothing methods require N; FFD, CFD and LI probe n directions
+    and reject an N, so config.N or n is the direction count. direction_source is an optional
     fixed DirectionSet for LI (n x n) or a smoothing method (N x n); when it
     is absent, fresh directions are drawn from the Generator passed along.
     """
@@ -112,8 +110,10 @@ class EstimatorConfig:
         if self.N is not None and self.method in DETERMINISTIC:
             raise ValueError(f"N applies to the smoothing methods only, got N = {self.N} "
                              f"for {self.method}")
+        if self.N is None and self.method not in DETERMINISTIC:
+            raise ValueError(f"{self.method} requires N")
         if self.N is not None and self.N < 1:
-            raise ValueError("N must be at least 1")
+            raise ValueError(f"N must be positive, got {self.N}")
         if self.direction_source is not None and self.method in AXES:
             raise ValueError(f"{self.method} uses the coordinate axes; "
                              "direction_source does not apply")
@@ -143,9 +143,7 @@ def estimate_trials(oracle: NoisyOracle, x: Array, config: EstimatorConfig,
     method, sigma, fixed = config.method, config.sigma, config.direction_source
     x = np.asarray(x, dtype=float)
     n = x.size
-    k = n if method in DETERMINISTIC else config.N
-    if k is None:
-        raise ValueError(f"{method} requires N")
+    k = config.N or n
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if fixed is not None and fixed.Q.shape != (k, n):
@@ -283,12 +281,10 @@ def estimate(oracle: NoisyOracle, x: Array, config: EstimatorConfig,
     draws reads rng, which a singular LI frame is also redrawn from once,
     and raises ValueError when rng is None.
     """
-    method = config.method
-    N = np.size(x) if method in DETERMINISTIC else config.N
     before = oracle.eval_count
     G, cond, qinv = estimate_trials(oracle, x, config, 1, rng, rng)
     return GradientEstimate(
-        G[0], method, float(config.sigma), N, oracle.eval_count - before,
+        G[0], oracle.eval_count - before,
         cond_Q=None if cond is None else float(cond[0]),
         qinv_norm=None if qinv is None else float(qinv[0]))
 

@@ -405,7 +405,7 @@ def run_relative_error_sweep(spec: ExperimentSpec):
     cells, thetas = [], []   # per cell: its leading columns, its trials' theta
     for p_idx, problem in enumerate(spec.problem_list()):
         n = problem.n
-        N = max(1, math.ceil(spec.sample_factor * n))
+        N = _ceil_multiple(spec.sample_factor, n)
         for pt_idx, x in enumerate(_problem_points(problem, spec, p_idx)):
             grad_true = problem.gradient_at(x)
             for s_idx, sigma in enumerate(spec.sigmas):
@@ -628,6 +628,13 @@ def run_bound_validation(spec: ExperimentSpec):
     return det, prob
 
 
+def _ceil_multiple(factor: float, n: int) -> int:
+    """ceil(factor * n) directions; ValueError unless factor * n is positive and finite."""
+    if not 0 < factor * n < math.inf:
+        raise ValueError(f"N must be positive and finite, got {factor!r} * n")
+    return math.ceil(factor * n)
+
+
 @dataclass(frozen=True)
 class SolverSpec:
     """Parsed solver string "<method>[:<N>][:<sigma>]+<direction>+<step>".
@@ -636,8 +643,9 @@ class SolverSpec:
     multiple of the dimension like "4n" (smoothing methods only; default 4n).
     sigma: positive finite float (default 1e-5). direction: as
     LineSearchConfig reads it, "lbfgs" or "sd", stored by its full name.
-    step: "ls" (Armijo) or "fixed[:alpha]" with a positive finite alpha
-    (default 0.01); the fixed step is steepest descent, so it rejects lbfgs.
+    step: as LineSearchConfig stores it, None for "ls" (Armijo) or the alpha
+    of "fixed[:alpha]" (default 0.01); the fixed step is steepest descent, so
+    it rejects lbfgs. EstimatorConfig and LineSearchConfig check the fields.
     """
 
     label: str
@@ -645,32 +653,25 @@ class SolverSpec:
     n_spec: str | None
     sigma: float
     direction: str
-    step: str
-    alpha: float
+    step: float | None
 
     def __post_init__(self) -> None:
         try:
-            if self.n_spec is not None and self.method in bnd.DETERMINISTIC:
-                raise ValueError(f"N applies to the smoothing methods only, got "
-                                 f"{self.n_spec!r} for {self.method}; write sigma with "
-                                 f"a decimal point, as in ffd:1.0")
-            mult = self.n_spec.removesuffix("n") if self.n_spec is not None else ""
-            if mult and not float(mult) > 0:
-                raise ValueError(f"N must be positive, got {self.n_spec!r}")
-            EstimatorConfig(self.method, self.sigma)
+            EstimatorConfig(self.method, self.sigma, self.resolve_N(1))
             direction = self.line_search().direction
         except ValueError as err:
-            raise ValueError(f"{err} in solver spec {self.label!r}") from None
+            hint = ("; write sigma with a decimal point, as in ffd:1.0"
+                    if self.n_spec is not None and self.method in bnd.DETERMINISTIC else "")
+            raise ValueError(f"{err}{hint} in solver spec {self.label!r}") from None
         object.__setattr__(self, "direction", direction)
 
     def resolve_N(self, n: int) -> int | None:
-        if self.method in bnd.DETERMINISTIC:
-            return None
-        s = self.n_spec if self.n_spec is not None else "4n"
-        if s.endswith("n"):
-            mult = s[:-1]
-            return max(1, math.ceil(float(mult) * n if mult else n))
-        return int(s)
+        """N at dimension n: None for FFD, CFD and LI unless an N was given."""
+        if self.n_spec is None:
+            return None if self.method in bnd.DETERMINISTIC else _ceil_multiple(4, n)
+        if self.n_spec.endswith("n"):
+            return _ceil_multiple(float(self.n_spec[:-1] or 1), n)
+        return int(self.n_spec)
 
     def run(self, oracle: NoisyOracle, x0: np.ndarray, budget: int, rng, *,
             max_iters: int, grad_norm_stop: float | None) -> OptimizationTrace:
@@ -684,32 +685,33 @@ class SolverSpec:
 
     def line_search(self, **limits) -> LineSearchConfig:
         """This solver's step rule and direction, with the given loop limits."""
-        return LineSearchConfig(direction=self.direction,
-                                step=self.alpha if self.step == "fixed" else None, **limits)
+        return LineSearchConfig(direction=self.direction, step=self.step, **limits)
 
 
 def parse_solver(text: str) -> SolverSpec:
-    parts = text.strip().split("+")
-    if len(parts) != 3:
-        raise ValueError(f"solver spec {text!r} must look like method+direction+step")
-    est_tokens = parts[0].split(":")
-    method = method_name(est_tokens[0])
-    n_spec = None
-    sigma = 1e-5
-    for tok in est_tokens[1:]:
-        if not tok:
-            continue
-        # "12", "n" and "4n" are N; any other token ("1e-4", "nan") is sigma
-        if tok.isdigit() or tok.endswith("n") and tok.lower().lstrip("+-") != "nan":
-            n_spec = tok
-        else:
-            sigma = float(tok)
-    step_tokens = parts[2].split(":")
-    step = step_tokens[0].lower()
-    if step not in ("ls", "fixed"):
-        raise ValueError(f"step must be ls or fixed[:alpha] in solver spec {text!r}")
-    alpha = float(step_tokens[1]) if len(step_tokens) > 1 else 0.01
-    return SolverSpec(text.strip(), method, n_spec, sigma, parts[1], step, alpha)
+    """The SolverSpec that text spells; ValueError naming text when it is malformed."""
+    label = text.strip()
+    try:
+        parts = label.split("+")
+        if len(parts) != 3:
+            raise ValueError("must look like method+direction+step")
+        method, *est_tokens = parts[0].split(":")
+        method, given = method_name(method), {}
+        for tok in filter(None, est_tokens):
+            # "12", "n" and "4n" are N; any other token ("1e-4", "nan") is sigma
+            is_N = tok.isdigit() or tok.endswith("n") and tok.lower().lstrip("+-") != "nan"
+            key = "N" if is_N else "sigma"
+            if key in given:
+                raise ValueError(f"{key} is given twice, as {given[key]!r} and {tok!r}")
+            given[key] = tok
+        sigma = float(given.get("sigma", 1e-5))
+        step, *alpha = parts[2].lower().split(":")
+        if step not in ("ls", "fixed") or len(alpha) > (step == "fixed"):
+            raise ValueError("step must be ls or fixed[:alpha]")
+        step = None if step == "ls" else float(alpha[0]) if alpha else 0.01
+    except ValueError as err:
+        raise ValueError(f"{err} in solver spec {label!r}") from None
+    return SolverSpec(label, method, given.get("N"), sigma, parts[1], step)
 
 
 DATA_PROFILE_HEADER = Columns(tau=float, solver=str, budget_groups=int,

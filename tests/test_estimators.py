@@ -250,8 +250,10 @@ def test_estimator_config_validation():
         EstimatorConfig(method="newton", sigma=0.1)
     with pytest.raises(ValueError):
         EstimatorConfig(method="FFD", sigma=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="N must be positive, got 0"):
         EstimatorConfig(method="GSG", sigma=0.1, N=0)
+    with pytest.raises(ValueError, match="GSG requires N"):
+        EstimatorConfig("GSG", 0.1)
     with pytest.raises(ValueError, match="direction_source"):
         EstimatorConfig(method="FFD", sigma=0.1,
                         direction_source=DirectionSet(np.eye(2)))
@@ -286,11 +288,11 @@ def test_estimate_dispatcher_contracts():
         estimate(oracle, x, EstimatorConfig(method="GSG", sigma=0.1, N=3))
     assert oracle.eval_count == 0
     est = estimate(clean_oracle(p), x, EstimatorConfig(method="CFD", sigma=0.01))
-    assert est.method == "CFD"
+    assert est.evals_used == 2 * 4
     frame = orthonormal_directions(4, RngStream(11).generator())
     est = estimate(clean_oracle(p), x,
                    EstimatorConfig(method="LI", sigma=0.01, direction_source=frame))
-    assert est.method == "LI"
+    assert est.evals_used == 4 + 1
 
 
 def test_estimate_draws_fresh_li_frames():

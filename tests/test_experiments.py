@@ -172,7 +172,7 @@ def test_spec_default_problem_sets():
 
 def test_parse_solver_default_forms():
     s = parse_solver("ffd+lbfgs+ls")
-    assert (s.method, s.direction, s.step) == ("FFD", "lbfgs", "ls")
+    assert (s.method, s.direction, s.step) == ("FFD", "lbfgs", None)
     assert s.n_spec is None and s.sigma == 1e-5
     assert s.resolve_N(20) is None
 
@@ -184,7 +184,8 @@ def test_parse_solver_default_forms():
 
 def test_parse_solver_tokens_and_alpha():
     s = parse_solver("cfd:0.01+sd+fixed:0.05")
-    assert (s.method, s.sigma, s.step, s.alpha) == ("CFD", 0.01, "fixed", 0.05)
+    assert (s.method, s.sigma, s.step) == ("CFD", 0.01, 0.05)
+    assert parse_solver("cfd+sd+fixed").step == 0.01
     s = parse_solver("bsg:64:1e-3+lbfgs+ls")
     assert (s.method, s.sigma) == ("BSG", 1e-3)
     assert s.resolve_N(5) == 64
@@ -200,9 +201,21 @@ def test_parse_solver_rejects_malformed():
         parse_solver("ffd+lbfgs+wolfe")
     with pytest.raises(ValueError, match="must look like"):
         parse_solver("ffd+lbfgs")
-    for text in ("gsg:0+sd+ls", "gsg:0n+sd+ls", "gsg:-2n+sd+ls"):
+    for text in ("gsg:0+sd+ls", "gsg:0n+sd+ls", "gsg:-2n+sd+ls", "gsg:infn+sd+ls",
+                 "gsg:nann+sd+ls"):
         with pytest.raises(ValueError, match="N must be positive"):
             parse_solver(text)
+    # one N and one sigma at most, and no step token beyond fixed's alpha
+    for text, message in [("gsg:4:8+sd+ls", "N is given twice"),
+                          ("gsg:1e-3:1e-4+sd+ls", "sigma is given twice"),
+                          ("ffd+lbfgs+ls:0.5", "step must be ls or fixed"),
+                          ("cfd+sd+fixed:0.1:7", "step must be ls or fixed"),
+                          ("gsg:1e-3x+sd+ls", "could not convert"),
+                          ("newton+sd+ls", "unknown estimator"),
+                          ("ffd+lbfgs", "must look like")]:
+        with pytest.raises(ValueError) as err:
+            parse_solver(text)
+        assert message in str(err.value) and f"in solver spec {text!r}" in str(err.value)
     for text in ("ffd:-1+lbfgs+ls", "ffd:0.0+sd+ls", "ffd:nan+lbfgs+ls", "ffd:NaN+sd+ls",
                  "gsg:n:inf+sd+ls"):
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
@@ -219,7 +232,7 @@ def test_parse_solver_rejects_malformed():
         with pytest.raises(ValueError, match="N applies to the smoothing methods only"):
             parse_solver(text)
     with pytest.raises(ValueError, match="N applies.*in solver spec 'li'"):
-        SolverSpec("li", "LI", "n", 1e-5, "lbfgs", "ls", 0.01)
+        SolverSpec("li", "LI", "n", 1e-5, "lbfgs", None)
     assert parse_solver("ffd:1.0+lbfgs+ls").sigma == 1.0
     # a malformed solver fails before any solver runs
     spec = ExperimentSpec(experiment="optimizer_benchmark", problems=("quadratic",),
@@ -1217,6 +1230,9 @@ def test_cli_bad_inputs_exit_2_with_clean_error(tmp_path, capsys):
         ["sweep", "--eps-fs", "nan"],
         ["sweep", "--sigmas", "inf"],
         ["estimate", "--problem", "quadratic"],
+        ["optimize", "--problem", "quadratic", "--solver", "gsg:infn+sd+ls"],
+        ["bench", "--problems", "quadratic", "--solvers", "gsg:infn+sd+ls"],
+        ["sweep", "--problems", "quadratic", "--sample-factor", "1e308"],
     ]
     for argv in cases:
         rc = main(argv)
@@ -1230,7 +1246,8 @@ def test_cli_bad_inputs_exit_2_with_clean_error(tmp_path, capsys):
                             ("ffd:1+lbfgs+ls", "N applies to the smoothing methods only"),
                             ("cfd+sd+fixed:inf", "alpha must be positive and finite"),
                             ("cfd+lbfgs+fixed", "fixed step takes direction sd"),
-                            ("ffd:0.0+lbfgs+ls", "sigma must be positive and finite")]:
+                            ("ffd:0.0+lbfgs+ls", "sigma must be positive and finite"),
+                            ("gsg:4:8+sd+ls", "N is given twice")]:
         assert main(["optimize", "--problem", "quadratic", "--solver", solver]) == 2
         err = capsys.readouterr().err
         assert err.startswith("gradest: error: argument --solver: ")
