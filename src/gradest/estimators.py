@@ -13,12 +13,12 @@ Evaluation accounting is exact: n+1 (FFD), 2n (CFD), n+1 (LI), N+1
 Every estimate runs through one loop, estimate_trials(oracle, x, config,
 trials, rng, redraw): an EstimatorConfig names the method, sigma, N and an
 optional fixed direction set, and is the one place they are checked, so
-config.N or n is the direction count everywhere; rng
-and redraw are plain Generators. A chunk of trials at a time, the loop
-draws their directions (trial_directions) or takes the fixed set, checks
-and redraws the LI frames, and makes one oracle batch. estimate is its
-one-trial call; the experiment drivers pass whole cells of trials. LI
-solves Q g = d on every frame, drawn or fixed.
+config.N or n is the direction count everywhere; rng and redraw are plain
+Generators. A chunk of trials at a time, the loop draws their directions
+(trial_directions) or takes the fixed set, checks and redraws the LI
+frames, and makes one oracle batch. estimate is its one-trial call; the
+experiment drivers pass whole cells of trials. LI solves Q g = d on every
+frame, drawn or fixed.
 """
 from __future__ import annotations
 
@@ -92,9 +92,10 @@ class EstimatorConfig:
     the one place the method, sigma and N are checked.
 
     The smoothing methods require N; FFD, CFD and LI probe n directions
-    and reject an N, so config.N or n is the direction count. direction_source is an optional
-    fixed DirectionSet for LI (n x n) or a smoothing method (N x n); when it
-    is absent, fresh directions are drawn from the Generator passed along.
+    and reject an N, so config.N or n is the direction count.
+    direction_source is an optional fixed DirectionSet for LI (n x n) or a
+    smoothing method (N x n); when it is absent, fresh directions are drawn
+    from the Generator passed along.
     """
 
     method: str

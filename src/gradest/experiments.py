@@ -695,8 +695,9 @@ def parse_solver(text: str) -> SolverSpec:
         parts = label.split("+")
         if len(parts) != 3:
             raise ValueError("must look like method+direction+step")
-        method, *est_tokens = parts[0].split(":")
-        method, given = method_name(method), {}
+        name, *est_tokens = parts[0].split(":")
+        method = method_name(name)
+        given = {}
         for tok in filter(None, est_tokens):
             # "12", "n" and "4n" are N; any other token ("1e-4", "nan") is sigma
             is_N = tok.isdigit() or tok.endswith("n") and tok.lower().lstrip("+-") != "nan"
