@@ -1,6 +1,6 @@
 """SHA-256 digests of a fixed set of gradest CLI runs, for byte-identity checks.
 
-Runs thirty-two gradest invocations at seed 7, each in its own directory
+Runs thirty-four gradest invocations at seed 7, each in its own directory
 under a temporary root, with the gradest package from --src DIR (default:
 the src/ directory next to this script). Prints a header line naming the
 numpy version, the machine and numpy's SIMD baseline, since floating-point
@@ -45,6 +45,12 @@ INVOCATIONS = [
     ("estimate_cbsg", ["estimate", "--method", "cBSG", "--N", "12", "--problem",
                        "quadratic", "--noise-kind", "sinusoidal_deterministic",
                        "--eps-f", "1e-4", "--out", "est.json"]),
+    # a stationary point of the sphere: theta is undefined and written as null
+    ("estimate_stationary", ["estimate", "--method", "CFD", "--problem", "sphere",
+                             "--point", "0,0,0,0,0,0"]),
+    # sigma = 1e200 overflows every probe: a nan estimate and a nan theta
+    ("estimate_overflow", ["estimate", "--method", "CFD", "--problem", "rosenbrock2",
+                           "--sigma", "1e200"]),
     ("optimize_ffd_lbfgs", ["optimize", "--problem", "rosenbrock2",
                             "--budget", "600", "--out", "trace.csv"]),
     ("optimize_gsg_sd", ["optimize", "--problem", "quadratic", "--solver", "gsg:8+sd+ls",
