@@ -12,8 +12,7 @@ from .core import (NoiseModel, NoisyOracle, ObjectiveFunction, get_problem,
 from .sampling import (DirectionSet, RngStream, monte_carlo_moment,
                        orthonormal_directions)
 from .estimators import (METHODS, EstimatorConfig, GradientEstimate,
-                         SingularDirections, ZeroGradient, estimate,
-                         relative_error)
+                         SingularDirections, estimate, relative_error)
 from .bounds import (BoundReport, bernstein_sample_size,
                      chebyshev_sample_size, condition_table,
                      deterministic_error_bound, error_floor,
@@ -40,7 +39,7 @@ __all__ = [
     "RngStream", "DirectionSet", "orthonormal_directions", "monte_carlo_moment",
     # estimators
     "METHODS", "GradientEstimate", "EstimatorConfig", "SingularDirections",
-    "ZeroGradient", "estimate", "relative_error",
+    "estimate", "relative_error",
     # bounds
     "BoundReport", "deterministic_error_bound",
     "smoothing_bias_bound", "variance_kappa", "chebyshev_sample_size",

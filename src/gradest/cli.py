@@ -26,8 +26,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .core import get_problem
-from .estimators import (EstimatorConfig, ZeroGradient, estimate, method_name,
-                         relative_error)
+from .estimators import EstimatorConfig, estimate, method_name, relative_error
 from .experiments import (ExperimentSpec, bound_check_skips, make_oracle, parse_solver,
                           run_bound_validation, run_optimizer_benchmark,
                           run_relative_error_sweep, run_theta_distribution)
@@ -103,10 +102,8 @@ def _cmd_estimate(args) -> int:
     if est.cond_Q is not None:
         out["cond_Q"] = est.cond_Q
         out["qinv_norm"] = est.qinv_norm
-    try:
-        out["theta"] = relative_error(est, problem.gradient_at(x))
-    except ZeroGradient:
-        out["theta"] = None
+    theta = relative_error(est, problem.gradient_at(x))
+    out["theta"] = None if np.isnan(theta) else theta
     text = json.dumps(out, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")

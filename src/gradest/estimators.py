@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DETERMINISTIC
+from .bounds import DETERMINISTIC, SMOOTHING
 from .core import NoisyOracle
 from .sampling import DirectionSet, unit_rows
 
@@ -36,7 +36,7 @@ Array = np.ndarray
 # arithmetic; the caller must resample rather than trust the solve.
 COND_LIMIT = 1e12
 
-METHODS = ("FFD", "CFD", "LI", "GSG", "cGSG", "BSG", "cBSG")
+METHODS = DETERMINISTIC + SMOOTHING
 # probe x +- sigma q (2k rows a trial) rather than x and x + sigma q (k + 1)
 CENTRAL = ("CFD", "cGSG", "cBSG")
 # use the coordinate axes and draw nothing
@@ -52,7 +52,6 @@ __all__ = [
     "GradientEstimate",
     "EstimatorConfig",
     "SingularDirections",
-    "ZeroGradient",
     "estimate_trials",
     "trial_directions",
     "relative_error",
@@ -72,10 +71,6 @@ def method_name(text: str) -> str:
 
 class SingularDirections(RuntimeError):
     """Interpolation direction matrix is singular or numerically unusable."""
-
-
-class ZeroGradient(ValueError):
-    """Relative error is undefined at a stationary point of phi."""
 
 
 @dataclass(frozen=True)
@@ -290,13 +285,12 @@ def estimate(oracle: NoisyOracle, x: Array, config: EstimatorConfig,
         qinv_norm=None if qinv is None else float(qinv[0]))
 
 
-def relative_error(g, grad_true: Array) -> float:
-    """theta = ||g - grad phi(x)|| / ||grad phi(x)|| in the Euclidean norm."""
-    gvec = np.asarray(getattr(g, "g", g), dtype=float)
-    grad_true = np.asarray(grad_true, dtype=float)
-    denom = np.linalg.norm(grad_true)
-    if denom == 0.0:
-        raise ZeroGradient("relative error undefined: true gradient is zero")
-    return float(np.linalg.norm(gvec - grad_true) / denom)
+def relative_error(g, grad_true: Array):
+    """theta = ||g - grad phi(x)|| / ||grad phi(x)|| in the Euclidean norm: a
+    float for one estimate (a GradientEstimate or a vector), an array for a
+    stack of them (rows); nan where grad phi(x) vanishes."""
+    g = np.asarray(getattr(g, "g", g), dtype=float)
+    theta = np.linalg.norm(g - grad_true, axis=-1) / (np.linalg.norm(grad_true) or np.nan)
+    return theta if theta.ndim else float(theta)
 
 

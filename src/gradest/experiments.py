@@ -40,7 +40,8 @@ import numpy as np
 
 from . import bounds as bnd
 from .core import NoiseModel, NoisyOracle, get_problem, make_linear, make_standard_problems
-from .estimators import METHODS, EstimatorConfig, estimate_trials, method_name
+from .estimators import (METHODS, EstimatorConfig, estimate_trials, method_name,
+                         relative_error)
 from .optimizer import LineSearchConfig, OptimizationTrace, run_dfo
 from .sampling import RngStream
 
@@ -361,14 +362,6 @@ def _map_cells(fn, cells) -> list:
     return results
 
 
-def _thetas(G, grad_true) -> np.ndarray:
-    """Relative error of each row of G; nan where the gradient vanishes."""
-    denom = np.linalg.norm(grad_true)
-    if denom == 0.0:
-        return np.full(len(G), np.nan)
-    return np.linalg.norm(G - grad_true, axis=1) / denom
-
-
 def _problem_points(problem, spec: ExperimentSpec, problem_idx: int) -> np.ndarray:
     """points_per_problem draws, uniform on the problem's box."""
     pts = np.empty((spec.points_per_problem, problem.n))
@@ -421,7 +414,7 @@ def run_relative_error_sweep(spec: ExperimentSpec):
                         G = estimate_trials(oracle, x, config, trials, *streams)[0]
                         cell = (problem.name, n, pt_idx, method, sigma, eps_f, config.N or n)
                         cells.append(cell)
-                        thetas.append(_thetas(G, grad_true))
+                        thetas.append(relative_error(G, grad_true))
                         # log10 0 is -inf, and a nan theta stays nan
                         rows.rows.extend([
                             (*cell, t, spec.seed, theta, math.log10(theta) if theta > 0
@@ -480,7 +473,7 @@ def run_theta_distribution(spec: ExperimentSpec) -> CsvTable:
         config = EstimatorConfig("GSG", 1.0, N)
         G = estimate_trials(NoisyOracle(problem), x, config, trials,
                             *_cell_streams(spec.seed, config, _TAG_THETA, N))[0]
-        return _theta_stats(_thetas(G, grad_true)[None])[0]
+        return _theta_stats(relative_error(G, grad_true)[None])[0]
 
     # a cell costs (N + 1) probe rows per trial: the longest start first
     order = sorted(set(spec.N_list), reverse=True)
@@ -542,16 +535,25 @@ def run_bound_validation(spec: ExperimentSpec):
 
     Pairs listed by bound_check_skips get no rows.
     """
-    problems = spec.problem_list()
     trials = spec.resolved_trials()
     det_methods = [m for m in spec.methods if m in bnd.DETERMINISTIC]
     smooth_methods = [m for m in spec.methods if m in bnd.SMOOTHING]
     det_draws = min(trials, 50)
 
-    det = CsvTable(BOUND_DET_HEADER)
-    prob = CsvTable(BOUND_PROB_HEADER)
+    def failures(cell):
+        """(failures, failure_rate, passed) of one checked cell: its noise
+        and direction streams are its own, so any thread may compute it."""
+        problem, grad_true, config, eps_f, key = cell
+        oracle = make_oracle(problem, spec.noise_kind, eps_f, spec.seed, _TAG_NOISE, *key)
+        G = estimate_trials(oracle, problem.x0, config, trials,
+                            *_cell_streams(spec.seed, config, _TAG_BOUND, *key))[0]
+        count = int(np.sum(relative_error(G, grad_true) > spec.theta))
+        rate = count / trials
+        return count, rate, rate <= spec.delta + 0.05
 
-    for p_idx, problem in enumerate(problems):
+    det = CsvTable(BOUND_DET_HEADER)
+    rows, cells = [], []   # each probabilistic row's leading columns and, if known, the rest
+    for p_idx, problem in enumerate(spec.problem_list()):
         n, L, M = problem.n, problem.lipschitz_gradient, problem.lipschitz_hessian
         points = _problem_points(problem, spec, p_idx)
         rounding = np.finfo(float).eps * float(np.max(np.abs(problem.batch_value(points))))
@@ -565,16 +567,18 @@ def run_bound_validation(spec: ExperimentSpec):
                                          _TAG_NOISE, *key)
                     config = EstimatorConfig(method, sigma)
                     streams = _cell_streams(spec.seed, config, _TAG_BOUND, *key)
-                    errs, bounds = [], []
+                    # one bound per cell: LI's is taken at ||Q^-1|| = 1 and
+                    # scaled below by each drawn frame's ||Q^-1||
+                    bound = bnd.deterministic_error_bound(
+                        method, n, L, M, sigma, eps_f + rounding,
+                        cond_qinv=1.0 if method == "LI" else None)
+                    errs, qinvs = [], []
                     for x in points:
                         G, _, qinv = estimate_trials(oracle, x, config, det_draws, *streams)
                         errs.append(np.linalg.norm(G - problem.gradient_at(x), axis=1))
-                        # LI's bound scales with each drawn frame's ||Q^-1||
-                        qs = qinv if qinv is not None else [None] * det_draws
-                        bounds.append([bnd.deterministic_error_bound(
-                            method, n, L, M, sigma, eps_f + rounding, cond_qinv=q)
-                            for q in qs])
-                    errs, bounds = np.concatenate(errs), np.concatenate(bounds)
+                        qinvs.append(qinv)
+                    errs = np.concatenate(errs)
+                    bounds = np.concatenate(qinvs) * bound if method == "LI" else bound
                     min_margin = float(np.min(bounds - errs))
                     round_off = sigma < ROUND_OFF_SIGMA
                     det.add("deterministic", problem.name, n, method, sigma, eps_f,
@@ -582,20 +586,6 @@ def run_bound_validation(spec: ExperimentSpec):
                             float(np.max(errs)), float(np.max(bounds)), min_margin,
                             round_off, True if round_off else min_margin >= 0.0)
 
-    def failures(cell):
-        """(failures, failure_rate, passed) of one checked cell: its noise
-        and direction streams are its own, so any thread may compute it."""
-        problem, grad_true, config, eps_f, key = cell
-        oracle = make_oracle(problem, spec.noise_kind, eps_f, spec.seed, _TAG_NOISE, *key)
-        G = estimate_trials(oracle, problem.x0, config, trials,
-                            *_cell_streams(spec.seed, config, _TAG_BOUND, *key))[0]
-        count = int(np.sum(_thetas(G, grad_true) > spec.theta))
-        rate = count / trials
-        return count, rate, rate <= spec.delta + 0.05
-
-    rows, cells = [], []   # each row's leading columns and, if known, the rest
-    for p_idx, problem in enumerate(problems):
-        n, L, M = problem.n, problem.lipschitz_gradient, problem.lipschitz_hessian
         grad_true = problem.gradient_at(problem.x0)
         grad_norm = float(np.linalg.norm(grad_true))
         for m_idx, method in enumerate(smooth_methods):
@@ -622,6 +612,7 @@ def run_bound_validation(spec: ExperimentSpec):
                 cells.append((problem, grad_true,
                               EstimatorConfig(method, sigma, report.n_min), eps_f,
                               (p_idx, m_idx, e_idx)))
+    prob = CsvTable(BOUND_PROB_HEADER)
     tails = iter(_map_cells(failures, cells))
     for lead, tail in rows:
         prob.add(*lead, *(tail or next(tails)))

@@ -43,6 +43,21 @@ def test_deterministic_bound_examples():
     assert abs(li3 - 0.6) < 1e-15
 
 
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(1, 1000), L=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+       sigma=st.floats(-14.0, 2.0).map(lambda e: 10.0 ** e),
+       eps_f=st.one_of(st.just(0.0), st.floats(-16.0, -1.0).map(lambda e: 10.0 ** e)),
+       q=st.floats(-1.0, 12.0).map(lambda e: 10.0 ** e))
+def test_li_bound_is_its_unit_bound_scaled_bit_for_bit(n, L, sigma, eps_f, q):
+    # bound-check takes LI's bound once per cell at ||Q^-1|| = 1 and scales
+    # it by each drawn frame's ||Q^-1||; that must be the per-frame bound
+    unit = deterministic_error_bound("LI", n, L, None, sigma, eps_f, cond_qinv=1.0)
+    assert deterministic_error_bound("LI", n, L, None, sigma, eps_f, cond_qinv=q) \
+        == q * unit
+    assert deterministic_error_bound("LI", n, L, None, sigma, eps_f,
+                                     cond_qinv=np.float64(q)) == np.float64(q) * unit
+
+
 def test_smoothing_bias_examples():
     assert abs(smoothing_bias_bound("GSG", 4, 1.0, None, 0.1) - 0.2) < 1e-15
     got = smoothing_bias_bound("BSG", 4, 1.0, None, 0.1, eps_f=1e-4)

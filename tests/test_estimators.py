@@ -16,7 +16,6 @@ from gradest.estimators import (
     METHODS,
     EstimatorConfig,
     SingularDirections,
-    ZeroGradient,
     estimate,
     estimate_trials,
     method_name,
@@ -241,8 +240,24 @@ def test_relative_error_values_and_zero_gradient():
     est = np.array([1.0, 1.0])
     truth = np.array([1.0, 0.0])
     assert abs(relative_error(est, truth) - 1.0) < 1e-15
-    with pytest.raises(ZeroGradient):
-        relative_error(est, np.zeros(2))
+    assert math.isnan(relative_error(est, np.zeros(2)))
+    # a stack of T estimates gives T thetas, all nan at a vanished gradient
+    thetas = relative_error(np.ones((3, 2)), np.zeros(2))
+    assert thetas.shape == (3,) and np.all(np.isnan(thetas))
+
+
+@settings(max_examples=200, deadline=None)
+@given(T=st.integers(1, 40), n=st.integers(1, 40), log_scale=st.floats(-8.0, 8.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_relative_error_of_a_stack_is_its_rows_bit_for_bit(T, n, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    truth = rng.standard_normal(n)
+    G = truth + 10.0 ** log_scale * rng.standard_normal((T, n))
+    thetas = relative_error(G, truth)
+    assert thetas.shape == (T,)
+    rows = [relative_error(g, truth) for g in G]
+    assert all(type(theta) is float for theta in rows)
+    assert thetas.tolist() == rows
 
 
 def test_estimator_config_validation():

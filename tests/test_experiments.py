@@ -460,7 +460,7 @@ def test_sweep_log10_theta_is_nan_where_theta_is_nan(monkeypatch):
             assert r[log10] == math.log10(r[theta])
     assert "nan,-inf" not in rows.text()
     # every theta the log maps: 0 -> -inf, nan -> nan, inf -> inf
-    monkeypatch.setattr(experiments, "_thetas",
+    monkeypatch.setattr(experiments, "relative_error",
                         lambda G, grad: np.array([0.0, math.nan, 100.0, math.inf]))
     rows, _ = run_relative_error_sweep(ExperimentSpec(
         experiment="relative_error_sweep", problems=("sphere",), methods=("FFD",),
@@ -664,7 +664,7 @@ def test_bound_validation_bytes_do_not_depend_on_the_worker_count(monkeypatch):
         G = estimators.estimate_trials(
             oracle, problem.x0, config, spec.trials,
             *experiments._cell_streams(spec.seed, config, experiments._TAG_BOUND, *key))[0]
-        counts.append(int(np.sum(experiments._thetas(G, grad) > spec.theta)))
+        counts.append(int(np.sum(experiments.relative_error(G, grad) > spec.theta)))
         assert r["failures"] == counts[-1]
     assert len(set(counts)) == 3 and 0 < min(counts) and max(counts) < 40
 
