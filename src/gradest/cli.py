@@ -9,8 +9,8 @@ flag left out keeps the file's value or else the spec default. Each cell's
 trials go through the batched estimator core with their own direction and
 noise streams, so the same seed always writes the same bytes, whether
 bound-check runs its probabilistic cells on one CPU or several. A usage
-error or a bad input value prints one "gradest: error: ..." line and
-returns 2. Numpy's floating-point warnings are silenced for the run: a
+error, a bad input value or running out of memory prints one
+"gradest: error: ..." line and returns 2. Numpy's floating-point warnings are silenced for the run: a
 probe that overflows shows up as a non-finite value in the output, not as
 a warning on stderr.
 """
@@ -313,6 +313,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"gradest: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"gradest: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

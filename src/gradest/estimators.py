@@ -108,6 +108,9 @@ class EstimatorConfig:
                              f"for {self.method}")
         if self.N is None and self.method not in DETERMINISTIC:
             raise ValueError(f"{self.method} requires N")
+        if self.N is not None and (isinstance(self.N, bool)
+                                   or not isinstance(self.N, (int, np.integer))):
+            raise ValueError(f"N must be an integer, got {self.N!r}")
         if self.N is not None and self.N < 1:
             raise ValueError(f"N must be positive, got {self.N}")
         if self.direction_source is not None and self.method in AXES:

@@ -668,8 +668,10 @@ class SolverSpec:
             max_iters: int, grad_norm_stop: float | None) -> OptimizationTrace:
         """One run of this solver from x0 within budget evaluations, rng
         feeding its direction draws."""
-        cfg = EstimatorConfig(method=self.method, sigma=self.sigma,
-                              N=self.resolve_N(np.size(x0)))
+        try:
+            cfg = EstimatorConfig(self.method, self.sigma, self.resolve_N(np.size(x0)))
+        except ValueError as err:
+            raise ValueError(f"{err} in solver spec {self.label!r}") from None
         ls = self.line_search(eval_budget=budget, max_iters=max_iters,
                               grad_norm_stop=grad_norm_stop)
         return run_dfo(oracle, cfg, ls, x0, rng)

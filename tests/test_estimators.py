@@ -269,6 +269,10 @@ def test_estimator_config_validation():
         EstimatorConfig(method="GSG", sigma=0.1, N=0)
     with pytest.raises(ValueError, match="GSG requires N"):
         EstimatorConfig("GSG", 0.1)
+    for N in (2.5, 4.0, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="N must be an integer, got"):
+            EstimatorConfig("GSG", 0.1, N)
+    assert EstimatorConfig("GSG", 0.1, np.int64(3)).N == 3
     with pytest.raises(ValueError, match="direction_source"):
         EstimatorConfig(method="FFD", sigma=0.1,
                         direction_source=DirectionSet(np.eye(2)))

@@ -1252,3 +1252,31 @@ def test_cli_bad_inputs_exit_2_with_clean_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("gradest: error: argument --solver: ")
         assert message in err and f"in solver spec '{solver}'" in err
+
+
+def test_cli_names_the_solver_when_N_fails_at_the_problem_dimension(tmp_path, capsys):
+    # 1e308 n passes the solver check at n = 1 and overflows at trig5's n = 5
+    out = str(tmp_path / "out.csv")
+    for argv in (["optimize", "--problem", "trig5", "--solver", "gsg:1e308n+sd+ls"],
+                 ["bench", "--problems", "trig5", "--solvers", "gsg:1e308n+sd+ls"]):
+        assert main([*argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == ("gradest: error: N must be positive and finite, got 1e+308 * n "
+                       "in solver spec 'gsg:1e308n+sd+ls'\n")
+
+
+def test_cli_reports_running_out_of_memory_as_one_error_line(tmp_path, capsys, monkeypatch):
+    # the direction draw stands in for an allocation too large for memory,
+    # so nothing large is allocated
+    def out_of_memory(message):
+        def draw(*args):
+            raise MemoryError(message) if message else MemoryError()
+        return draw
+
+    argv = ["optimize", "--problem", "trig5", "--solver", "gsg:4n+sd+ls",
+            "--out", str(tmp_path / "trace.csv")]
+    for message, line in [("Unable to allocate 7.28 TiB", "Unable to allocate 7.28 TiB"),
+                          (None, "out of memory")]:
+        monkeypatch.setattr(estimators, "trial_directions", out_of_memory(message))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"gradest: error: {line}\n"
