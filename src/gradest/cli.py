@@ -10,9 +10,9 @@ trials go through the batched estimator core with their own direction and
 noise streams, so the same seed always writes the same bytes, whether
 bound-check runs its probabilistic cells on one CPU or several. A usage
 error, a bad input value or running out of memory prints one
-"gradest: error: ..." line and returns 2. Numpy's floating-point warnings are silenced for the run: a
-probe that overflows shows up as a non-finite value in the output, not as
-a warning on stderr.
+"gradest: error: ..." line and returns 2. Numpy's floating-point warnings
+are silenced for the run: a probe that overflows shows up as a non-finite
+value in the output, not as a warning on stderr.
 """
 from __future__ import annotations
 
