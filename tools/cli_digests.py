@@ -1,6 +1,6 @@
 """SHA-256 digests of a fixed set of gradest CLI runs, for byte-identity checks.
 
-Runs thirty-four gradest invocations at seed 7, each in its own directory
+Runs thirty-seven gradest invocations at seed 7, each in its own directory
 under a temporary root, with the gradest package from --src DIR (default:
 the src/ directory next to this script). Prints a header line naming the
 numpy version, the machine and numpy's SIMD baseline, since floating-point
@@ -114,6 +114,12 @@ INVOCATIONS = [
     ("bench_smoothing", ["bench", "--problems", "sphere,rosenbrock2",
                          "--solvers", "li+lbfgs+ls,gsg:2n+sd+ls,bsg:8:1e-4+lbfgs+ls",
                          "--budget-factor", "30", "--out", "bench.csv"]),
+    # the dfo_race benchmark's three solvers over all eleven default bench
+    # problems, noisy and noise-free: every problem runs through run_dfo
+    ("bench_race_noisy", ["bench", "--solvers", "ffd+lbfgs+ls,gsg:n+sd+ls,ffd:1e-2+lbfgs+ls",
+                          "--eps-fs", "1e-4", "--budget-factor", "30", "--out", "bench.csv"]),
+    ("bench_race_clean", ["bench", "--solvers", "ffd+lbfgs+ls,gsg:n+sd+ls,ffd:1e-2+lbfgs+ls",
+                          "--eps-fs", "0", "--budget-factor", "30", "--out", "bench.csv"]),
     ("bounds", ["bounds", "--method", "GSG", "--n", "10", "--delta", "0.1",
                 "--L", "2", "--eps-f", "1e-6", "--grad-norm", "1"]),
     # one condition-table row per remaining method, an empty interval, and an
@@ -132,6 +138,9 @@ INVOCATIONS = [
                      "--M", "1", "--eps-f", "1e-6", "--grad-norm", "1"]),
     ("bounds_empty", ["bounds", "--method", "cBSG", "--n", "10", "--delta", "0.1",
                       "--M", "1", "--eps-f", "1e-2", "--grad-norm", "0.1"]),
+    # theta = 0: no gradient norm is large enough, grad_norm_min is infinite
+    ("bounds_theta_zero", ["bounds", "--method", "ffd", "--n", "4", "--L", "2",
+                           "--eps-f", "1e-6", "--grad-norm", "1", "--theta", "0"]),
 ]
 
 
