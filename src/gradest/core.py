@@ -72,7 +72,8 @@ class ObjectiveFunction:
 
     def batch_value(self, X: Array) -> Array:
         """phi on each row of X; falls back to a row loop without value_batch."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = np.asarray(X, dtype=float)
+        X = X if X.ndim == 2 else np.atleast_2d(X)   # eval_batch passes 2-D rows
         if self.value_batch is not None:
             return np.asarray(self.value_batch(X), dtype=float)
         return np.array([self.value_at(row) for row in X], dtype=float)
@@ -145,10 +146,7 @@ class NoisyOracle:
             self._w = _sin_weights(objective.n)
 
     def _noise_batch(self, X: Array) -> Array:
-        kind = self.noise.kind
-        if kind == "none" or self.noise.level == 0.0:
-            return np.zeros(X.shape[0])
-        if kind == "uniform_iid":
+        if self.noise.kind == "uniform_iid":
             return self._rng.uniform(-self.noise.level, self.noise.level, X.shape[0])
         h = np.einsum("ij,j->i", X, self._w)   # row-independent, unlike X @ w
         return self.noise.level * np.sin(_SIN_FREQ * (h + _SIN_PHASE))
@@ -173,7 +171,8 @@ class NoisyOracle:
         if X.shape[1] != self.objective.n:
             raise ValueError(f"points have shape {X.shape}, expected (*, {self.objective.n})")
         self.eval_count += X.shape[0]
-        return self.objective.batch_value(X) + self._noise_batch(X)
+        # zero noise adds 0.0, which turns -0.0 into +0.0 as a zero noise array did
+        return self.objective.batch_value(X) + (self._noise_batch(X) if self.noise.level else 0.0)
 
 
 def make_sincos(n: int, M: float, L: float) -> ObjectiveFunction:
@@ -197,13 +196,14 @@ def make_sincos(n: int, M: float, L: float) -> ObjectiveFunction:
     even = np.arange(1, n, 2)
 
     def value(x: Array) -> float:
-        s = x.sum()
-        return float(M * np.sin(x[odd]).sum() + np.cos(x[even]).sum() + c * s * s)
+        s = np.add.reduce(x)
+        return float(M * np.add.reduce(np.sin(x[0::2])) + np.add.reduce(np.cos(x[1::2]))
+                     + c * s * s)
 
     def grad(x: Array) -> Array:
         g = np.full(n, 2 * c * x.sum())
-        g[odd] += M * np.cos(x[odd])
-        g[even] += -np.sin(x[even])
+        g[0::2] += M * np.cos(x[0::2])
+        g[1::2] -= np.sin(x[1::2])
         return g
 
     def batch(X: Array) -> Array:
@@ -267,18 +267,20 @@ def make_rosenbrock(n: int) -> ObjectiveFunction:
     even = np.arange(1, n, 2)
 
     def value(x: Array) -> float:
-        return float(np.sum(100.0 * (x[even] - x[odd] ** 2) ** 2 + (1.0 - x[odd]) ** 2))
+        xo = x[0::2]
+        return float(np.add.reduce(100.0 * (x[1::2] - xo ** 2) ** 2 + (1.0 - xo) ** 2))
 
     def grad(x: Array) -> Array:
         g = np.zeros(n)
-        t = x[even] - x[odd] ** 2
-        g[odd] = -400.0 * t * x[odd] - 2.0 * (1.0 - x[odd])
-        g[even] = 200.0 * t
+        xo = x[0::2]
+        t = x[1::2] - xo ** 2
+        g[0::2] = -400.0 * t * xo - 2.0 * (1.0 - xo)
+        g[1::2] = 200.0 * t
         return g
 
     def batch(X: Array) -> Array:
         t = X[:, even] - X[:, odd] ** 2
-        return np.sum(100.0 * t**2 + (1.0 - X[:, odd]) ** 2, axis=1)
+        return (100.0 * t**2 + (1.0 - X[:, odd]) ** 2).sum(axis=1)
 
     x0 = np.tile([-1.2, 1.0], n // 2)
     return ObjectiveFunction(
@@ -300,8 +302,8 @@ def make_powell_singular(n: int) -> ObjectiveFunction:
 
     def value(x: Array) -> float:
         v = x.reshape(-1, 4)
-        return float(np.sum((v[:, 0] + 10 * v[:, 1]) ** 2 + 5 * (v[:, 2] - v[:, 3]) ** 2
-                            + (v[:, 1] - 2 * v[:, 2]) ** 4 + 10 * (v[:, 0] - v[:, 3]) ** 4))
+        return float(((v[:, 0] + 10 * v[:, 1]) ** 2 + 5 * (v[:, 2] - v[:, 3]) ** 2
+                      + (v[:, 1] - 2 * v[:, 2]) ** 4 + 10 * (v[:, 0] - v[:, 3]) ** 4).sum())
 
     def grad(x: Array) -> Array:
         v = x.reshape(-1, 4)
@@ -318,9 +320,9 @@ def make_powell_singular(n: int) -> ObjectiveFunction:
 
     def batch(X: Array) -> Array:
         V = X.reshape(X.shape[0], -1, 4)
-        return np.sum((V[:, :, 0] + 10 * V[:, :, 1]) ** 2 + 5 * (V[:, :, 2] - V[:, :, 3]) ** 2
-                      + (V[:, :, 1] - 2 * V[:, :, 2]) ** 4
-                      + 10 * (V[:, :, 0] - V[:, :, 3]) ** 4, axis=1)
+        return ((V[:, :, 0] + 10 * V[:, :, 1]) ** 2 + 5 * (V[:, :, 2] - V[:, :, 3]) ** 2
+                + (V[:, :, 1] - 2 * V[:, :, 2]) ** 4
+                + 10 * (V[:, :, 0] - V[:, :, 3]) ** 4).sum(axis=1)
 
     x0 = np.tile([3.0, -1.0, 0.0, 1.0], n // 4)
     return ObjectiveFunction(
@@ -341,7 +343,7 @@ def make_trigonometric(n: int) -> ObjectiveFunction:
 
     def residuals(x: Array) -> Array:
         cx = np.cos(x)
-        return n - cx.sum() + idx * (1.0 - cx) - np.sin(x)
+        return n - np.add.reduce(cx) + idx * (1.0 - cx) - np.sin(x)
 
     def value(x: Array) -> float:
         r = residuals(x)
@@ -356,7 +358,7 @@ def make_trigonometric(n: int) -> ObjectiveFunction:
     def batch(X: Array) -> Array:
         cX = np.cos(X)
         R = n - cX.sum(axis=1, keepdims=True) + idx * (1.0 - cX) - np.sin(X)
-        return np.sum(R * R, axis=1)
+        return (R * R).sum(axis=1)
 
     x0 = np.full(n, 1.0 / n)
     return ObjectiveFunction(
@@ -377,7 +379,7 @@ def make_standard_problems() -> list[tuple[str, ObjectiveFunction, Array]]:
         value_at=lambda x: float(0.5 * x @ x),
         gradient_at=lambda x: x.copy(),
         lipschitz_gradient=1.0, lipschitz_hessian=0.0,
-        value_batch=lambda X: 0.5 * np.sum(X * X, axis=1),
+        value_batch=lambda X: 0.5 * (X * X).sum(axis=1),
         x0=np.full(6, 2.0), box_lo=np.full(6, -3.0), box_hi=np.full(6, 3.0),
         minimum_value=0.0)
     problems = [

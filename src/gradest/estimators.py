@@ -252,8 +252,10 @@ def trial_directions(method: str, n: int, N: int | None, T: int,
     for FFD/CFD, else draws from rng in trial order: square Gaussian frames
     scaled so each one's longest row has norm 1 for LI (N is ignored), N
     Gaussian rows for GSG/cGSG, N rows uniform on the sphere for BSG/cBSG."""
-    if method in AXES:
-        return np.eye(n)[None].repeat(T, axis=0)
+    if method in AXES:   # the identity stack, built without np.eye's copies
+        Q = np.zeros((T, n, n))
+        Q.reshape(T, -1)[:, ::n + 1] = 1.0
+        return Q
     k = n if method == "LI" else N
     if n < 1 or k < 1:
         raise ValueError("n and N must be positive")

@@ -153,12 +153,10 @@ def armijo_search(oracle: NoisyOracle, x: Array, d: Array, g: Array,
     g'd is not negative (NaN included) and StepFailure when MAX_BACKTRACKS
     is exhausted.
     """
-    slope = float(np.dot(g, d))
+    slope = float(g.dot(d))
     if not slope < 0.0:
         raise NotDescent(f"g'd = {slope:.3e} is not a descent slope")
-    relax = cfg.noise_relaxation
-    if relax is None:
-        relax = 2.0 * oracle.noise.level
+    relax = 2.0 * oracle.noise.level if cfg.noise_relaxation is None else cfg.noise_relaxation
     alpha = alpha0
     for k in range(MAX_BACKTRACKS + 1):
         x_new = x + alpha * d
@@ -169,23 +167,28 @@ def armijo_search(oracle: NoisyOracle, x: Array, d: Array, g: Array,
     raise StepFailure(f"no acceptable step within {MAX_BACKTRACKS} backtracks")
 
 
+def _norm(v: Array) -> float:
+    """||v|| of a 1-D float array: np.linalg.norm(v) bit for bit, as sqrt(v.v)."""
+    return math.sqrt(v.dot(v))
+
+
 class CurvaturePair(NamedTuple):
-    """An L-BFGS pair (s, y) with its g-independent scalars: sy = s'y,
-    y_norm = ||y||, and curved, the verdict s'y > CURVATURE_GUARD ||s|| ||y||.
-    Build it with CurvaturePair.of(s, y), which computes them once."""
+    """An L-BFGS pair (s, y) with its g-independent scalars: sy = s'y, yy = y'y,
+    y_norm = ||y|| = sqrt(yy), and curved, the verdict s'y > CURVATURE_GUARD
+    ||s|| ||y||. Build it with CurvaturePair.of(s, y), which computes them once."""
 
     s: Array
     y: Array
     sy: float
+    yy: float
     y_norm: float
     curved: bool
 
     @classmethod
     def of(cls, s: Array, y: Array) -> "CurvaturePair":
-        sy = np.dot(s, y)
-        y_norm = np.linalg.norm(y)
-        return cls(s, y, float(sy), float(y_norm),
-                   bool(sy > CURVATURE_GUARD * np.linalg.norm(s) * y_norm))
+        sy, yy = float(s.dot(y)), float(y.dot(y))
+        y_norm = math.sqrt(yy)
+        return cls(s, y, sy, yy, y_norm, sy > CURVATURE_GUARD * _norm(s) * y_norm)
 
 
 def lbfgs_direction(history: list[CurvaturePair], g: Array) -> Array:
@@ -200,33 +203,29 @@ def lbfgs_direction(history: list[CurvaturePair], g: Array) -> Array:
     negative, NaN included, the test armijo_search applies). The initial
     scaling comes from the newest usable pair.
     """
-    g_scale = 1e-8 * float(np.linalg.norm(g))
+    g_scale = 1e-8 * _norm(g)
     usable = [p for p in history if p.curved and p.y_norm > g_scale]
     if not usable:
-        return -np.asarray(g, dtype=float)
-    q = np.array(g, dtype=float)
+        return -g
+    q = g.copy()
     alphas = []
-    for s, y, sy, _, _ in reversed(usable):
-        a = np.dot(s, q) / sy
+    for s, y, sy, _, _, _ in reversed(usable):
+        a = float(s.dot(q)) / sy
         alphas.append(a)
         q -= a * y
-    newest = usable[-1]
-    q *= newest.sy / float(np.dot(newest.y, newest.y))
-    for (s, y, sy, _, _), a in zip(usable, reversed(alphas)):
-        b = np.dot(y, q) / sy
+    q *= usable[-1].sy / usable[-1].yy   # the initial scaling gamma
+    for (s, y, sy, _, _, _), a in zip(usable, reversed(alphas)):
+        b = float(y.dot(q)) / sy
         q += (a - b) * s
     d = -q
-    if not np.dot(g, d) < 0.0:
-        return -np.asarray(g, dtype=float)
-    return d
+    return d if g.dot(d) < 0.0 else -g
 
 
 def _record(k: int, oracle: NoisyOracle, x: Array, f: float, g_norm: float,
             alpha: float, backtracks: int, slope: float) -> IterationRecord:
     """Iteration k's record at x: a copy of x, the true gradient norm there,
     and the oracle's evaluation count so far."""
-    return IterationRecord(k, x.copy(), f, g_norm,
-                           float(np.linalg.norm(oracle.objective.gradient_at(x))),
+    return IterationRecord(k, x.copy(), f, g_norm, _norm(oracle.objective.gradient_at(x)),
                            alpha, oracle.eval_count, backtracks, slope)
 
 
@@ -285,7 +284,7 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
             break
 
         g = estimate(oracle, x, estimator_cfg, rng).g
-        g_norm = float(np.linalg.norm(g))
+        g_norm = _norm(g)
         if not math.isfinite(g_norm):
             trace.records.append(_record(k, oracle, x, f_x, g_norm, 0.0, 0, 0.0))
             trace.termination = "nonfinite"
@@ -293,7 +292,7 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
         if stop_norm is None:
             stop_norm = 1e-6 * g_norm
 
-        if ls_cfg.direction == "lbfgs" and prev_g is not None and np.any(x != prev_x):
+        if ls_cfg.direction == "lbfgs" and prev_g is not None and (x != prev_x).any():
             history.append(CurvaturePair.of(x - prev_x, g - prev_g))
             if len(history) > MEMORY:
                 history.pop(0)
@@ -304,11 +303,8 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
             trace.termination = "grad_norm_stop"
             break
 
-        if ls_cfg.direction == "lbfgs":
-            d = lbfgs_direction(history, g)
-        else:
-            d = -g
-        slope = float(np.dot(g, d))
+        d = lbfgs_direction(history, g) if ls_cfg.direction == "lbfgs" else -g
+        slope = float(g.dot(d))
 
         diverged = False
         if ls_cfg.step is None:

@@ -6,6 +6,8 @@ import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gradest
 from gradest.core import (
@@ -218,6 +220,108 @@ def test_noiseless_scalar_call_writes_positive_zero(noise):
     value = NoisyOracle(minus_zero, noise)(np.zeros(2))
     assert value == 0.0 and math.copysign(1.0, value) == 1.0
     assert f"{value:.17g}" == "0"
+
+
+@pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel("uniform_iid", 0.0),
+                                   NoiseModel("sinusoidal_deterministic", 0.0)])
+def test_noiseless_batch_rows_write_positive_zero(noise):
+    # zero noise is added as the scalar 0.0, which turns -0.0 into +0.0 as
+    # the scalar path does
+    minus_zero = ObjectiveFunction(name="minus_zero", n=2, value_at=lambda x: -0.0,
+                                   gradient_at=lambda x: np.zeros(2), lipschitz_gradient=0.0,
+                                   value_batch=lambda X: np.full(X.shape[0], -0.0))
+    rows = NoisyOracle(minus_zero, noise).eval_batch(np.zeros((3, 2)))
+    assert rows.tobytes() == np.zeros(3).tobytes()
+
+
+def _reference_forms(name):
+    """The standard problems' value_at, gradient_at and value_batch as they
+    were written before they moved to strided slices, np.add.reduce and the
+    ndarray sum method; None where a form was not rewritten."""
+    p, _ = get_problem(name)
+    n = p.n
+    odd, even = np.arange(0, n, 2), np.arange(1, n, 2)
+    if name.startswith("sincos"):
+        M, L = {20: (1.0, 2.0), 10: (2.0, 4.0)}[n]
+        c = (L - M) / (2 * n)
+
+        def value(x):
+            s = x.sum()
+            return float(M * np.sin(x[odd]).sum() + np.cos(x[even]).sum() + c * s * s)
+
+        def grad(x):
+            g = np.full(n, 2 * c * x.sum())
+            g[odd] += M * np.cos(x[odd])
+            g[even] += -np.sin(x[even])
+            return g
+
+        return value, grad, None
+    if name.startswith("rosenbrock"):
+        def grad(x):
+            g = np.zeros(n)
+            t = x[even] - x[odd] ** 2
+            g[odd] = -400.0 * t * x[odd] - 2.0 * (1.0 - x[odd])
+            g[even] = 200.0 * t
+            return g
+
+        def batch(X):
+            t = X[:, even] - X[:, odd] ** 2
+            return np.sum(100.0 * t**2 + (1.0 - X[:, odd]) ** 2, axis=1)
+
+        return (lambda x: float(np.sum(100.0 * (x[even] - x[odd] ** 2) ** 2
+                                       + (1.0 - x[odd]) ** 2)), grad, batch)
+    if name.startswith("powell"):
+        def value(x):
+            v = x.reshape(-1, 4)
+            return float(np.sum((v[:, 0] + 10 * v[:, 1]) ** 2 + 5 * (v[:, 2] - v[:, 3]) ** 2
+                                + (v[:, 1] - 2 * v[:, 2]) ** 4 + 10 * (v[:, 0] - v[:, 3]) ** 4))
+
+        def batch(X):
+            V = X.reshape(X.shape[0], -1, 4)
+            return np.sum((V[:, :, 0] + 10 * V[:, :, 1]) ** 2
+                          + 5 * (V[:, :, 2] - V[:, :, 3]) ** 2
+                          + (V[:, :, 1] - 2 * V[:, :, 2]) ** 4
+                          + 10 * (V[:, :, 0] - V[:, :, 3]) ** 4, axis=1)
+
+        return value, None, batch
+    if name.startswith("trig"):
+        idx = np.arange(1, n + 1, dtype=float)
+
+        def value(x):
+            cx = np.cos(x)
+            r = n - cx.sum() + idx * (1.0 - cx) - np.sin(x)
+            return float(r @ r)
+
+        def batch(X):
+            cX = np.cos(X)
+            R = n - cX.sum(axis=1, keepdims=True) + idx * (1.0 - cX) - np.sin(X)
+            return np.sum(R * R, axis=1)
+
+        return value, None, batch
+    assert name == "sphere"
+    return None, None, lambda X: 0.5 * np.sum(X * X, axis=1)
+
+
+_REWRITTEN = ["sincos20", "sincos10", "rosenbrock2", "rosenbrock10", "powell4", "powell12",
+              "trig5", "trig10", "sphere"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(_REWRITTEN), rows=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+@example(name="sincos20", rows=1, seed=0)
+def test_rewritten_objective_forms_match_their_old_expressions_bitwise(name, rows, seed):
+    p, _ = get_problem(name)
+    value, grad, batch = _reference_forms(name)
+    X = np.random.default_rng(seed).uniform(p.box_lo, p.box_hi, (rows, p.n))
+    X[0] = p.x0   # the start point, where every run's first evaluation lands
+    for x in X:
+        if value is not None:
+            assert np.float64(p.value_at(x)).tobytes() == np.float64(value(x)).tobytes()
+        if grad is not None:
+            assert p.gradient_at(x).tobytes() == grad(x).tobytes()
+    if batch is not None:
+        assert p.value_batch(X).tobytes() == batch(X).tobytes()
 
 
 @pytest.mark.parametrize("module", ["gradest"] + [

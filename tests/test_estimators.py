@@ -30,6 +30,13 @@ def clean_oracle(problem):
     return NoisyOracle(problem)
 
 
+@pytest.mark.parametrize("n,T", [(1, 1), (2, 3), (7, 1), (20, 4)])
+def test_axis_directions_are_the_identity_stack(n, T):
+    for method in ("FFD", "CFD"):
+        Q = trial_directions(method, n, None, T, None)
+        assert Q.tobytes() == np.eye(n)[None].repeat(T, axis=0).tobytes()
+
+
 def test_ffd_cfd_exact_on_linear():
     p = make_linear(np.array([2.0, -1.0, 0.5]))
     x = np.array([0.3, 1.0, -2.0])

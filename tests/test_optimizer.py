@@ -33,6 +33,7 @@ from gradest.optimizer import (
     NotDescent,
     OptimizationTrace,
     StepFailure,
+    _norm,
     armijo_search,
     lbfgs_direction,
     run_dfo,
@@ -196,6 +197,40 @@ def test_lbfgs_direction_is_descent_for_positive_pairs():
             continue
         d = lbfgs_direction(history, g)
         assert np.dot(g, d) < 0
+
+
+# vector entries over the whole float64 range: subnormals, entries whose
+# squares overflow to inf, infinities and nans
+_ENTRIES = st.one_of(st.floats(width=64), st.floats(-1e-300, 1e-300),
+                     st.sampled_from([1e200, -1e300, 5e-324, math.inf, math.nan]))
+_VECTORS = st.lists(_ENTRIES, min_size=1, max_size=40).map(np.array)
+
+
+@settings(max_examples=500, deadline=None)
+@given(v=_VECTORS)
+def test_norm_is_numpys_norm_bit_for_bit(v):
+    # the optimizer's norms are math.sqrt(v.dot(v)), which must stay what
+    # np.linalg.norm(v) gives for a 1-D float64 array, overflow and nan included
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.linalg.norm(v)
+        got = _norm(v)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), size=st.integers(1, 40))
+def test_curvature_pair_scalars_match_numpy_bit_for_bit(data, size):
+    s, y = (np.array(data.draw(st.lists(_ENTRIES, min_size=size, max_size=size)))
+            for _ in range(2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair = CurvaturePair.of(s, y)
+        sy, yy, y_norm = np.dot(s, y), np.dot(y, y), np.linalg.norm(y)
+        curved = bool(sy > CURVATURE_GUARD * np.linalg.norm(s) * y_norm)
+    assert np.float64(pair.sy).tobytes() == sy.tobytes()
+    assert np.float64(pair.yy).tobytes() == yy.tobytes()
+    assert np.float64(pair.y_norm).tobytes() == y_norm.tobytes()
+    assert pair.curved == curved
 
 
 def reference_lbfgs_direction(history, g):
