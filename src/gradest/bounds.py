@@ -79,6 +79,9 @@ class BoundReport:
     lambda_used: float | None
 
     def to_dict(self) -> dict:
+        """The row as JSON values: the sigma fields read "empty" or "unknown"
+        where the interval says so, and a non-finite float (grad_norm_min at
+        theta = 0) is None, written as null."""
         def enc(v, tag):
             if self.interval == "empty":
                 return "empty"
@@ -86,7 +89,7 @@ class BoundReport:
                 return tag
             return v
 
-        return {
+        row = {
             "method": self.method,
             "n": self.n,
             "theta": self.theta,
@@ -99,9 +102,11 @@ class BoundReport:
             "grad_norm_min": self.grad_norm_min,
             "lambda_used": self.lambda_used,
         }
+        return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                for k, v in row.items()}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
 
 def _need(value, name: str, method: str, positive: bool = False) -> float:

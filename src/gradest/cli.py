@@ -10,7 +10,8 @@ trials go through the batched estimator core with their own direction and
 noise streams, so the same seed always writes the same bytes, whether
 bound-check runs its probabilistic cells on one CPU or several. A usage
 error, a bad input value or running out of memory prints one
-"gradest: error: ..." line and returns 2. Numpy's floating-point warnings
+"gradest: error: ..." line and returns 2. The JSON that estimate and
+bounds print is strict: every non-finite float in it is written as null. Numpy's floating-point warnings
 are silenced for the run: a probe that overflows shows up as a non-finite
 value in the output, not as a warning on stderr.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -71,6 +73,24 @@ def _sibling(out: str, suffix: str) -> str:
     return str(p.with_name(p.stem + suffix + p.suffix))
 
 
+def _print_json(data: dict, out: str | None, **dump_args) -> int:
+    """data as strict JSON on stdout or in the file out: a non-finite float,
+    alone or in a list, becomes null, and json.dumps raises ValueError (one
+    error line) on any other it meets rather than write NaN or Infinity."""
+    def finite(v):
+        if isinstance(v, list):
+            return [finite(u) for u in v]
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+
+    text = json.dumps({k: finite(v) for k, v in data.items()}, indent=2, allow_nan=False,
+                      **dump_args)
+    if out:
+        Path(out).write_text(text + "\n")
+    else:
+        print(text)
+    return 0
+
+
 def _spec_from_args(args, experiment: str) -> ExperimentSpec:
     """The --spec file's fields updated with the flags that were given."""
     flags = {k: v for k, v in vars(args).items() if k in _SPEC_FIELDS}
@@ -102,14 +122,8 @@ def _cmd_estimate(args) -> int:
     if est.cond_Q is not None:
         out["cond_Q"] = est.cond_Q
         out["qinv_norm"] = est.qinv_norm
-    theta = relative_error(est, problem.gradient_at(x))
-    out["theta"] = None if np.isnan(theta) else theta
-    text = json.dumps(out, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
-    return 0
+    out["theta"] = relative_error(est, problem.gradient_at(x))
+    return _print_json(out, args.out)
 
 
 def _cmd_bounds(args) -> int:
@@ -117,12 +131,7 @@ def _cmd_bounds(args) -> int:
     report = bnd.condition_table(args.method, args.n, args.theta, args.delta,
                                  args.L, args.M, args.eps_f, grad_norm,
                                  args.cond_qinv)
-    text = report.to_json()
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
-    return 0
+    return _print_json(report.to_dict(), args.out, sort_keys=True)
 
 
 def _cmd_sweep(args) -> int:

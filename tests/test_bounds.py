@@ -250,6 +250,17 @@ def test_theta_zero_has_infinite_threshold():
     assert rep.interval == "empty"
 
 
+def test_report_json_writes_null_for_an_infinite_threshold():
+    rep = condition_table("FFD", 4, 0.0, L=2.0, eps_f=1e-4, grad_norm=1e9)
+
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    d = json.loads(rep.to_json(), parse_constant=reject)
+    assert d["grad_norm_min"] is None and rep.to_dict()["grad_norm_min"] is None
+    assert d["rho"] == rep.rho
+
+
 @settings(max_examples=400, deadline=None)
 @given(method=st.sampled_from(DETERMINISTIC + SMOOTHING), n=st.integers(2, 1000),
        L=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),

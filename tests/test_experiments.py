@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradest import estimators, experiments
+from gradest import cli, estimators, experiments
 from gradest.cli import _sibling, main
 from gradest.core import get_problem, make_standard_problems
 from gradest.estimators import METHODS
@@ -960,6 +960,40 @@ def test_cli_bounds_unknown_grad_norm(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["sigma_hi"] == "unknown"
     assert out["grad_norm_min"] == pytest.approx(0.11313708498984762)
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_json_writes_null_for_every_non_finite_float(tmp_path, capsys):
+    # sigma = 1e200 overflows every probe: a nan estimate, norm and theta
+    assert main(["estimate", "--method", "CFD", "--problem", "rosenbrock2",
+                 "--sigma", "1e200"]) == 0
+    out = _strict_json(capsys.readouterr().out)
+    assert out["g"] == [None, None]
+    assert out["grad_est_norm"] is None and out["theta"] is None
+    assert out["point"] == [-1.2, 1.0]
+    # theta = 0: no gradient norm is large enough, grad_norm_min is infinite
+    path = tmp_path / "bounds.json"
+    assert main(["bounds", "--method", "ffd", "--n", "4", "--L", "2", "--eps-f", "1e-6",
+                 "--grad-norm", "1", "--theta", "0", "--out", str(path)]) == 0
+    out = _strict_json(path.read_text())
+    assert out["grad_norm_min"] is None and out["interval"] == "empty"
+    assert out["rho"] > 0.0
+
+
+def test_cli_reports_a_non_finite_float_that_escapes_the_null_rule(monkeypatch, capsys):
+    # a value the rule does not reach, here one nested in a dict, is one
+    # error line rather than invalid JSON
+    real = cli.relative_error
+    monkeypatch.setattr(cli, "relative_error", lambda g, grad: {"nested": real(g, grad) * math.inf})
+    assert main(["estimate", "--method", "FFD", "--problem", "quadratic"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("gradest: error: Out of range float values")
+    assert err.count("\n") == 1
 
 
 def test_cli_sweep_writes_byte_identical_csv(tmp_path, capsys):
