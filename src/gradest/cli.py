@@ -11,9 +11,10 @@ noise streams, so the same seed always writes the same bytes, whether
 bound-check runs its probabilistic cells on one CPU or several. A usage
 error, a bad input value or running out of memory prints one
 "gradest: error: ..." line and returns 2. The JSON that estimate and
-bounds print is strict: every non-finite float in it is written as null. Numpy's floating-point warnings
-are silenced for the run: a probe that overflows shows up as a non-finite
-value in the output, not as a warning on stderr.
+bounds print is strict: every non-finite float in it is written as null.
+Numpy's floating-point warnings are silenced for the run: a probe that
+overflows shows up as a non-finite value in the output, not as a warning
+on stderr.
 """
 from __future__ import annotations
 
