@@ -153,7 +153,7 @@ class NoisyOracle:
 
     def __call__(self, x: Array) -> float:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.objective.n,):
+        if x.ndim != 1 or len(x) != self.objective.n:
             raise ValueError(f"point has shape {x.shape}, expected ({self.objective.n},)")
         self.eval_count += 1
         phi = float(self.objective.value_at(x))
@@ -167,7 +167,8 @@ class NoisyOracle:
 
     def eval_batch(self, X: Array) -> Array:
         """f on each row of X; counts one evaluation per row."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = np.asarray(X, dtype=float)
+        X = X if X.ndim == 2 else np.atleast_2d(X)
         if X.shape[1] != self.objective.n:
             raise ValueError(f"points have shape {X.shape}, expected (*, {self.objective.n})")
         self.eval_count += X.shape[0]

@@ -73,7 +73,7 @@ class SingularDirections(RuntimeError):
     """Interpolation direction matrix is singular or numerically unusable."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GradientEstimate:
     g: Array
     evals_used: int
@@ -148,7 +148,7 @@ def estimate_trials(oracle: NoisyOracle, x: Array, config: EstimatorConfig,
     if fixed is not None and fixed.Q.shape != (k, n):
         raise ValueError(f"direction matrix must be {k}x{n}, got {fixed.Q.shape}")
     again = None
-    if redraw is not None and fixed is None:
+    if redraw is not None and fixed is None and method == "LI":
         again = lambda count: trial_directions("LI", n, n, count, redraw)
     per_chunk = max(1, _CHUNK_COORDS // ((2 * k if method in CENTRAL else k + 1) * n))
     parts = []

@@ -98,7 +98,7 @@ class LineSearchConfig:
             raise ValueError("the fixed step takes direction sd (steepest_descent), not lbfgs")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     """One completed iteration of run_dfo.
 
