@@ -1,6 +1,6 @@
 """SHA-256 digests of a fixed set of gradest CLI runs, for byte-identity checks.
 
-Runs thirty-seven gradest invocations at seed 7, each in its own directory
+Runs forty-one gradest invocations at seed 7, each in its own directory
 under a temporary root, with the gradest package from --src DIR (default:
 the src/ directory next to this script). Prints a header line naming the
 numpy version, the machine and numpy's SIMD baseline, since floating-point
@@ -141,6 +141,12 @@ INVOCATIONS = [
     # theta = 0: no gradient norm is large enough, grad_norm_min is infinite
     ("bounds_theta_zero", ["bounds", "--method", "ffd", "--n", "4", "--L", "2",
                            "--eps-f", "1e-6", "--grad-norm", "1", "--theta", "0"]),
+    # bad input exits 2 with one line on stderr naming the input
+    ("bounds_missing_constant", ["bounds", "--method", "CFD", "--n", "4", "--eps-f", "1e-6"]),
+    ("bounds_bad_n", ["bounds", "--method", "GSG", "--n", "0", "--delta", "0.1", "--L", "1"]),
+    ("bounds_infinite_m", ["bounds", "--method", "FFD", "--n", "4", "--L", "2", "--M", "inf"]),
+    ("bounds_negative_eps", ["bounds", "--method", "FFD", "--n", "4", "--L", "2",
+                             "--eps-f=-1e-6"]),
 ]
 
 
