@@ -42,6 +42,13 @@ _BOUNDS = {
     "cBSG": _Bound("M", 2, lambda n: 1.0, 1.0, float, lambda n: 1.0 / (2.0 * math.sqrt(n))),
 }
 
+# The methods each public bound covers, and its message for any other method
+_ANY = (tuple(_BOUNDS), "unknown method {!r}")
+_DET = (DETERMINISTIC, f"method must be one of {DETERMINISTIC}")
+_SMOOTH = (SMOOTHING, f"method must be one of {SMOOTHING}")
+_CHEB = (("GSG", "cGSG"), "chebyshev_sample_size covers GSG and cGSG")
+_BERN = (("BSG", "cBSG"), "bernstein_sample_size covers BSG and cBSG")
+
 __all__ = [
     "DETERMINISTIC",
     "SMOOTHING",
@@ -109,26 +116,37 @@ class BoundReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
 
-def _need(value, name: str, method: str, positive: bool = False) -> float:
-    if value is None:
-        raise ValueError(f"{method} requires {name}")
-    v = float(value)
-    if v < 0:
-        raise ValueError(f"{name} must be nonnegative")
-    if positive and v == 0:
-        raise ValueError(f"{method} requires {name} > 0")
-    return v
-
-
-def _constants(method: str, n: int, L, M, cond_qinv, positive: bool = False):
+def _constants(method: str, family, n: int, L, M, cond_qinv=None, *, eps_f=0.0,
+               sigma=None, grad_norm=None, theta=None, positive: bool = False):
     """method's table row, its checked constant K and its factor c; the one
-    check that n is positive, for every bound that takes n."""
+    check of each input the public bounds share, skipping optional ones left
+    None. family is the caller's (methods, message); positive asks for K > 0."""
+    methods, wrong = family
+    if method not in methods:
+        raise ValueError(wrong.format(method))
     if n < 1:
         raise ValueError(f"n must be positive, got {n!r}")
+    if sigma is not None and not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+    if not 0 <= eps_f < math.inf:
+        raise ValueError(f"eps_f must be nonnegative and finite, got {eps_f!r}")
+    for name, v in (("L", L), ("M", M), ("cond_qinv", cond_qinv)):
+        if v is not None and not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
+    if grad_norm is not None and not 0 <= grad_norm < math.inf:
+        raise ValueError(f"grad_norm must be nonnegative and finite, got {grad_norm!r}")
+    if theta is not None and not 0.0 <= theta < 1.0:
+        raise ValueError("theta must lie in [0, 1)")
     row = _BOUNDS[method]
-    K = _need(L if row.K == "L" else M, row.K, method, positive)
-    c = _need(cond_qinv, "cond_qinv", method, True) if method == "LI" else 1.0
-    return row, K, c
+    K, c = L if row.K == "L" else M, cond_qinv if method == "LI" else 1.0
+    for name, v, pos in ((row.K, K, positive), ("cond_qinv", c, True)):
+        if v is None:
+            raise ValueError(f"{method} requires {name}")
+        if v < 0:
+            raise ValueError(f"{name} must be nonnegative")
+        if pos and v == 0:
+            raise ValueError(f"{method} requires {name} > 0")
+    return row, float(K), float(c)
 
 
 def _curvature(row, n: int, K: float, sigma: float) -> float:
@@ -139,16 +157,27 @@ def _root(x: float, k: int) -> float:
     return math.sqrt(x) if k == 2 else x ** (1.0 / k)
 
 
-def _bias(method: str, n: int, L, M, sigma: float, eps_f: float, cond_qinv=None) -> float:
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    row, K, c = _constants(method, n, L, M, cond_qinv)
+def _tail(delta, r=None) -> None:
+    """The one check of the tail-bound inputs: delta in (0, 1), a finite r > 0."""
+    if delta is None or not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    if r is not None and not 0 < r < math.inf:
+        raise ValueError(f"r must be positive and finite, got {r!r}")
+
+
+def _bias(method, family, n, L, M, sigma, eps_f, cond_qinv=None) -> float:
+    row, K, c = _constants(method, family, n, L, M, cond_qinv, eps_f=eps_f, sigma=sigma)
     return c * (_curvature(row, n, K, sigma) + row.b(n) * eps_f / sigma)
 
 
 def _sigma_lo(row, n: int, K: float, eps_f: float) -> float:
     """The sigma at which the bound's two terms are equal."""
     return _root(row.a_div * eps_f / (row.a(n) / row.b(n) * K), row.p + 1)
+
+
+def _rho(row, n: int, K: float, c: float, lo: float) -> float:
+    """The error floor: twice the bound's curvature term at sigma_lo, over lambda."""
+    return 2.0 * c * _curvature(row, n, K, lo) / row.lam(n)
 
 
 def deterministic_error_bound(method: str, n: int, L: float | None,
@@ -162,9 +191,7 @@ def deterministic_error_bound(method: str, n: int, L: float | None,
 
     The bounds hold for every noise realization with |eps| <= eps_f.
     """
-    if method not in DETERMINISTIC:
-        raise ValueError(f"method must be one of {DETERMINISTIC}")
-    return _bias(method, n, L, M, sigma, eps_f, cond_qinv)
+    return _bias(method, _DET, n, L, M, sigma, eps_f, cond_qinv)
 
 
 def smoothing_bias_bound(method: str, n: int, L: float | None, M: float | None,
@@ -176,23 +203,22 @@ def smoothing_bias_bound(method: str, n: int, L: float | None, M: float | None,
     BSG: L sigma + n eps_f / sigma
     cBSG: M sigma^2 + n eps_f / sigma
     """
-    if method not in SMOOTHING:
-        raise ValueError(f"method must be one of {SMOOTHING}")
-    return _bias(method, n, L, M, sigma, eps_f)
+    return _bias(method, _SMOOTH, n, L, M, sigma, eps_f)
 
 
 def variance_kappa(method: str, n: int, N: int, L: float | None, M: float | None,
                    sigma: float, eps_f: float, grad_norm: float) -> float:
     """Scalar kappa such that Var(g(x)) <= kappa(x) I, the per-method
     worst-case second-moment cap for the smoothing estimators."""
-    if method not in SMOOTHING:
-        raise ValueError(f"method must be one of {SMOOTHING}")
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    return _variance(method, _SMOOTH, n, N, L, M, sigma, eps_f, grad_norm)
+
+
+def _variance(method, family, n, N, L, M, sigma, eps_f, grad_norm) -> float:
+    K = _constants(method, family, n, L, M, eps_f=eps_f, sigma=sigma,
+                   grad_norm=grad_norm)[1]   # L for GSG/BSG, M for cGSG/cBSG
     if N < 1:
         raise ValueError("N must be at least 1")
     g2 = grad_norm**2
-    K = _constants(method, n, L, M, None)[1]   # L for GSG/BSG, M for cGSG/cBSG
     if method == "GSG":
         core = (3.0 * g2 + (n + 2) * (n + 4) * K**2 * sigma**2 / 4.0
                 + 4.0 * eps_f**2 / sigma**2 + 2.0 * (n + 2) * K * eps_f)
@@ -217,13 +243,8 @@ def chebyshev_sample_size(method: str, n: int, delta: float, r: float,
     The tail bound is P <= kappa n / r^2 with kappa = (Gaussian variance
     numerator)/N, so N_min = ceil(n * numerator / (delta r^2)).
     """
-    if method not in ("GSG", "cGSG"):
-        raise ValueError("chebyshev_sample_size covers GSG and cGSG")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if not r > 0:
-        raise ValueError("r must be positive")
-    numerator = variance_kappa(method, n, 1, L, M, sigma, eps_f, grad_norm)
+    _tail(delta, r)
+    numerator = _variance(method, _CHEB, n, 1, L, M, sigma, eps_f, grad_norm)
     return math.ceil(n * numerator / (delta * r**2))
 
 
@@ -237,15 +258,9 @@ def bernstein_sample_size(method: str, n: int, delta: float, r: float,
     cBSG: [2n^2/r^2 (||grad||^2/n + M^2 s^4/36 + e^2/s^2 + M s e/3)
            + 2n/(3r) (2||grad|| + M s^2/3 + 2 e/s)] log((n+1)/delta)
     """
-    if method not in ("BSG", "cBSG"):
-        raise ValueError("bernstein_sample_size covers BSG and cBSG")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if not r > 0:
-        raise ValueError("r must be positive")
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    g, K = grad_norm, _constants(method, n, L, M, None)[1]   # L for BSG, M for cBSG
+    _tail(delta, r)
+    g, K = grad_norm, _constants(method, _BERN, n, L, M, eps_f=eps_f, sigma=sigma,
+                                 grad_norm=grad_norm)[1]   # L for BSG, M for cBSG
     if method == "BSG":
         var_term = g**2 / n + K**2 * sigma**2 / 4.0 + 4.0 * eps_f**2 / sigma**2 + 2.0 * K * eps_f
         range_term = 2.0 * g + K * sigma + 4.0 * eps_f / sigma
@@ -257,21 +272,12 @@ def bernstein_sample_size(method: str, n: int, delta: float, r: float,
 
 
 def error_floor(method: str, n: int, L: float | None, M: float | None,
-                eps_f: float, theta: float = 1.0,
-                cond_qinv: float | None = None) -> float:
+                eps_f: float, cond_qinv: float | None = None) -> float:
     """Smallest guaranteed error rho achievable given the noise level: twice
-    the bound's curvature term at sigma_lo, over the method's lambda.
-
-    With theta < 1 supplied, this is the gradient-norm threshold expression
-    rho / theta used by the norm-condition tables.
-    """
-    if method not in _BOUNDS:
-        raise ValueError(f"unknown method {method!r}")
-    row, K, c = _constants(method, n, L, M, cond_qinv, positive=True)
-    if theta <= 0:
-        return math.inf
-    lo = _sigma_lo(row, n, K, eps_f)
-    return 2.0 * c * _curvature(row, n, K, lo) / row.lam(n) / theta
+    the bound's curvature term at sigma_lo, over the method's lambda. The
+    condition table's gradient-norm threshold is rho / theta."""
+    row, K, c = _constants(method, _ANY, n, L, M, cond_qinv, eps_f=eps_f, positive=True)
+    return _rho(row, n, K, c, _sigma_lo(row, n, K, eps_f))
 
 
 def _smoothing_n_min(method: str, n: int, theta: float, delta: float) -> int:
@@ -319,31 +325,18 @@ def condition_table(method: str, n: int, theta: float, delta: float | None = Non
     unknown: sigma_hi and the interval verdict are then reported as unknown,
     everything else is still computed.
     """
-    if method not in _BOUNDS:
-        raise ValueError(f"unknown method {method!r}")
-    if not 0.0 <= theta < 1.0:
-        raise ValueError("theta must lie in [0, 1)")
-    if grad_norm is not None and not 0 <= grad_norm < math.inf:
-        raise ValueError(f"grad_norm must be nonnegative and finite, got {grad_norm!r}")
-    if not 0 <= eps_f < math.inf:
-        raise ValueError(f"eps_f must be nonnegative and finite, got {eps_f!r}")
-    for name, v in (("L", L), ("M", M), ("cond_qinv", cond_qinv)):
-        if v is not None and not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
-    row, K, c = _constants(method, n, L, M, cond_qinv, positive=True)
-
+    row, K, c = _constants(method, _ANY, n, L, M, cond_qinv, eps_f=eps_f,
+                           grad_norm=grad_norm, theta=theta, positive=True)
     if method in SMOOTHING:
-        if delta is None or not 0.0 < delta < 1.0:
-            raise ValueError(f"{method} requires delta in (0, 1)")
+        _tail(delta)
         n_min = _smoothing_n_min(method, n, theta, delta)
     else:
-        n_min = n
-        delta = None
+        n_min, delta = n, None
 
-    rho = error_floor(method, n, L, M, eps_f, theta=1.0, cond_qinv=cond_qinv)
-    grad_norm_min = math.inf if theta == 0 else rho / theta
     lam = row.lam(n)
     lo = _sigma_lo(row, n, K, eps_f)
+    rho = _rho(row, n, K, c, lo)
+    grad_norm_min = math.inf if theta == 0 else rho / theta
     interval, hi = "unknown", None
     if grad_norm is not None:
         # sigma_hi: the curvature term uses up lam's share of theta ||grad phi||
@@ -369,11 +362,8 @@ def ffd_exact_sigma_interval(n: int, L: float, eps_f: float, theta: float,
     (no sigma works). With eps_f = 0 the interval is (0, 2 theta ||grad|| /
     (sqrt(n) L)), open at 0.
     """
-    _constants("FFD", n, L, None, None)   # checks n
-    if not L > 0:
-        raise ValueError("L must be positive")
-    if not 0.0 <= theta < 1.0:
-        raise ValueError("theta must lie in [0, 1)")
+    _constants("FFD", _ANY, n, L, None, eps_f=eps_f, grad_norm=grad_norm, theta=theta,
+               positive=True)
     disc = theta**2 * grad_norm**2 - 4.0 * n * L * eps_f
     if disc < 0:
         return None

@@ -164,7 +164,7 @@ def test_error_floor_matches_gmin_times_theta():
                     grad_norm=1e6, cond_qinv=kw.get("cond_qinv"))
         rep = condition_table(method, 8, 0.4, 0.1, **full)
         floor = error_floor(method, 8, kw.get("L"), kw.get("M"), 1e-5,
-                            theta=0.4, cond_qinv=kw.get("cond_qinv"))
+                            cond_qinv=kw.get("cond_qinv")) / 0.4
         assert abs(rep.grad_norm_min - floor) < 1e-12 * floor
 
 
