@@ -216,6 +216,8 @@ class ExperimentSpec:
             raise ValueError(f"sigmas must be positive and finite, got {self.sigmas}")
         if not all(0 <= e < math.inf for e in self.eps_fs):
             raise ValueError(f"eps_fs must be finite and nonnegative, got {self.eps_fs}")
+        for level in self.eps_fs:   # the noise kind, by the noise model's own rule
+            NoiseModel(self.noise_kind, level)
         if self.experiment == "optimizer_benchmark" and len(self.eps_fs) != 1:
             raise ValueError(f"optimizer_benchmark takes exactly one eps_fs level, "
                              f"got {self.eps_fs}")

@@ -155,6 +155,24 @@ def test_spec_rejects_non_finite_grids():
             ExperimentSpec(experiment="relative_error_sweep", eps_fs=eps_fs)
 
 
+def test_spec_checks_noise_kind_against_every_level(tmp_path, capsys, monkeypatch):
+    for message, kind, eps_fs in (("unknown noise kind 'bogus'", "bogus", (0.0,)),
+                                  ("unknown noise kind 'bogus'", "bogus", (0.0, 1e-3)),
+                                  ("kind='none' requires level 0", "none", (0.0, 1e-3))):
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(experiment="relative_error_sweep", noise_kind=kind, eps_fs=eps_fs)
+    assert ExperimentSpec(experiment="relative_error_sweep", noise_kind="none").eps_fs == (0.0,)
+    # a bad kind fails before any cell runs, at a noise-free level too
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps({"noise_kind": "bogus"}))
+    for eps_fs in ("0", "0,1e-3"):
+        assert main(["sweep", "--spec", "spec.json", "--problems", "quadratic",
+                     "--trials", "2", "--points", "1", "--eps-fs", eps_fs,
+                     "--out", "sweep.csv"]) == 2
+        assert "unknown noise kind 'bogus'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
 def test_spec_default_problem_sets():
     def names(experiment):
         return [p.name for p in ExperimentSpec(experiment=experiment).problem_list()]
