@@ -237,6 +237,97 @@ def test_condition_table_rejects_n_below_one():
                 call()
 
 
+def test_inputs_outside_the_guarantees_are_rejected():
+    """Each call here once returned a number the paper's bounds do not give."""
+    inf, nan = math.inf, math.nan
+    eps = "^eps_f must be nonnegative and finite"
+    for call in (lambda: error_floor("CFD", 4, None, 1.0, -1e-6),   # a complex rho
+                 lambda: error_floor("FFD", 4, 2.0, None, -1e-6),   # a math domain error
+                 lambda: deterministic_error_bound("FFD", 4, 2.0, None, 0.1, eps_f=-1.0),
+                 lambda: smoothing_bias_bound("GSG", 4, 2.0, None, 0.1, eps_f=-1.0),
+                 lambda: ffd_exact_sigma_interval(4, 2.0, -1.0, 0.5, 1.0)):   # sigma_lo < 0
+        with pytest.raises(ValueError, match=eps):
+            call()
+    with pytest.raises(ValueError, match="^sigma must be positive and finite, got inf$"):
+        deterministic_error_bound("FFD", 4, 2.0, None, inf)
+    args = dict(L=1.0, M=1.0, sigma=0.1, eps_f=1e-6, grad_norm=1.0)
+    for size, method in ((chebyshev_sample_size, "GSG"), (bernstein_sample_size, "BSG")):
+        with pytest.raises(ValueError, match="^r must be positive and finite, got inf$"):
+            size(method, 4, 0.1, inf, **args)   # N = 0
+    for g in (nan, -1.0):
+        with pytest.raises(ValueError, match="^grad_norm must be nonnegative and finite"):
+            variance_kappa("GSG", 4, 4, 1.0, None, 0.1, 1e-6, g)
+        with pytest.raises(ValueError, match="^grad_norm must be nonnegative and finite"):
+            chebyshev_sample_size("GSG", 4, 0.1, 1.0, 1.0, None, 0.1, 1e-6, g)
+
+
+# one bad value per input, and the one message every public bound gives for it
+_BAD_INPUT = {
+    "n": (0, r"n must be positive, got 0"),
+    "N": (0, r"N must be at least 1"),
+    "L": (math.inf, r"L must be finite, got inf"),
+    "M": (math.nan, r"M must be finite, got nan"),
+    "cond_qinv": (math.inf, r"cond_qinv must be finite, got inf"),
+    "sigma": (0.0, r"sigma must be positive and finite, got 0\.0"),
+    "eps_f": (-1e-6, r"eps_f must be nonnegative and finite, got -1e-06"),
+    "grad_norm": (-1.0, r"grad_norm must be nonnegative and finite, got -1\.0"),
+    "theta": (1.0, r"theta must lie in \[0, 1\)"),
+    "delta": (1.0, r"delta must lie in \(0, 1\), got 1\.0"),
+    "r": (math.inf, r"r must be positive and finite, got inf"),
+}
+_CONST = dict(L=2.0, M=1.0, eps_f=1e-6)
+# each public bound, a valid call by keyword, and its message for a wrong method
+_CALLS = [
+    (deterministic_error_bound, dict(method="LI", n=4, sigma=0.1, cond_qinv=2.0, **_CONST),
+     r"method must be one of \('FFD', 'CFD', 'LI'\)"),
+    (smoothing_bias_bound, dict(method="cGSG", n=4, sigma=0.1, **_CONST),
+     r"method must be one of \('GSG', 'cGSG', 'BSG', 'cBSG'\)"),
+    (variance_kappa, dict(method="BSG", n=4, N=4, sigma=0.1, grad_norm=1.0, **_CONST),
+     r"method must be one of \('GSG', 'cGSG', 'BSG', 'cBSG'\)"),
+    (chebyshev_sample_size, dict(method="GSG", n=4, delta=0.1, r=1.0, sigma=0.1,
+                                 grad_norm=1.0, **_CONST),
+     r"chebyshev_sample_size covers GSG and cGSG"),
+    (bernstein_sample_size, dict(method="cBSG", n=4, delta=0.1, r=1.0, sigma=0.1,
+                                 grad_norm=1.0, **_CONST),
+     r"bernstein_sample_size covers BSG and cBSG"),
+    (condition_table, dict(method="GSG", n=4, theta=0.5, delta=0.1, grad_norm=1.0,
+                           cond_qinv=2.0, **_CONST),
+     r"unknown method 'X'"),
+    (error_floor, dict(method="LI", n=4, cond_qinv=2.0, **_CONST), r"unknown method 'X'"),
+    (ffd_exact_sigma_interval, dict(n=4, L=2.0, eps_f=1e-6, theta=0.5, grad_norm=1.0),
+     None),
+]
+
+
+@pytest.mark.parametrize("bound, valid, wrong_method", _CALLS,
+                         ids=[c[0].__name__ for c in _CALLS])
+def test_each_bounds_input_has_one_message(bound, valid, wrong_method):
+    bound(**valid)
+    for name in valid.keys() - {"method"}:
+        value, message = _BAD_INPUT[name]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bound(**valid | {name: value})
+    if wrong_method is not None:
+        with pytest.raises(ValueError, match=f"^{wrong_method}$"):
+            bound(**valid | {"method": "X"})
+
+
+@settings(max_examples=300, deadline=None)
+@given(method=st.sampled_from(DETERMINISTIC + SMOOTHING), n=st.integers(2, 1000),
+       L=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+       M=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+       eps_f=st.one_of(st.just(0.0), st.floats(-12.0, -1.0).map(lambda e: 10.0 ** e)),
+       theta=st.floats(0.01, 0.99), cond_qinv=st.floats(0.0, 3.0).map(lambda e: 10.0 ** e))
+def test_condition_table_reads_rho_from_error_floor(method, n, L, M, eps_f, theta,
+                                                     cond_qinv):
+    """The table's rho is error_floor's, and its threshold is rho / theta, bit for bit."""
+    kw = dict(L=L, M=M, eps_f=eps_f, cond_qinv=cond_qinv)
+    rep = condition_table(method, n, theta, 0.1, **kw)
+    rho = error_floor(method, n, **kw)
+    assert rep.rho.hex() == rho.hex()
+    assert rep.grad_norm_min.hex() == (rho / theta).hex()
+
+
 def test_smoothing_requires_delta_and_small_n_guard():
     with pytest.raises(ValueError):
         condition_table("GSG", 8, 0.5, None, L=1.0, grad_norm=1.0)
