@@ -272,7 +272,7 @@ def bernstein_sample_size(method: str, n: int, delta: float, r: float,
 
 
 def error_floor(method: str, n: int, L: float | None, M: float | None,
-                eps_f: float, cond_qinv: float | None = None) -> float:
+                eps_f: float, *, cond_qinv: float | None = None) -> float:
     """Smallest guaranteed error rho achievable given the noise level: twice
     the bound's curvature term at sigma_lo, over the method's lambda. The
     condition table's gradient-norm threshold is rho / theta."""
