@@ -13,11 +13,8 @@ from .sampling import (DirectionSet, RngStream, monte_carlo_moment,
                        orthonormal_directions)
 from .estimators import (METHODS, EstimatorConfig, GradientEstimate,
                          SingularDirections, estimate, relative_error)
-from .bounds import (BoundReport, bernstein_sample_size,
-                     chebyshev_sample_size, condition_table,
-                     deterministic_error_bound, error_floor,
-                     ffd_exact_sigma_interval, smoothing_bias_bound,
-                     variance_kappa)
+from .bounds import (BoundReport, condition_table, deterministic_error_bound,
+                     error_floor, smoothing_bias_bound, variance_kappa)
 from .optimizer import (CurvaturePair, IterationRecord, LineSearchConfig,
                         NotDescent, OptimizationTrace, StepFailure,
                         armijo_search, lbfgs_direction, run_dfo)
@@ -41,10 +38,8 @@ __all__ = [
     "METHODS", "GradientEstimate", "EstimatorConfig", "SingularDirections",
     "estimate", "relative_error",
     # bounds
-    "BoundReport", "deterministic_error_bound",
-    "smoothing_bias_bound", "variance_kappa", "chebyshev_sample_size",
-    "bernstein_sample_size", "condition_table", "ffd_exact_sigma_interval",
-    "error_floor",
+    "BoundReport", "deterministic_error_bound", "smoothing_bias_bound",
+    "variance_kappa", "condition_table", "error_floor",
     # optimizer
     "LineSearchConfig", "IterationRecord", "OptimizationTrace", "NotDescent",
     "StepFailure", "CurvaturePair", "armijo_search", "lbfgs_direction", "run_dfo",

@@ -5,11 +5,9 @@ Everything a caller needs to pick sigma and N before spending evaluations:
   deterministic_error_bound   worst-case ||g - grad phi|| for FFD/CFD/LI
   smoothing_bias_bound        ||grad F - grad phi|| for the smoothing methods
   variance_kappa              scalar kappa with Var(g) <= kappa I
-  chebyshev_sample_size       N so that ||g - grad F|| <= r w.p. 1 - delta
-  bernstein_sample_size       sphere analogue with log(1/delta) dependence
   condition_table             sigma interval, N, and gradient-norm threshold
                               guaranteeing ||g - grad phi|| <= theta ||grad phi||
-  ffd_exact_sigma_interval    exact quadratic-root sigma interval for FFD
+  error_floor                 the smallest error rho the noise level allows
 
 Conventions: all norms Euclidean; N_min outputs are ceilings of the real
 expressions; an interval is empty when the gradient norm sits below the
@@ -17,7 +15,6 @@ method's threshold, at which point no sigma can rescue the estimate.
 """
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -46,8 +43,6 @@ _BOUNDS = {
 _ANY = (tuple(_BOUNDS), "unknown method {!r}")
 _DET = (DETERMINISTIC, f"method must be one of {DETERMINISTIC}")
 _SMOOTH = (SMOOTHING, f"method must be one of {SMOOTHING}")
-_CHEB = (("GSG", "cGSG"), "chebyshev_sample_size covers GSG and cGSG")
-_BERN = (("BSG", "cBSG"), "bernstein_sample_size covers BSG and cBSG")
 
 __all__ = [
     "DETERMINISTIC",
@@ -56,10 +51,7 @@ __all__ = [
     "deterministic_error_bound",
     "smoothing_bias_bound",
     "variance_kappa",
-    "chebyshev_sample_size",
-    "bernstein_sample_size",
     "condition_table",
-    "ffd_exact_sigma_interval",
     "error_floor",
 ]
 
@@ -112,9 +104,6 @@ class BoundReport:
         return {k: None if isinstance(v, float) and not math.isfinite(v) else v
                 for k, v in row.items()}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
-
 
 def _constants(method: str, family, n: int, L, M, cond_qinv=None, *, eps_f=0.0,
                sigma=None, grad_norm=None, theta=None, positive: bool = False):
@@ -155,14 +144,6 @@ def _curvature(row, n: int, K: float, sigma: float) -> float:
 
 def _root(x: float, k: int) -> float:
     return math.sqrt(x) if k == 2 else x ** (1.0 / k)
-
-
-def _tail(delta, r=None) -> None:
-    """The one check of the tail-bound inputs: delta in (0, 1), a finite r > 0."""
-    if delta is None or not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    if r is not None and not 0 < r < math.inf:
-        raise ValueError(f"r must be positive and finite, got {r!r}")
 
 
 def _bias(method, family, n, L, M, sigma, eps_f, cond_qinv=None) -> float:
@@ -210,11 +191,7 @@ def variance_kappa(method: str, n: int, N: int, L: float | None, M: float | None
                    sigma: float, eps_f: float, grad_norm: float) -> float:
     """Scalar kappa such that Var(g(x)) <= kappa(x) I, the per-method
     worst-case second-moment cap for the smoothing estimators."""
-    return _variance(method, _SMOOTH, n, N, L, M, sigma, eps_f, grad_norm)
-
-
-def _variance(method, family, n, N, L, M, sigma, eps_f, grad_norm) -> float:
-    K = _constants(method, family, n, L, M, eps_f=eps_f, sigma=sigma,
+    K = _constants(method, _SMOOTH, n, L, M, eps_f=eps_f, sigma=sigma,
                    grad_norm=grad_norm)[1]   # L for GSG/BSG, M for cGSG/cBSG
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -233,42 +210,6 @@ def _variance(method, family, n, N, L, M, sigma, eps_f, grad_norm) -> float:
         core = (3.0 * n / (n + 2) * g2 + n * K**2 * sigma**4 / 36.0
                 + n * eps_f**2 / sigma**2 + n * K * sigma * eps_f / 3.0)
     return core / N
-
-
-def chebyshev_sample_size(method: str, n: int, delta: float, r: float,
-                          L: float | None, M: float | None, sigma: float,
-                          eps_f: float, grad_norm: float) -> int:
-    """Smallest N with P(||g - grad F|| > r) <= delta by the Chebyshev route.
-
-    The tail bound is P <= kappa n / r^2 with kappa = (Gaussian variance
-    numerator)/N, so N_min = ceil(n * numerator / (delta r^2)).
-    """
-    _tail(delta, r)
-    numerator = _variance(method, _CHEB, n, 1, L, M, sigma, eps_f, grad_norm)
-    return math.ceil(n * numerator / (delta * r**2))
-
-
-def bernstein_sample_size(method: str, n: int, delta: float, r: float,
-                          L: float | None, M: float | None, sigma: float,
-                          eps_f: float, grad_norm: float) -> int:
-    """Smallest N with P(||g - grad F|| > r) <= delta by matrix Bernstein.
-
-    BSG:  [2n^2/r^2 (||grad||^2/n + L^2 s^2/4 + 4 e^2/s^2 + 2 L e)
-           + 2n/(3r) (2||grad|| + L s + 4 e/s)] log((n+1)/delta)
-    cBSG: [2n^2/r^2 (||grad||^2/n + M^2 s^4/36 + e^2/s^2 + M s e/3)
-           + 2n/(3r) (2||grad|| + M s^2/3 + 2 e/s)] log((n+1)/delta)
-    """
-    _tail(delta, r)
-    g, K = grad_norm, _constants(method, _BERN, n, L, M, eps_f=eps_f, sigma=sigma,
-                                 grad_norm=grad_norm)[1]   # L for BSG, M for cBSG
-    if method == "BSG":
-        var_term = g**2 / n + K**2 * sigma**2 / 4.0 + 4.0 * eps_f**2 / sigma**2 + 2.0 * K * eps_f
-        range_term = 2.0 * g + K * sigma + 4.0 * eps_f / sigma
-    else:
-        var_term = g**2 / n + K**2 * sigma**4 / 36.0 + eps_f**2 / sigma**2 + K * sigma * eps_f / 3.0
-        range_term = 2.0 * g + K * sigma**2 / 3.0 + 2.0 * eps_f / sigma
-    total = (2.0 * n**2 / r**2 * var_term + 2.0 * n / (3.0 * r) * range_term)
-    return math.ceil(total * math.log((n + 1) / delta))
 
 
 def error_floor(method: str, n: int, L: float | None, M: float | None,
@@ -328,7 +269,8 @@ def condition_table(method: str, n: int, theta: float, delta: float | None = Non
     row, K, c = _constants(method, _ANY, n, L, M, cond_qinv, eps_f=eps_f,
                            grad_norm=grad_norm, theta=theta, positive=True)
     if method in SMOOTHING:
-        _tail(delta)
+        if delta is None or not 0.0 < delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
         n_min = _smoothing_n_min(method, n, theta, delta)
     else:
         n_min, delta = n, None
@@ -351,23 +293,3 @@ def condition_table(method: str, n: int, theta: float, delta: float | None = Non
                        grad_norm_min=grad_norm_min,
                        lambda_used=lam if method in SMOOTHING else None)
 
-
-def ffd_exact_sigma_interval(n: int, L: float, eps_f: float, theta: float,
-                             grad_norm: float):
-    """Exact sigma interval on which the FFD error bound meets the norm
-    condition: the roots of sqrt(n) L sigma^2 / 2 - theta ||grad|| sigma
-    + 2 sqrt(n) eps_f <= 0.
-
-    Returns (sigma_lo, sigma_hi), or None when the discriminant is negative
-    (no sigma works). With eps_f = 0 the interval is (0, 2 theta ||grad|| /
-    (sqrt(n) L)), open at 0.
-    """
-    _constants("FFD", _ANY, n, L, None, eps_f=eps_f, grad_norm=grad_norm, theta=theta,
-               positive=True)
-    disc = theta**2 * grad_norm**2 - 4.0 * n * L * eps_f
-    if disc < 0:
-        return None
-    root = math.sqrt(disc)
-    rn = math.sqrt(n)
-    return ((theta * grad_norm - root) / (rn * L),
-            (theta * grad_norm + root) / (rn * L))
