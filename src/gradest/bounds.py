@@ -107,9 +107,10 @@ class BoundReport:
 
 def _constants(method: str, family, n: int, L, M, cond_qinv=None, *, eps_f=0.0,
                sigma=None, grad_norm=None, theta=None, positive: bool = False):
-    """method's table row, its checked constant K and its factor c; the one
-    check of each input the public bounds share, skipping optional ones left
-    None. family is the caller's (methods, message); positive asks for K > 0."""
+    """method's table row, its checked constant K, its factor c and the given
+    inputs by name (for _in_range); the one check of each input the public
+    bounds share, skipping optional ones left None. family is the caller's
+    (methods, message); positive asks for K > 0."""
     methods, wrong = family
     if method not in methods:
         raise ValueError(wrong.format(method))
@@ -135,11 +136,30 @@ def _constants(method: str, family, n: int, L, M, cond_qinv=None, *, eps_f=0.0,
             raise ValueError(f"{name} must be nonnegative")
         if pos and v == 0:
             raise ValueError(f"{method} requires {name} > 0")
-    return row, float(K), float(c)
+    given = dict(method=method, n=n, L=L, M=M, cond_qinv=cond_qinv, sigma=sigma,
+                 eps_f=eps_f, grad_norm=grad_norm, theta=theta)
+    return row, float(K), float(c), {k: v for k, v in given.items() if v is not None}
+
+
+def _in_range(x: float, what: str, given: dict, divisor: bool = False) -> float:
+    """x when a float holds it (a result finite, a divisor nonzero); else the
+    one error for every bound that overflows or underflows, naming the inputs."""
+    if 0.0 < x if divisor else 0.0 <= x < math.inf:
+        return x
+    inputs = ", ".join(f"{k}={v}" for k, v in given.items())
+    raise ValueError(f"{what} is out of float range at {inputs}")
+
+
+def _pow(x: float, p: int) -> float:
+    """x**p, or inf where float ** raises OverflowError (float * gives inf)."""
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
 
 
 def _curvature(row, n: int, K: float, sigma: float) -> float:
-    return row.a(n) * K * sigma**row.p / row.a_div
+    return row.a(n) * K * _pow(sigma, row.p) / row.a_div
 
 
 def _root(x: float, k: int) -> float:
@@ -147,18 +167,21 @@ def _root(x: float, k: int) -> float:
 
 
 def _bias(method, family, n, L, M, sigma, eps_f, cond_qinv=None) -> float:
-    row, K, c = _constants(method, family, n, L, M, cond_qinv, eps_f=eps_f, sigma=sigma)
-    return c * (_curvature(row, n, K, sigma) + row.b(n) * eps_f / sigma)
+    row, K, c, given = _constants(method, family, n, L, M, cond_qinv, eps_f=eps_f,
+                                  sigma=sigma)
+    return _in_range(c * (_curvature(row, n, K, sigma) + row.b(n) * eps_f / sigma),
+                     "bound", given)
 
 
-def _sigma_lo(row, n: int, K: float, eps_f: float) -> float:
+def _sigma_lo(row, n: int, K: float, eps_f: float, given: dict) -> float:
     """The sigma at which the bound's two terms are equal."""
-    return _root(row.a_div * eps_f / (row.a(n) / row.b(n) * K), row.p + 1)
+    slope = _in_range(row.a(n) / row.b(n) * K, "sigma_lo", given, divisor=True)
+    return _in_range(_root(row.a_div * eps_f / slope, row.p + 1), "sigma_lo", given)
 
 
-def _rho(row, n: int, K: float, c: float, lo: float) -> float:
+def _rho(row, n: int, K: float, c: float, lo: float, given: dict) -> float:
     """The error floor: twice the bound's curvature term at sigma_lo, over lambda."""
-    return 2.0 * c * _curvature(row, n, K, lo) / row.lam(n)
+    return _in_range(2.0 * c * _curvature(row, n, K, lo) / row.lam(n), "rho", given)
 
 
 def deterministic_error_bound(method: str, n: int, L: float | None,
@@ -191,25 +214,26 @@ def variance_kappa(method: str, n: int, N: int, L: float | None, M: float | None
                    sigma: float, eps_f: float, grad_norm: float) -> float:
     """Scalar kappa such that Var(g(x)) <= kappa(x) I, the per-method
     worst-case second-moment cap for the smoothing estimators."""
-    K = _constants(method, _SMOOTH, n, L, M, eps_f=eps_f, sigma=sigma,
-                   grad_norm=grad_norm)[1]   # L for GSG/BSG, M for cGSG/cBSG
+    _, K, _, given = _constants(method, _SMOOTH, n, L, M, eps_f=eps_f, sigma=sigma,
+                                grad_norm=grad_norm)   # K: L for GSG/BSG, M for cGSG/cBSG
     if N < 1:
         raise ValueError("N must be at least 1")
-    g2 = grad_norm**2
+    g2, K2, e2 = _pow(grad_norm, 2), _pow(K, 2), _pow(eps_f, 2)
+    s2 = _in_range(_pow(sigma, 2), "kappa", given, divisor=True)
     if method == "GSG":
-        core = (3.0 * g2 + (n + 2) * (n + 4) * K**2 * sigma**2 / 4.0
-                + 4.0 * eps_f**2 / sigma**2 + 2.0 * (n + 2) * K * eps_f)
+        core = (3.0 * g2 + (n + 2) * (n + 4) * K2 * s2 / 4.0
+                + 4.0 * e2 / s2 + 2.0 * (n + 2) * K * eps_f)
     elif method == "cGSG":
-        core = (3.0 * g2 + (n + 2) * (n + 4) * (n + 8) * K**2 * sigma**4 / 36.0
-                + eps_f**2 / sigma**2
+        core = (3.0 * g2 + (n + 2) * (n + 4) * (n + 8) * K2 * _pow(sigma, 4) / 36.0
+                + e2 / s2
                 + (n + 1) * (n + 3) * K * sigma * eps_f / (6.0 * math.sqrt(n)))
     elif method == "BSG":
-        core = (3.0 * n / (n + 2) * g2 + n * K**2 * sigma**2 / 4.0
-                + 4.0 * n * eps_f**2 / sigma**2 + 2.0 * n * K * eps_f)
+        core = (3.0 * n / (n + 2) * g2 + n * K2 * s2 / 4.0
+                + 4.0 * n * e2 / s2 + 2.0 * n * K * eps_f)
     else:
-        core = (3.0 * n / (n + 2) * g2 + n * K**2 * sigma**4 / 36.0
-                + n * eps_f**2 / sigma**2 + n * K * sigma * eps_f / 3.0)
-    return core / N
+        core = (3.0 * n / (n + 2) * g2 + n * K2 * _pow(sigma, 4) / 36.0
+                + n * e2 / s2 + n * K * sigma * eps_f / 3.0)
+    return _in_range(core / N, "kappa", given)
 
 
 def error_floor(method: str, n: int, L: float | None, M: float | None,
@@ -217,11 +241,12 @@ def error_floor(method: str, n: int, L: float | None, M: float | None,
     """Smallest guaranteed error rho achievable given the noise level: twice
     the bound's curvature term at sigma_lo, over the method's lambda. The
     condition table's gradient-norm threshold is rho / theta."""
-    row, K, c = _constants(method, _ANY, n, L, M, cond_qinv, eps_f=eps_f, positive=True)
-    return _rho(row, n, K, c, _sigma_lo(row, n, K, eps_f))
+    row, K, c, given = _constants(method, _ANY, n, L, M, cond_qinv, eps_f=eps_f,
+                                  positive=True)
+    return _rho(row, n, K, c, _sigma_lo(row, n, K, eps_f, given), given)
 
 
-def _smoothing_n_min(method: str, n: int, theta: float, delta: float) -> int:
+def _smoothing_n_min(method: str, n: int, theta: float, delta: float, given: dict) -> int:
     """Norm-condition sample sizes with the per-method lambda split.
 
     GSG / cGSG (Chebyshev route):
@@ -238,17 +263,19 @@ def _smoothing_n_min(method: str, n: int, theta: float, delta: float) -> int:
         raise ValueError("theta must be positive for a sample-size bound")
     rn = math.sqrt(n)
     shrink = n / (rn - 1.0) ** 2
+    # the smallest divisor: delta theta^2 for GSG and cGSG, theta^2 for BSG and cBSG
+    div = _in_range((delta if method in ("GSG", "cGSG") else 1.0) * theta**2, "N_min",
+                    given, divisor=True)
     if method == "GSG":
-        return math.ceil(3.0 * n / (delta * theta**2) * shrink + (n + 20) / (16.0 * delta))
-    if method == "cGSG":
-        return math.ceil(3.0 * n / (delta * theta**2) * shrink + (n + 30) / (144.0 * delta))
-    log_term = math.log((n + 1) / delta)
-    mid = 4.0 * n / (3.0 * theta) * rn / (rn - 1.0)
-    if method == "BSG":
-        tail = (3.0 * n + 8.0 * rn + 104.0) / 24.0
+        real = 3.0 * n / div * shrink + (n + 20) / (16.0 * delta)
+    elif method == "cGSG":
+        real = 3.0 * n / div * shrink + (n + 30) / (144.0 * delta)
     else:
-        tail = (n + 8.0 * rn + 192.0) / 72.0
-    return math.ceil((2.0 * n / theta**2 * shrink + mid + tail) * log_term)
+        mid = 4.0 * n / (3.0 * theta) * rn / (rn - 1.0)
+        tail = ((3.0 * n + 8.0 * rn + 104.0) / 24.0 if method == "BSG"
+                else (n + 8.0 * rn + 192.0) / 72.0)
+        real = (2.0 * n / div * shrink + mid + tail) * math.log((n + 1) / delta)
+    return math.ceil(_in_range(real, "N_min", given))
 
 
 def condition_table(method: str, n: int, theta: float, delta: float | None = None,
@@ -266,23 +293,25 @@ def condition_table(method: str, n: int, theta: float, delta: float | None = Non
     unknown: sigma_hi and the interval verdict are then reported as unknown,
     everything else is still computed.
     """
-    row, K, c = _constants(method, _ANY, n, L, M, cond_qinv, eps_f=eps_f,
-                           grad_norm=grad_norm, theta=theta, positive=True)
+    row, K, c, given = _constants(method, _ANY, n, L, M, cond_qinv, eps_f=eps_f,
+                                  grad_norm=grad_norm, theta=theta, positive=True)
     if method in SMOOTHING:
         if delta is None or not 0.0 < delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-        n_min = _smoothing_n_min(method, n, theta, delta)
+        n_min = _smoothing_n_min(method, n, theta, delta, given | {"delta": delta})
     else:
         n_min, delta = n, None
 
     lam = row.lam(n)
-    lo = _sigma_lo(row, n, K, eps_f)
-    rho = _rho(row, n, K, c, lo)
-    grad_norm_min = math.inf if theta == 0 else rho / theta
+    lo = _sigma_lo(row, n, K, eps_f, given)
+    rho = _rho(row, n, K, c, lo, given)
+    grad_norm_min = math.inf if theta == 0 else _in_range(rho / theta, "grad_norm_min", given)
     interval, hi = "unknown", None
     if grad_norm is not None:
         # sigma_hi: the curvature term uses up lam's share of theta ||grad phi||
-        hi = _root(row.a_div / 2.0 * lam * theta * grad_norm / (c * row.a(n) * K), row.p)
+        slope = _in_range(c * row.a(n) * K, "sigma_hi", given, divisor=True)
+        hi = _in_range(_root(row.a_div / 2.0 * lam * theta * grad_norm / slope, row.p),
+                       "sigma_hi", given)
         ok = grad_norm >= grad_norm_min and lo <= hi and hi > 0
         interval = "nonempty" if ok else "empty"
 

@@ -7,6 +7,7 @@ literals, not recomputed through the code under test.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -224,6 +225,31 @@ def test_inputs_outside_the_guarantees_are_rejected():
     for g in (nan, -1.0):
         with pytest.raises(ValueError, match="^grad_norm must be nonnegative and finite"):
             variance_kappa("GSG", 4, 4, 1.0, None, 0.1, 1e-6, g)
+
+
+def test_bounds_out_of_float_range_raise_one_error():
+    """Each call here once raised ZeroDivisionError or OverflowError, or
+    returned inf (the first: sigma_lo = rho = inf)."""
+    for call, what, inputs in (
+            (lambda: condition_table("FFD", 4, 0.5, L=1e-320, eps_f=1.0), "sigma_lo",
+             "method=FFD, n=4, L=1e-320, eps_f=1.0, theta=0.5"),
+            (lambda: error_floor("FFD", 4, 5e-324, None, 1e-6), "sigma_lo",
+             "method=FFD, n=4, L=5e-324, eps_f=1e-06"),
+            (lambda: condition_table("LI", 4, 0.5, L=1e300, eps_f=1e-6, cond_qinv=1e300),
+             "rho", "method=LI, n=4, L=1e+300, cond_qinv=1e+300, eps_f=1e-06, theta=0.5"),
+            (lambda: condition_table("cGSG", 4, 1e-200, 0.1, M=1.0), "N_min",
+             "method=cGSG, n=4, M=1.0, eps_f=0.0, theta=1e-200, delta=0.1"),
+            (lambda: smoothing_bias_bound("cBSG", 4, None, 1.0, 1e200), "bound",
+             "method=cBSG, n=4, M=1.0, sigma=1e+200, eps_f=0.0"),
+            (lambda: deterministic_error_bound("FFD", 4, 1.0, None, 5e-324, 1.0), "bound",
+             "method=FFD, n=4, L=1.0, sigma=5e-324, eps_f=1.0"),
+            (lambda: variance_kappa("GSG", 4, 4, 1.0, None, 1e-200, 1e-6, 1.0), "kappa",
+             "method=GSG, n=4, L=1.0, sigma=1e-200, eps_f=1e-06, grad_norm=1.0"),
+            (lambda: variance_kappa("BSG", 4, 4, 1.0, None, 0.1, 1e-6, 1e300), "kappa",
+             "method=BSG, n=4, L=1.0, sigma=0.1, eps_f=1e-06, grad_norm=1e+300")):
+        message = f"{what} is out of float range at {inputs}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 # one bad value per input, and the one message every public bound gives for it

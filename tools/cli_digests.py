@@ -1,6 +1,6 @@
 """SHA-256 digests of a fixed set of gradest CLI runs, for byte-identity checks.
 
-Runs forty-one gradest invocations at seed 7, each in its own directory
+Runs forty-three gradest invocations at seed 7, each in its own directory
 under a temporary root, with the gradest package from --src DIR (default:
 the src/ directory next to this script). Prints a header line naming the
 numpy version, the machine and numpy's SIMD baseline, since floating-point
@@ -147,6 +147,13 @@ INVOCATIONS = [
     ("bounds_infinite_m", ["bounds", "--method", "FFD", "--n", "4", "--L", "2", "--M", "inf"]),
     ("bounds_negative_eps", ["bounds", "--method", "FFD", "--n", "4", "--L", "2",
                              "--eps-f=-1e-6"]),
+    # a bound no float holds exits 2 the same way: delta theta^2 underflows to 0
+    ("bounds_theta_underflow", ["bounds", "--method", "GSG", "--n", "4", "--delta", "0.1",
+                                "--L", "1", "--theta", "1e-200"]),
+    # and sigma^2 overflows in CFD's bound
+    ("bound_check_sigma_overflow", ["bound-check", "--problems", "sphere", "--methods", "CFD",
+                                    "--trials", "2", "--points", "1", "--sigmas", "1e200",
+                                    "--out", "bc.csv"]),
 ]
 
 
