@@ -103,6 +103,8 @@ class NoiseModel:
             raise ValueError(f"noise level must be finite and nonnegative, got {self.level!r}")
         if self.kind == "none" and self.level != 0.0:
             raise ValueError("kind='none' requires level 0")
+        if self.kind == "uniform_iid" and self.level > np.finfo(float).max / 2:
+            raise ValueError(f"uniform_iid noise range 2 * level overflows, got {self.level!r}")
 
     @property
     def deterministic(self) -> bool:

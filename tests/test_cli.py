@@ -31,3 +31,21 @@ def test_cli_bound_out_of_float_range_is_one_error_line(tmp_path, capsys, argv, 
     assert out == "" and err.count("\n") == 1
     assert err.startswith(f"gradest: error: {what} is out of float range at method=")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--method", "FFD", "--problem", "sphere", "--eps-f", "1e308"],
+    ["optimize", "--problem", "sphere", "--budget", "50", "--eps-f", "1e308"],
+    ["sweep", "--problems", "sphere", "--trials", "2", "--points", "1", "--eps-fs", "0,1e308"],
+    ["bound-check", "--problems", "sphere", "--trials", "2", "--points", "1",
+     "--eps-fs", "1e308"],
+    ["bench", "--problems", "sphere", "--budget-factor", "5", "--eps-fs", "1e308"],
+], ids=lambda argv: argv[0])
+def test_cli_uniform_noise_above_half_the_largest_float_is_one_error_line(tmp_path, capsys,
+                                                                          argv):
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("gradest: error: uniform_iid noise range 2 * level overflows, "
+                          "got 1e+308")
+    assert not any(tmp_path.iterdir())

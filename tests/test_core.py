@@ -179,6 +179,18 @@ def test_noise_model_validation():
         NoiseModel("none", 0.1)
 
 
+def test_uniform_noise_range_must_be_finite():
+    # numpy's uniform(-level, level) raises OverflowError once 2 level overflows
+    top = np.finfo(float).max
+    for level in (1e308, np.nextafter(top / 2, math.inf)):
+        with pytest.raises(ValueError, match=r"^uniform_iid noise range 2 \* level overflows"):
+            NoiseModel("uniform_iid", level)
+    oracle = NoisyOracle(make_linear(np.ones(2)), NoiseModel("uniform_iid", top / 2, seed=3),
+                         rng=np.random.default_rng(4))
+    assert abs(oracle(np.zeros(2))) <= top / 2
+    NoiseModel("sinusoidal_deterministic", 1e308)
+
+
 def test_batch_and_scalar_noise_share_one_stream_position():
     # uniform noise consumes one draw per evaluation in either entry path
     p = make_linear(np.ones(2))

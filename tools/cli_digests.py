@@ -1,6 +1,6 @@
 """SHA-256 digests of a fixed set of gradest CLI runs, for byte-identity checks.
 
-Runs forty-three gradest invocations at seed 7, each in its own directory
+Runs forty-four gradest invocations at seed 7, each in its own directory
 under a temporary root, with the gradest package from --src DIR (default:
 the src/ directory next to this script). Prints a header line naming the
 numpy version, the machine and numpy's SIMD baseline, since floating-point
@@ -154,6 +154,9 @@ INVOCATIONS = [
     ("bound_check_sigma_overflow", ["bound-check", "--problems", "sphere", "--methods", "CFD",
                                     "--trials", "2", "--points", "1", "--sigmas", "1e200",
                                     "--out", "bc.csv"]),
+    # uniform noise above half the largest float: its range 2 level overflows
+    ("estimate_eps_overflow", ["estimate", "--method", "FFD", "--problem", "sphere",
+                               "--eps-f", "1e308"]),
 ]
 
 
