@@ -86,8 +86,8 @@ def _flags(draw, options):
     return argv
 
 
-def _listed(values, max_size=2):
-    return st.lists(values, min_size=1, max_size=max_size).map(",".join)
+def _listed(values):
+    return st.lists(values, min_size=1, max_size=2).map(",".join)
 
 
 _SIZES = st.integers(-1, 5).map(str)
@@ -97,7 +97,7 @@ _GRID = {"problems": st.sampled_from(PROBLEMS), "trials": _SIZES, "points": _SIZ
          "eps-fs": _floats(1e-8, 1e-4), "noise-kind": st.sampled_from(
              ("uniform_iid", "sinusoidal_deterministic"))}
 _SOLVERS = ("ffd+lbfgs+ls", "gsg:n+sd+ls", "cfd+sd+fixed:0.001", "li:1e-6+lbfgs+ls",
-            "bsg:8:1e-4+lbfgs+ls", "ffd+sd+ls:")
+            "bsg:8:1e-4+lbfgs+ls", "ffd+sd+ls:")   # the last is malformed
 
 
 @st.composite
@@ -129,7 +129,7 @@ def _argv(draw):
                              "N-list": _listed(st.integers(-1, 64).map(str))})
     elif command == "bound-check":
         # theta and delta set N_min: usual values keep it near 10^3, and the
-        # extremes either fail the (0, 1) check or underflow delta theta^2
+        # extremes either fail the (0, 1) check or put N_min out of float range
         argv = _flags(draw, _GRID | {"theta": _floats(0.5, 0.9),
                                      "delta": st.sampled_from(
                                          (0.1, 0.5, 5e-324, 1e-320, 0.0, -1.0, 1.0, math.inf,
