@@ -1,6 +1,6 @@
 """SHA-256 digests of a fixed set of gradest CLI runs, for byte-identity checks.
 
-Runs forty-four gradest invocations at seed 7, each in its own directory
+Runs forty-nine gradest invocations at seed 7, each in its own directory
 under a temporary root, with the gradest package from --src DIR (default:
 the src/ directory next to this script). Prints a header line naming the
 numpy version, the machine and numpy's SIMD baseline, since floating-point
@@ -157,6 +157,23 @@ INVOCATIONS = [
     # uniform noise above half the largest float: its range 2 level overflows
     ("estimate_eps_overflow", ["estimate", "--method", "FFD", "--problem", "sphere",
                                "--eps-f", "1e308"]),
+    # theta-dist without --out writes its table to stdout
+    ("theta_dist_stdout", ["theta-dist", "--n", "4", "--N-list", "2,8", "--trials", "50"]),
+    # GSG at eps_f 1e-2 on the sphere has an empty interval: a probabilistic row
+    # with no sigma (cBSG is skipped, since the sphere's M is 0)
+    ("bound_check_empty", ["bound-check", "--problems", "sphere", "--methods", "GSG,cBSG",
+                           "--eps-fs", "1e-2", "--trials", "10", "--points", "1",
+                           "--out", "bc.csv"]),
+    ("optimize_max_iters", ["optimize", "--problem", "rosenbrock2", "--max-iters", "5",
+                            "--out", "trace.csv"]),
+    # a fixed step of 3 on the sphere: f rises five times in a row
+    ("optimize_fixed_divergence", ["optimize", "--problem", "sphere",
+                                   "--solver", "ffd+sd+fixed:3", "--budget", "600",
+                                   "--out", "trace.csv"]),
+    # the scalar oracle under sinusoidal noise (the line search's trial points)
+    ("optimize_sinusoidal", ["optimize", "--problem", "sincos10", "--noise-kind",
+                             "sinusoidal_deterministic", "--eps-f", "1e-4",
+                             "--budget", "500", "--out", "trace.csv"]),
 ]
 
 
