@@ -43,40 +43,32 @@ __all__ = [
 class ObjectiveFunction:
     """Smooth objective phi with analytic gradient and documented constants.
 
+    value_at(x) is phi at one point, gradient_at(x) the gradient there, and
+    batch_value(X) phi on each row of a 2-D array X, each row computed as if
+    alone. A BLAS product (X @ a) is not: it rounds by the batch's size and
+    the row's place in it, so the drivers' trial chunking would move values.
+    Row sums of X and einsum contractions are (for column subsets see
+    _sum_in_order). value_at may differ from a batch row by rounding; among
+    the standard problems it does on linear, quadratic, quadratic_diag,
+    sphere, trig5, trig10 and sincos20.
+
     lipschitz_gradient (L) bounds ||grad phi(x) - grad phi(y)|| / ||x - y||
     over the documented box [box_lo, box_hi]; lipschitz_hessian (M) is the
     analogous Hessian constant, or None when unknown. minimum_value is the
     known global minimum over the box, or None.
-
-    value_batch must compute each row's value independently of the other
-    rows. A BLAS matrix-vector product (X @ a) does not: its rounding
-    depends on how many rows the batch has and where a row sits in it, so
-    the drivers' trial chunking would change the values. Row sums of X and
-    einsum contractions are row-independent (for column subsets see
-    _sum_in_order). value_at may differ from a batch row by rounding; among
-    the standard problems it does on linear, quadratic, quadratic_diag,
-    sphere, trig5, trig10 and sincos20.
     """
 
     name: str
     n: int
     value_at: Callable[[Array], float]
+    batch_value: Callable[[Array], Array]
     gradient_at: Callable[[Array], Array]
     lipschitz_gradient: float
     lipschitz_hessian: float | None = None
-    value_batch: Callable[[Array], Array] | None = None
     x0: Array | None = None
     box_lo: Array | None = None
     box_hi: Array | None = None
     minimum_value: float | None = None
-
-    def batch_value(self, X: Array) -> Array:
-        """phi on each row of X; falls back to a row loop without value_batch."""
-        X = np.asarray(X, dtype=float)
-        X = X if X.ndim == 2 else np.atleast_2d(X)   # eval_batch passes 2-D rows
-        if self.value_batch is not None:
-            return np.asarray(self.value_batch(X), dtype=float)
-        return np.array([self.value_at(row) for row in X], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -168,10 +160,9 @@ class NoisyOracle:
         return phi + float(self._noise_batch(x[None, :])[0])
 
     def eval_batch(self, X: Array) -> Array:
-        """f on each row of X; counts one evaluation per row."""
+        """f on each row of the 2-D array X; counts one evaluation per row."""
         X = np.asarray(X, dtype=float)
-        X = X if X.ndim == 2 else np.atleast_2d(X)
-        if X.shape[1] != self.objective.n:
+        if X.ndim != 2 or X.shape[1] != self.objective.n:
             raise ValueError(f"points have shape {X.shape}, expected (*, {self.objective.n})")
         self.eval_count += X.shape[0]
         # zero noise adds 0.0, which turns -0.0 into +0.0 as a zero noise array did
@@ -217,7 +208,7 @@ def make_sincos(n: int, M: float, L: float) -> ObjectiveFunction:
     return ObjectiveFunction(
         name=f"sincos{n}", n=n, value_at=value, gradient_at=grad,
         lipschitz_gradient=float(L), lipschitz_hessian=float(max(M, 1.0)),
-        value_batch=batch, x0=np.zeros(n),
+        batch_value=batch, x0=np.zeros(n),
         box_lo=-np.ones(n), box_hi=np.ones(n), minimum_value=None)
 
 
@@ -229,7 +220,7 @@ def make_linear(a: Array) -> ObjectiveFunction:
         value_at=lambda x: float(a @ x),
         gradient_at=lambda x: a.copy(),
         lipschitz_gradient=0.0, lipschitz_hessian=0.0,
-        value_batch=lambda X: np.einsum("ij,j->i", X, a),
+        batch_value=lambda X: np.einsum("ij,j->i", X, a),
         x0=np.ones(n), box_lo=np.zeros(n), box_hi=2 * np.ones(n),
         minimum_value=None)
 
@@ -249,7 +240,7 @@ def make_quadratic(A: Array, b: Array, name: str = "quadratic",
         value_at=lambda x: float(0.5 * x @ A @ x - b @ x),
         gradient_at=lambda x: A @ x - b,
         lipschitz_gradient=float(np.linalg.norm(A, 2)), lipschitz_hessian=0.0,
-        value_batch=lambda X: (0.5 * np.einsum("ij,jk,ik->i", X, A, X)
+        batch_value=lambda X: (0.5 * np.einsum("ij,jk,ik->i", X, A, X)
                                - np.einsum("ij,j->i", X, b)),
         x0=x0, box_lo=x0 - 2, box_hi=x0 + 2, minimum_value=fstar)
 
@@ -289,7 +280,7 @@ def make_rosenbrock(n: int) -> ObjectiveFunction:
     return ObjectiveFunction(
         name=f"rosenbrock{n}", n=n, value_at=value, gradient_at=grad,
         lipschitz_gradient=_ROSENBROCK_L, lipschitz_hessian=None,
-        value_batch=batch, x0=x0,
+        batch_value=batch, x0=x0,
         box_lo=np.full(n, -2.048), box_hi=np.full(n, 2.048), minimum_value=0.0)
 
 
@@ -331,7 +322,7 @@ def make_powell_singular(n: int) -> ObjectiveFunction:
     return ObjectiveFunction(
         name=f"powell{n}", n=n, value_at=value, gradient_at=grad,
         lipschitz_gradient=_POWELL_L, lipschitz_hessian=None,
-        value_batch=batch, x0=x0, box_lo=x0 - 1, box_hi=x0 + 1, minimum_value=0.0)
+        batch_value=batch, x0=x0, box_lo=x0 - 1, box_hi=x0 + 1, minimum_value=0.0)
 
 
 def make_trigonometric(n: int) -> ObjectiveFunction:
@@ -367,7 +358,7 @@ def make_trigonometric(n: int) -> ObjectiveFunction:
     return ObjectiveFunction(
         name=f"trig{n}", n=n, value_at=value, gradient_at=grad,
         lipschitz_gradient=_TRIG_L[n], lipschitz_hessian=None,
-        value_batch=batch, x0=x0, box_lo=x0 - 1, box_hi=x0 + 1, minimum_value=0.0)
+        batch_value=batch, x0=x0, box_lo=x0 - 1, box_hi=x0 + 1, minimum_value=0.0)
 
 
 def make_standard_problems() -> list[tuple[str, ObjectiveFunction, Array]]:
@@ -382,7 +373,7 @@ def make_standard_problems() -> list[tuple[str, ObjectiveFunction, Array]]:
         value_at=lambda x: float(0.5 * x @ x),
         gradient_at=lambda x: x.copy(),
         lipschitz_gradient=1.0, lipschitz_hessian=0.0,
-        value_batch=lambda X: 0.5 * (X * X).sum(axis=1),
+        batch_value=lambda X: 0.5 * (X * X).sum(axis=1),
         x0=np.full(6, 2.0), box_lo=np.full(6, -3.0), box_hi=np.full(6, 3.0),
         minimum_value=0.0)
     problems = [

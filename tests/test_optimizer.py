@@ -125,7 +125,9 @@ def test_armijo_backtracks_out_of_a_nan_region():
         return math.nan if x[0] > 0.5 else float(x @ x)
 
     p = ObjectiveFunction(name="cliff", n=2, value_at=value,
-                          gradient_at=lambda x: 2 * x, lipschitz_gradient=2.0)
+                          gradient_at=lambda x: 2 * x, lipschitz_gradient=2.0,
+                          batch_value=lambda X: np.where(X[:, 0] > 0.5, math.nan,
+                                                         np.einsum("ij,ij->i", X, X)))
     oracle = NoisyOracle(p)
     x = np.array([-1.0, 0.0])
     g = 2 * x
@@ -430,7 +432,9 @@ def test_step_after_a_step_failure_starts_at_half_alpha0():
         return 0.0 if abs(x[0] - 0.85) < 0.01 else 1.0 + abs(x[0] - 1.0)
 
     p = ObjectiveFunction(name="window", n=1, value_at=value,
-                          gradient_at=lambda x: np.sign(x - 1.0), lipschitz_gradient=1.0)
+                          gradient_at=lambda x: np.sign(x - 1.0), lipschitz_gradient=1.0,
+                          batch_value=lambda X: np.where(np.abs(X[:, 0] - 0.85) < 0.01, 0.0,
+                                                         1.0 + np.abs(X[:, 0] - 1.0)))
     trace = run_dfo(NoisyOracle(p), EstimatorConfig(method="FFD", sigma=1e-5),
                     LineSearchConfig(max_iters=10), np.ones(1))
     pairs = [(a, b) for a, b in zip(trace.records, trace.records[1:])
@@ -463,7 +467,9 @@ def test_nonfinite_estimate_stops_in_place():
         return math.nan if x[0] > 1 else float(x @ x)
 
     p = ObjectiveFunction(name="edge", n=3, value_at=value,
-                          gradient_at=lambda x: 2 * x, lipschitz_gradient=2.0)
+                          gradient_at=lambda x: 2 * x, lipschitz_gradient=2.0,
+                          batch_value=lambda X: np.where(X[:, 0] > 1, math.nan,
+                                                         np.einsum("ij,ij->i", X, X)))
     oracle = NoisyOracle(p)
     x0 = np.array([0.995, 0.3, -0.2])
     trace = run_dfo(oracle, EstimatorConfig(method="FFD", sigma=1e-2),
@@ -488,7 +494,9 @@ def test_nonfinite_f_at_x0_stops_at_once(config):
         return math.nan if np.array_equal(x, x0) else float(x @ x)
 
     p = ObjectiveFunction(name="hole", n=2, value_at=value,
-                          gradient_at=lambda x: 2 * x, lipschitz_gradient=2.0)
+                          gradient_at=lambda x: 2 * x, lipschitz_gradient=2.0,
+                          batch_value=lambda X: np.where((X == x0).all(axis=1), math.nan,
+                                                         np.einsum("ij,ij->i", X, X)))
     oracle = NoisyOracle(p)
     trace = run_dfo(oracle, config, LineSearchConfig(eval_budget=10_000), x0,
                     RngStream(4).generator())
@@ -610,7 +618,8 @@ def test_a_null_step_after_a_step_failure_stops_a_deterministic_run():
     # last probe, 2 - 1.03e-16, rounds to 2 and is accepted. The run is back
     # where its first search started, so it stops there
     p = ObjectiveFunction(name="kink", n=1, value_at=lambda x: 1.0 + abs(x[0] - 2.0),
-                          gradient_at=lambda x: np.sign(x - 2.0), lipschitz_gradient=1.0)
+                          gradient_at=lambda x: np.sign(x - 2.0), lipschitz_gradient=1.0,
+                          batch_value=lambda X: 1.0 + np.abs(X[:, 0] - 2.0))
     oracle = NoisyOracle(p)
     est_cfg, ls_cfg = EstimatorConfig(method="FFD", sigma=1e-5), LineSearchConfig(max_iters=6)
     trace = run_dfo(oracle, est_cfg, ls_cfg, np.full(1, 2.0))
@@ -695,7 +704,9 @@ def test_fixed_step_divergence_on_a_nonfinite_arrival():
         return math.nan if x[0] < 0 else float(x @ x)
 
     p = ObjectiveFunction(name="edge", n=2, value_at=value,
-                          gradient_at=lambda x: 2 * x, lipschitz_gradient=2.0)
+                          gradient_at=lambda x: 2 * x, lipschitz_gradient=2.0,
+                          batch_value=lambda X: np.where(X[:, 0] < 0, math.nan,
+                                                         np.einsum("ij,ij->i", X, X)))
     oracle = NoisyOracle(p)
     trace = run_dfo(oracle, EstimatorConfig(method="CFD", sigma=1e-6),
                     fixed_step(1.0, 100), np.array([1.0, 1.0]))
