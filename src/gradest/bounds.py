@@ -16,6 +16,7 @@ method's threshold, at which point no sigma can rescue the estimate.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -138,7 +139,10 @@ def _constants(method: str, family, n: int, L, M, cond_qinv=None, *, eps_f=0.0,
             raise ValueError(f"{method} requires {name} > 0")
     given = dict(method=method, n=n, L=L, M=M, cond_qinv=cond_qinv, sigma=sigma,
                  eps_f=eps_f, grad_norm=grad_norm, theta=theta)
-    return row, float(K), float(c), {k: v for k, v in given.items() if v is not None}
+    given = {k: v for k, v in given.items() if v is not None}
+    # an int n above the largest float, where float(n) and math.sqrt(n) raise
+    _in_range(math.inf if n > sys.float_info.max else 0.0, "n", given)
+    return row, float(K), float(c), given
 
 
 def _in_range(x: float, what: str, given: dict, divisor: bool = False) -> float:
@@ -218,6 +222,7 @@ def variance_kappa(method: str, n: int, N: int, L: float | None, M: float | None
                                 grad_norm=grad_norm)   # K: L for GSG/BSG, M for cGSG/cBSG
     if N < 1:
         raise ValueError("N must be at least 1")
+    n = float(n)   # a product of n in ints can exceed the largest float and raise
     g2, K2, e2 = _pow(grad_norm, 2), _pow(K, 2), _pow(eps_f, 2)
     s2 = _in_range(_pow(sigma, 2), "kappa", given, divisor=True)
     if method == "GSG":

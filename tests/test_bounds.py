@@ -252,6 +252,29 @@ def test_bounds_out_of_float_range_raise_one_error():
             call()
 
 
+def test_an_n_no_float_holds_is_one_error():
+    """Each call here once raised OverflowError: at n = 10^400 from float(n)
+    or math.sqrt(n), and variance_kappa at n = 10^200 from a product of n
+    in ints that a float could not hold."""
+    huge, big = 10**400, 10**200
+    for call, what, inputs in (
+            (lambda: deterministic_error_bound("FFD", huge, 1.0, None, 0.1), "n",
+             f"method=FFD, n={huge}, L=1.0, sigma=0.1, eps_f=0.0"),
+            (lambda: smoothing_bias_bound("GSG", huge, 1.0, None, 0.1), "n",
+             f"method=GSG, n={huge}, L=1.0, sigma=0.1, eps_f=0.0"),
+            (lambda: error_floor("FFD", huge, 1.0, None, 1e-6), "n",
+             f"method=FFD, n={huge}, L=1.0, eps_f=1e-06"),
+            (lambda: condition_table("FFD", huge, 0.5, L=1.0), "n",
+             f"method=FFD, n={huge}, L=1.0, eps_f=0.0, theta=0.5"),
+            (lambda: variance_kappa("GSG", huge, 4, 1.0, None, 0.1, 1e-6, 1.0), "n",
+             f"method=GSG, n={huge}, L=1.0, sigma=0.1, eps_f=1e-06, grad_norm=1.0"),
+            (lambda: variance_kappa("cGSG", big, 4, None, 1.0, 0.1, 1e-6, 1.0), "kappa",
+             f"method=cGSG, n={big}, M=1.0, sigma=0.1, eps_f=1e-06, grad_norm=1.0")):
+        message = f"{what} is out of float range at {inputs}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
 # one bad value per input, and the one message every public bound gives for it
 _BAD_INPUT = {
     "n": (0, r"n must be positive, got 0"),

@@ -30,6 +30,7 @@ _OUT_OF_RANGE = {
     "sigma_hi_divisor_underflow": (["bounds", "--method", "LI", "--n", "4", "--L", "1e-200",
                                     "--cond-qinv", "1e-320", "--grad-norm", "1"],
                                    "sigma_hi"),
+    "n_huge": (["bounds", "--method", "FFD", "--n", str(10**400), "--L", "1"], "n"),
     "bound_check_sigma_overflow": (["bound-check", "--problems", "sphere", "--methods", "CFD",
                                     "--trials", "2", "--points", "1", "--sigmas", "1e200"],
                                    "bound"),
@@ -115,7 +116,8 @@ def _argv(draw):
                               **noise})
     elif command == "bounds":
         argv = [f"--method={draw(st.sampled_from(METHODS))}",
-                f"--n={draw(st.integers(-1, 20))}", f"--delta={draw(_floats(0.1, 0.5))}",
+                f"--n={draw(st.one_of(st.integers(-1, 20), st.just(10**400)))}",
+                f"--delta={draw(_floats(0.1, 0.5))}",
                 f"--L={draw(_floats(1.0, 2.0))}", f"--M={draw(_floats(1.0, 2.0))}",
                 f"--cond-qinv={draw(_floats(1.0, 3.0))}"]
         argv += _flags(draw, {"theta": _floats(0.5, 0.9), "eps-f": _floats(1e-8, 1e-4),
@@ -168,6 +170,7 @@ _TEXT = {   # stdout on success, line by line, where it is not JSON
 @given(argv=_argv())
 @example(argv=["bounds", "--method=GSG", "--n=4", "--delta=0.1", "--L=1", "--theta=1e-200"])
 @example(argv=["estimate", "--method=FFD", "--problem=sphere", "--eps-f=1e308"])
+@example(argv=["bounds", "--method=FFD", f"--n={10**400}", "--L=1"])
 def test_cli_exits_0_or_2_with_one_error_line(argv):
     """Any invocation ends in exit 0 with strict JSON or the documented text
     and an empty stderr, in exit 2 with one "gradest: error:" line, or (for

@@ -1,6 +1,6 @@
 """SHA-256 digests of a fixed set of gradest CLI runs, for byte-identity checks.
 
-Runs forty-nine gradest invocations at seed 7, each in its own directory
+Runs fifty gradest invocations at seed 7, each in its own directory
 under a temporary root, with the gradest package from --src DIR (default:
 the src/ directory next to this script). Prints a header line naming the
 numpy version, the machine and numpy's SIMD baseline, since floating-point
@@ -154,6 +154,8 @@ INVOCATIONS = [
     ("bound_check_sigma_overflow", ["bound-check", "--problems", "sphere", "--methods", "CFD",
                                     "--trials", "2", "--points", "1", "--sigmas", "1e200",
                                     "--out", "bc.csv"]),
+    # an n no float holds exits 2 the same way
+    ("bounds_huge_n", ["bounds", "--method", "FFD", "--n", str(10**400), "--L", "1"]),
     # uniform noise above half the largest float: its range 2 level overflows
     ("estimate_eps_overflow", ["estimate", "--method", "FFD", "--problem", "sphere",
                                "--eps-f", "1e308"]),
