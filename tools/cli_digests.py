@@ -1,6 +1,6 @@
 """SHA-256 digests of a fixed set of gradest CLI runs, for byte-identity checks.
 
-Runs fifty gradest invocations at seed 7, each in its own directory
+Runs fifty-two gradest invocations at seed 7, each in its own directory
 under a temporary root, with the gradest package from --src DIR (default:
 the src/ directory next to this script). Prints a header line naming the
 numpy version, the machine and numpy's SIMD baseline, since floating-point
@@ -51,6 +51,8 @@ INVOCATIONS = [
     # sigma = 1e200 overflows every probe: a nan estimate and a nan theta
     ("estimate_overflow", ["estimate", "--method", "CFD", "--problem", "rosenbrock2",
                            "--sigma", "1e200"]),
+    # an unknown problem name: the CLI's KeyError branch, one error line
+    ("estimate_unknown_problem", ["estimate", "--method", "FFD", "--problem", "nosuch"]),
     ("optimize_ffd_lbfgs", ["optimize", "--problem", "rosenbrock2",
                             "--budget", "600", "--out", "trace.csv"]),
     ("optimize_gsg_sd", ["optimize", "--problem", "quadratic", "--solver", "gsg:8+sd+ls",
@@ -166,6 +168,10 @@ INVOCATIONS = [
     ("bound_check_empty", ["bound-check", "--problems", "sphere", "--methods", "GSG,cBSG",
                            "--eps-fs", "1e-2", "--trials", "10", "--points", "1",
                            "--out", "bc.csv"]),
+    # two deterministic rows below ROUND_OFF_SIGMA, flagged and excluded
+    ("bound_check_round_off", ["bound-check", "--problems", "sincos10", "--methods", "FFD,LI",
+                               "--sigmas", "1e-2,1e-13", "--trials", "5", "--points", "2",
+                               "--out", "bc.csv"]),
     ("optimize_max_iters", ["optimize", "--problem", "rosenbrock2", "--max-iters", "5",
                             "--out", "trace.csv"]),
     # a fixed step of 3 on the sphere: f rises five times in a row
