@@ -33,6 +33,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field, fields
+from functools import partial
 from itertools import chain
 from operator import itemgetter
 
@@ -529,96 +530,88 @@ def run_bound_validation(spec: ExperimentSpec):
 
     Probabilistic rows (GSG/cGSG/BSG/cBSG): sigma and N from condition_table
     at (theta, delta); empirical rate of norm-condition failures over the
-    trials at the problem's x0, passing when rate <= delta + 0.05. These
-    cells run in row order through _map_cells, on as many threads as the
-    process has usable CPUs. Each reads only its own noise and direction
-    streams, so the tables do not depend on how many CPUs there are; a cell
-    that raises surfaces in row order, as a plain loop would raise it.
+    trials at the problem's x0, passing when rate <= delta + 0.05. A row
+    whose interval is empty checks nothing and is excluded from pass/fail.
+
+    Every row is one cell: the cells are laid out in row order, the
+    deterministic rows first, and run through one _map_cells call, on as
+    many threads as the process has usable CPUs. Each reads only its own
+    noise and direction streams, so the tables do not depend on how many
+    CPUs there are; a cell that raises surfaces in row order, as a plain
+    loop would raise it. condition_table runs while the cells are laid out.
 
     Pairs listed by bound_check_skips get no rows.
     """
     trials = spec.resolved_trials()
-    det_methods = [m for m in spec.methods if m in bnd.DETERMINISTIC]
-    smooth_methods = [m for m in spec.methods if m in bnd.SMOOTHING]
     det_draws = min(trials, 50)
 
-    def failures(cell):
-        """(failures, failure_rate, passed) of one checked cell: its noise
-        and direction streams are its own, so any thread may compute it."""
-        problem, grad_true, config, eps_f, key = cell
+    def det_row(problem, points, rounding, method, sigma, eps_f, key):
+        oracle = make_oracle(problem, spec.noise_kind, eps_f, spec.seed, _TAG_NOISE, *key)
+        config = EstimatorConfig(method, sigma)
+        streams = _cell_streams(spec.seed, config, _TAG_BOUND, *key)
+        # one bound per cell: LI's is taken at ||Q^-1|| = 1 and scaled below
+        # by each drawn frame's ||Q^-1||
+        bound = bnd.deterministic_error_bound(
+            method, problem.n, problem.lipschitz_gradient, problem.lipschitz_hessian,
+            sigma, eps_f + rounding, cond_qinv=1.0 if method == "LI" else None)
+        errs, qinvs = [], []
+        for x in points:
+            G, _, qinv = estimate_trials(oracle, x, config, det_draws, *streams)
+            errs.append(np.linalg.norm(G - problem.gradient_at(x), axis=1))
+            qinvs.append(qinv)
+        errs = np.concatenate(errs)
+        bounds = np.concatenate(qinvs) * bound if method == "LI" else bound
+        min_margin = float(np.min(bounds - errs))
+        round_off = sigma < ROUND_OFF_SIGMA
+        return ("deterministic", problem.name, problem.n, method, sigma, eps_f,
+                spec.points_per_problem * det_draws, spec.seed, float(np.max(errs)),
+                float(np.max(bounds)), min_margin, round_off,
+                True if round_off else min_margin >= 0.0)
+
+    def prob_row(problem, grad_true, method, eps_f, report, key):
+        lead = ("probabilistic", problem.name, problem.n, method)
+        tail = (report.n_min, spec.theta, spec.delta, report.interval, eps_f)
+        if report.interval != "nonempty":
+            # no admissible sigma at this (theta, delta, eps_f): nothing to check
+            return (*lead, math.nan, *tail, 0, spec.seed, 0, math.nan, True)
+        sigma = (math.sqrt(report.sigma_lo * report.sigma_hi) if report.sigma_lo > 0
+                 else report.sigma_hi / 2.0)
+        config = EstimatorConfig(method, sigma, report.n_min)
         oracle = make_oracle(problem, spec.noise_kind, eps_f, spec.seed, _TAG_NOISE, *key)
         G = estimate_trials(oracle, problem.x0, config, trials,
                             *_cell_streams(spec.seed, config, _TAG_BOUND, *key))[0]
         count = int(np.sum(relative_error(G, grad_true) > spec.theta))
         rate = count / trials
-        return count, rate, rate <= spec.delta + 0.05
+        return (*lead, sigma, *tail, trials, spec.seed, count, rate,
+                rate <= spec.delta + 0.05)
 
-    det = CsvTable(BOUND_DET_HEADER)
-    rows, cells = [], []   # each probabilistic row's leading columns and, if known, the rest
+    det_methods = [m for m in spec.methods if m in bnd.DETERMINISTIC]
+    smooth_methods = [m for m in spec.methods if m in bnd.SMOOTHING]
+    det_cells, prob_cells = [], []   # each row's function with its arguments
     for p_idx, problem in enumerate(spec.problem_list()):
-        n, L, M = problem.n, problem.lipschitz_gradient, problem.lipschitz_hessian
         points = _problem_points(problem, spec, p_idx)
         rounding = np.finfo(float).eps * float(np.max(np.abs(problem.batch_value(points))))
-        for m_idx, method in enumerate(det_methods):
-            if _missing_constant(problem, method) is not None:
-                continue
-            for s_idx, sigma in enumerate(spec.sigmas):
-                for e_idx, eps_f in enumerate(spec.eps_fs):
-                    key = (p_idx, m_idx, s_idx, e_idx)
-                    oracle = make_oracle(problem, spec.noise_kind, eps_f, spec.seed,
-                                         _TAG_NOISE, *key)
-                    config = EstimatorConfig(method, sigma)
-                    streams = _cell_streams(spec.seed, config, _TAG_BOUND, *key)
-                    # one bound per cell: LI's is taken at ||Q^-1|| = 1 and
-                    # scaled below by each drawn frame's ||Q^-1||
-                    bound = bnd.deterministic_error_bound(
-                        method, n, L, M, sigma, eps_f + rounding,
-                        cond_qinv=1.0 if method == "LI" else None)
-                    errs, qinvs = [], []
-                    for x in points:
-                        G, _, qinv = estimate_trials(oracle, x, config, det_draws, *streams)
-                        errs.append(np.linalg.norm(G - problem.gradient_at(x), axis=1))
-                        qinvs.append(qinv)
-                    errs = np.concatenate(errs)
-                    bounds = np.concatenate(qinvs) * bound if method == "LI" else bound
-                    min_margin = float(np.min(bounds - errs))
-                    round_off = sigma < ROUND_OFF_SIGMA
-                    det.add("deterministic", problem.name, n, method, sigma, eps_f,
-                            spec.points_per_problem * det_draws, spec.seed,
-                            float(np.max(errs)), float(np.max(bounds)), min_margin,
-                            round_off, True if round_off else min_margin >= 0.0)
-
+        det_cells += [
+            partial(det_row, problem, points, rounding, method, sigma, eps_f,
+                    (p_idx, m_idx, s_idx, e_idx))
+            for m_idx, method in enumerate(det_methods)
+            if _missing_constant(problem, method) is None
+            for s_idx, sigma in enumerate(spec.sigmas)
+            for e_idx, eps_f in enumerate(spec.eps_fs)]
         grad_true = problem.gradient_at(problem.x0)
         grad_norm = float(np.linalg.norm(grad_true))
-        for m_idx, method in enumerate(smooth_methods):
-            if _missing_constant(problem, method) is not None:
-                continue
-            for e_idx, eps_f in enumerate(spec.eps_fs):
-                report = bnd.condition_table(method, n, spec.theta, spec.delta,
-                                             L, M, eps_f, grad_norm)
-                if report.interval != "nonempty":
-                    # no admissible sigma at this (theta, delta, eps_f): nothing
-                    # to check, so the row is excluded from pass/fail like
-                    # round-off rows
-                    rows.append((("probabilistic", problem.name, n, method, math.nan,
-                                  report.n_min, spec.theta, spec.delta, report.interval,
-                                  eps_f, 0, spec.seed), (0, math.nan, True)))
-                    continue
-                if report.sigma_lo > 0:
-                    sigma = math.sqrt(report.sigma_lo * report.sigma_hi)
-                else:
-                    sigma = report.sigma_hi / 2.0
-                rows.append((("probabilistic", problem.name, n, method, sigma,
-                              report.n_min, spec.theta, spec.delta, report.interval,
-                              eps_f, trials, spec.seed), None))
-                cells.append((problem, grad_true,
-                              EstimatorConfig(method, sigma, report.n_min), eps_f,
-                              (p_idx, m_idx, e_idx)))
-    prob = CsvTable(BOUND_PROB_HEADER)
-    tails = iter(_map_cells(failures, cells))
-    for lead, tail in rows:
-        prob.add(*lead, *(tail or next(tails)))
-    return det, prob
+        prob_cells += [
+            partial(prob_row, problem, grad_true, method, eps_f,
+                    bnd.condition_table(method, problem.n, spec.theta, spec.delta,
+                                        problem.lipschitz_gradient,
+                                        problem.lipschitz_hessian, eps_f, grad_norm),
+                    (p_idx, m_idx, e_idx))
+            for m_idx, method in enumerate(smooth_methods)
+            if _missing_constant(problem, method) is None
+            for e_idx, eps_f in enumerate(spec.eps_fs)]
+    rows = _map_cells(lambda row: row(), det_cells + prob_cells)
+    return (CsvTable(BOUND_DET_HEADER, rows[:len(det_cells)]),
+            CsvTable(BOUND_PROB_HEADER, rows[len(det_cells):]))
 
 
 def _ceil_multiple(factor: float, n: int) -> int:

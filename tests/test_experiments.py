@@ -687,29 +687,77 @@ def test_bound_validation_bytes_do_not_depend_on_the_worker_count(monkeypatch):
     assert len(set(counts)) == 3 and 0 < min(counts) and max(counts) < 40
 
 
+def _raise_for(monkeypatch, delays):
+    """Patches experiments.estimate_trials to raise SingularDirections, naming
+    the method and sigma, for each method in delays, after its delay in
+    seconds."""
+    real = experiments.estimate_trials
+
+    def fake(oracle, x, config, *args):
+        if config.method in delays:
+            time.sleep(delays[config.method])
+            raise estimators.SingularDirections(f"{config.method} at sigma {config.sigma!r}")
+        return real(oracle, x, config, *args)
+
+    monkeypatch.setattr(experiments, "estimate_trials", fake)
+
+
+def _messages_at_one_and_two_cpus(monkeypatch, spec, error) -> list:
+    """run_bound_validation(spec)'s error message at 1 and at 2 CPUs; every
+    helper thread has ended when it raises."""
+    messages = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        before = threading.active_count()
+        with pytest.raises(error) as err:
+            run_bound_validation(spec)
+        assert threading.active_count() == before
+        messages.append(str(err.value))
+    return messages
+
+
 def test_a_failing_cell_raises_as_in_the_serial_loop(monkeypatch):
     spec = _cells_that_fail_at_different_rates(monkeypatch)
     sigmas = [r[BOUND_PROB_HEADER.index("sigma")] for r in run_bound_validation(spec)[1].rows
               if r[BOUND_PROB_HEADER.index("method")] == "cBSG"]
     assert len(sigmas) == len(set(sigmas)) == 2
-    real = experiments.estimate_trials
-
-    def singular_for_cbsg(oracle, x, config, *args):
-        if config.method == "cBSG":
-            raise estimators.SingularDirections(f"cBSG at sigma {config.sigma!r}")
-        return real(oracle, x, config, *args)
-
-    monkeypatch.setattr(experiments, "estimate_trials", singular_for_cbsg)
-    messages = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
-        before = threading.active_count()
-        with pytest.raises(estimators.SingularDirections) as err:
-            run_bound_validation(spec)
-        assert threading.active_count() == before
-        messages.append(str(err.value))
+    _raise_for(monkeypatch, {"cBSG": 0.0})
     # both cBSG cells raise; the first in row order surfaces, at any count
-    assert messages == [f"cBSG at sigma {sigmas[0]!r}"] * 2
+    assert _messages_at_one_and_two_cpus(
+        monkeypatch, spec, estimators.SingularDirections) == [f"cBSG at sigma {sigmas[0]!r}"] * 2
+
+
+def test_a_failing_deterministic_cell_raises_as_in_the_serial_loop(monkeypatch):
+    spec = ExperimentSpec(experiment="bound_validation", problems=("sincos10",),
+                          methods=("FFD", "LI"), sigmas=(1e-2, 1e-3), trials=4,
+                          points_per_problem=2, seed=1)
+    _raise_for(monkeypatch, {"LI": 0.0})
+    # FFD's cells come first and pass; both LI cells raise, the first surfaces
+    assert _messages_at_one_and_two_cpus(
+        monkeypatch, spec, estimators.SingularDirections) == ["LI at sigma 0.01"] * 2
+
+
+def test_a_deterministic_cell_error_wins_over_a_probabilistic_one(monkeypatch):
+    spec = ExperimentSpec(experiment="bound_validation", problems=("sincos10",),
+                          methods=("GSG", "LI"), eps_fs=(1e-6,), trials=4,
+                          points_per_problem=2, seed=1)
+    # at two CPUs the GSG cell raises first in time, yet the LI row comes first
+    _raise_for(monkeypatch, {"GSG": 0.0, "LI": 0.05})
+    assert _messages_at_one_and_two_cpus(
+        monkeypatch, spec, estimators.SingularDirections) == ["LI at sigma 0.01"] * 2
+
+
+def test_a_condition_table_error_surfaces_before_any_cell_runs(monkeypatch):
+    spec = ExperimentSpec(experiment="bound_validation", problems=("sincos10",),
+                          methods=("FFD", "GSG"), trials=4, points_per_problem=2, seed=1)
+    _raise_for(monkeypatch, {"FFD": 0.0})
+
+    def no_table(*args, **kwargs):
+        raise ValueError("no condition table")
+
+    monkeypatch.setattr(experiments.bnd, "condition_table", no_table)
+    assert _messages_at_one_and_two_cpus(monkeypatch, spec, ValueError) == [
+        "no condition table"] * 2
 
 
 def test_map_cells_returns_results_in_cell_order(monkeypatch):
