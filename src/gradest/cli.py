@@ -167,14 +167,13 @@ def _cmd_bound_check(args) -> int:
     prob_path = _sibling(out, "_probabilistic")
     prob.write(prob_path)
 
-    def passed(table):
-        col = table.column("passed")
-        return sum(v is True for v in col), len(col)
+    def passed(table, excluded):
+        """(rows passed, rows checked, rows excluded from pass/fail)"""
+        checked = [ok for ok, out in zip(table.column("passed"), excluded) if not out]
+        return sum(checked), len(checked), len(excluded) - len(checked)
 
-    d_ok, d_all = passed(det)
-    p_ok, p_all = passed(prob)
-    d_skip = sum(v is True for v in det.column("round_off"))
-    p_skip = sum(1 for v in prob.column("interval") if v != "nonempty")
+    d_ok, d_all, d_skip = passed(det, det.column("round_off"))
+    p_ok, p_all, p_skip = passed(prob, [v != "nonempty" for v in prob.column("interval")])
     print(f"deterministic rows: {d_ok}/{d_all} passed, {d_skip} excluded as "
           f"round-off ({out})")
     print(f"probabilistic rows: {p_ok}/{p_all} passed, {p_skip} excluded as "

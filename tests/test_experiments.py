@@ -1098,6 +1098,20 @@ def test_cli_bound_check_exit_codes(tmp_path, capsys):
     assert (tmp_path / "bc_probabilistic.csv").exists()
 
 
+def test_cli_bound_check_summary_counts_only_the_rows_it_checked(tmp_path, capsys):
+    # two of the four deterministic rows lie below ROUND_OFF_SIGMA, and the
+    # sphere's one GSG row has an empty interval: none of these counts as passed
+    out = str(tmp_path / "bc.csv")
+    assert main(["bound-check", "--problems", "sincos10", "--methods", "FFD,LI",
+                 "--sigmas", "1e-2,1e-13", "--trials", "5", "--points", "2",
+                 "--out", out]) == 0
+    assert "deterministic rows: 2/2 passed, 2 excluded as round-off" in capsys.readouterr().out
+    assert main(["bound-check", "--problems", "sphere", "--methods", "GSG", "--eps-fs", "1e-2",
+                 "--trials", "10", "--points", "1", "--out", out]) == 0
+    assert ("probabilistic rows: 0/0 passed, 1 excluded as empty interval"
+            in capsys.readouterr().out)
+
+
 def test_cli_bound_check_skips_pairs_without_constants(tmp_path, capsys):
     # quadratic has M = 0 (no cGSG/cBSG condition table) and rosenbrock2 no
     # M at all (no CFD/cGSG/cBSG bound): those pairs are skipped, not errors
