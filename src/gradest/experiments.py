@@ -229,6 +229,10 @@ class ExperimentSpec:
             raise ValueError(f"N_list entries must be >= 1, got {self.N_list}")
         if not all(0 < t < 1 for t in self.taus):
             raise ValueError(f"taus must lie in (0, 1), got {self.taus}")
+        # the profiles are keyed by (tau, solver label), the label being stripped
+        for name, keys in (("solvers", [s.strip() for s in self.solvers]), ("taus", self.taus)):
+            if len(set(keys)) < len(keys):
+                raise ValueError(f"{name} must not repeat an entry, got {getattr(self, name)}")
         for name in ("theta", "delta"):
             if not 0 < getattr(self, name) < 1:
                 raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)}")

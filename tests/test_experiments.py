@@ -130,6 +130,19 @@ def test_spec_validation_errors():
             ExperimentSpec.from_dict({"experiment": "relative_error_sweep", key: value})
 
 
+def test_spec_rejects_a_repeated_solver_or_tau():
+    # profiles are keyed by (tau, solver label): a repeat would merge two curves
+    for message, kwargs in (("solvers must not repeat", dict(solvers=("gsg:n+sd+ls",) * 2)),
+                            ("solvers must not repeat",
+                             dict(solvers=("ffd+lbfgs+ls", " ffd+lbfgs+ls"))),
+                            ("taus must not repeat", dict(taus=(1e-3, 0.1, 0.001)))):
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(experiment="optimizer_benchmark", **kwargs)
+    # labels that differ in case name different curves; N_list may repeat
+    ExperimentSpec(experiment="optimizer_benchmark", solvers=("ffd+lbfgs+ls", "FFD+lbfgs+ls"))
+    assert ExperimentSpec(experiment="theta_distribution", N_list=(4, 4)).N_list == (4, 4)
+
+
 def test_spec_rejects_out_key():
     # output paths belong to the command line, not to the experiment
     with pytest.raises(ValueError, match="unknown spec keys.*'out'"):
@@ -1245,6 +1258,16 @@ def test_cli_bench_writes_profiles(tmp_path, capsys):
     assert "solved" in captured
     for suffix in ("", "_data_profile", "_perf_profile"):
         assert (tmp_path / f"bench{suffix}.csv").exists()
+
+
+def test_cli_bench_rejects_a_repeated_solver(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--problems", "sphere", "--solvers", "gsg:n+sd+ls,gsg:n+sd+ls",
+                 "--budget-factor", "5", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("gradest: error: solvers must not repeat an entry")
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_method_names_are_case_insensitive(tmp_path, capsys):

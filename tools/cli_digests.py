@@ -1,6 +1,6 @@
 """SHA-256 digests of a fixed set of gradest CLI runs, for byte-identity checks.
 
-Runs fifty-two gradest invocations at seed 7, each in its own directory
+Runs fifty-three gradest invocations at seed 7, each in its own directory
 under a temporary root, with the gradest package from --src DIR (default:
 the src/ directory next to this script). Prints a header line naming the
 numpy version, the machine and numpy's SIMD baseline, since floating-point
@@ -122,6 +122,10 @@ INVOCATIONS = [
                           "--eps-fs", "1e-4", "--budget-factor", "30", "--out", "bench.csv"]),
     ("bench_race_clean", ["bench", "--solvers", "ffd+lbfgs+ls,gsg:n+sd+ls,ffd:1e-2+lbfgs+ls",
                           "--eps-fs", "0", "--budget-factor", "30", "--out", "bench.csv"]),
+    # a repeated solver would merge two profile curves: exit 2
+    ("bench_repeated_solver", ["bench", "--problems", "sphere",
+                               "--solvers", "gsg:n+sd+ls,gsg:n+sd+ls",
+                               "--budget-factor", "5", "--out", "bench.csv"]),
     ("bounds", ["bounds", "--method", "GSG", "--n", "10", "--delta", "0.1",
                 "--L", "2", "--eps-f", "1e-6", "--grad-norm", "1"]),
     # one condition-table row per remaining method, an empty interval, and an
