@@ -113,6 +113,11 @@ def test_spec_validation_errors():
            (r"taus must lie in \(0, 1\)", dict(taus=(2.0,))),
            (r"taus must lie in \(0, 1\)", dict(taus=(0.1, 0.0))),
            (r"taus must lie in \(0, 1\)", dict(taus=(1.0,))),
+           # profiles keep one curve per (tau, solver label), the label stripped
+           ("taus must not repeat an entry", dict(taus=(1e-3, 0.1, 0.001))),
+           ("solvers must not repeat an entry", dict(solvers=("gsg:n+sd+ls",) * 2)),
+           ("solvers must not repeat an entry",
+            dict(solvers=("ffd+lbfgs+ls", " ffd+lbfgs+ls"))),
            (r"theta must lie in \(0, 1\), got 2", dict(theta=2.0)),
            (r"theta must lie in \(0, 1\), got 0", dict(theta=0.0)),
            (r"delta must lie in \(0, 1\), got 0", dict(delta=0.0)),
@@ -128,19 +133,6 @@ def test_spec_validation_errors():
                        ("problems", [3]), ("taus", [True])):
         with pytest.raises(ValueError, match=f"spec key '{key}' must be a list"):
             ExperimentSpec.from_dict({"experiment": "relative_error_sweep", key: value})
-
-
-def test_spec_rejects_a_repeated_solver_or_tau():
-    # profiles are keyed by (tau, solver label): a repeat would merge two curves
-    for message, kwargs in (("solvers must not repeat", dict(solvers=("gsg:n+sd+ls",) * 2)),
-                            ("solvers must not repeat",
-                             dict(solvers=("ffd+lbfgs+ls", " ffd+lbfgs+ls"))),
-                            ("taus must not repeat", dict(taus=(1e-3, 0.1, 0.001)))):
-        with pytest.raises(ValueError, match=message):
-            ExperimentSpec(experiment="optimizer_benchmark", **kwargs)
-    # labels that differ in case name different curves; N_list may repeat
-    ExperimentSpec(experiment="optimizer_benchmark", solvers=("ffd+lbfgs+ls", "FFD+lbfgs+ls"))
-    assert ExperimentSpec(experiment="theta_distribution", N_list=(4, 4)).N_list == (4, 4)
 
 
 def test_spec_rejects_out_key():
@@ -740,22 +732,19 @@ def test_a_failing_cell_raises_as_in_the_serial_loop(monkeypatch):
         monkeypatch, spec, estimators.SingularDirections) == [f"cBSG at sigma {sigmas[0]!r}"] * 2
 
 
-def test_a_failing_deterministic_cell_raises_as_in_the_serial_loop(monkeypatch):
-    spec = ExperimentSpec(experiment="bound_validation", problems=("sincos10",),
-                          methods=("FFD", "LI"), sigmas=(1e-2, 1e-3), trials=4,
-                          points_per_problem=2, seed=1)
-    _raise_for(monkeypatch, {"LI": 0.0})
+@pytest.mark.parametrize("methods, sigmas, delays", [
     # FFD's cells come first and pass; both LI cells raise, the first surfaces
-    assert _messages_at_one_and_two_cpus(
-        monkeypatch, spec, estimators.SingularDirections) == ["LI at sigma 0.01"] * 2
-
-
-def test_a_deterministic_cell_error_wins_over_a_probabilistic_one(monkeypatch):
+    (("FFD", "LI"), (1e-2, 1e-3), {"LI": 0.0}),
+    # a deterministic cell's error wins over a probabilistic one's, though
+    # at two CPUs the GSG cell raises first in time
+    (("GSG", "LI"), (1e-2,), {"GSG": 0.0, "LI": 0.05}),
+], ids=["deterministic", "deterministic_before_probabilistic"])
+def test_a_failing_deterministic_cell_raises_as_in_the_serial_loop(monkeypatch, methods,
+                                                                   sigmas, delays):
     spec = ExperimentSpec(experiment="bound_validation", problems=("sincos10",),
-                          methods=("GSG", "LI"), eps_fs=(1e-6,), trials=4,
+                          methods=methods, sigmas=sigmas, eps_fs=(1e-6,), trials=4,
                           points_per_problem=2, seed=1)
-    # at two CPUs the GSG cell raises first in time, yet the LI row comes first
-    _raise_for(monkeypatch, {"GSG": 0.0, "LI": 0.05})
+    _raise_for(monkeypatch, delays)
     assert _messages_at_one_and_two_cpus(
         monkeypatch, spec, estimators.SingularDirections) == ["LI at sigma 0.01"] * 2
 
