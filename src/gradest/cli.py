@@ -169,7 +169,7 @@ def _cmd_bound_check(args) -> int:
 
     def passed(table, excluded):
         """(rows passed, rows checked, rows excluded from pass/fail)"""
-        checked = [ok for ok, out in zip(table.column("passed"), excluded) if not out]
+        checked = [ok for ok, skip in zip(table.column("passed"), excluded) if not skip]
         return sum(checked), len(checked), len(excluded) - len(checked)
 
     d_ok, d_all, d_skip = passed(det, det.column("round_off"))
