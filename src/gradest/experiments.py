@@ -28,6 +28,7 @@ raises rather than render another way.
 """
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import os
@@ -321,16 +322,16 @@ def _usable_cpus() -> int:
 
 def _map_cells(fn, cells) -> list:
     """[fn(cell) for cell in cells], computed on the calling thread and one
-    helper thread per further usable CPU (no helper for one CPU or one
-    cell). numpy releases the GIL in its draws, ufuncs and BLAS calls, so
-    cells that read only their own streams overlap and give the bytes of
-    the serial loop.
+    helper thread per further usable CPU (none for one CPU or one cell).
+    numpy releases the GIL in its draws, ufuncs and BLAS calls, so cells that
+    read only their own streams overlap and give the bytes of the serial loop.
 
     Each thread takes the next unstarted cell, in the given order; once a
     cell has raised, no thread starts another. The helpers are joined before
     this returns or raises, also when the calling thread is interrupted, and
-    the exception of the first failing cell in the given order is raised, as
-    the serial loop would raise it. The calling thread works instead of
+    the first failing cell's exception, in the given order, is raised as the
+    serial loop would raise it. Helpers run in a copy of the caller's context,
+    so its np.errstate holds there too. The calling thread works instead of
     waiting on a pool: each pool thread would get a malloc arena of its own,
     which keeps the memory freed in it.
     """
@@ -355,7 +356,7 @@ def _map_cells(fn, cells) -> list:
     helpers = []
     try:
         for _ in range(min(_usable_cpus(), len(cells)) - 1):
-            helper = threading.Thread(target=work)
+            helper = threading.Thread(target=contextvars.copy_context().run, args=(work,))
             helper.start()
             helpers.append(helper)
         work()
@@ -537,12 +538,12 @@ def run_bound_validation(spec: ExperimentSpec):
     trials at the problem's x0, passing when rate <= delta + 0.05. A row
     whose interval is empty checks nothing and is excluded from pass/fail.
 
-    Every row is one cell: the cells are laid out in row order, the
-    deterministic rows first, and run through one _map_cells call, on as
-    many threads as the process has usable CPUs. Each reads only its own
-    noise and direction streams, so the tables do not depend on how many
-    CPUs there are; a cell that raises surfaces in row order, as a plain
-    loop would raise it. condition_table runs while the cells are laid out.
+    Every row is one cell, laid out in row order (deterministic rows first)
+    and run through one _map_cells call on as many threads as there are
+    usable CPUs. Each cell reads only its own streams, so the tables do not
+    depend on the CPU count, and the first raising cell in row order
+    surfaces. All the layout work (points, rounding, skips, gradients at x0,
+    condition_table) runs before any cell, so its errors surface first.
 
     Pairs listed by bound_check_skips get no rows.
     """

@@ -1237,6 +1237,29 @@ def test_cli_overflowing_probes_write_nothing_to_stderr(tmp_path, capsys):
     assert len(rows) == 21 and not any(math.isfinite(float(r["theta"])) for r in rows)
 
 
+def test_cli_bound_check_overflowing_probes_write_nothing_to_stderr(tmp_path, capsys,
+                                                                     monkeypatch):
+    # both FFD cells overflow rosenbrock's probes, and the barrier holds each
+    # until the other has started, so one runs on the helper thread: the
+    # errstate of cli.main must hold there too (a RuntimeWarning would raise)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    barrier, real = threading.Barrier(2, timeout=5.0), experiments.estimate_trials
+
+    def together(*args):
+        barrier.wait()
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "estimate_trials", together)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bound-check", "--problems", "rosenbrock2", "--methods", "FFD",
+                     "--sigmas", "1e200,1e199", "--trials", "5", "--points", "1",
+                     "--out", str(tmp_path / "bc.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "deterministic rows: 0/2 passed" in captured.out
+
+
 def test_cli_bench_writes_profiles(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     rc = main(["bench", "--problems", "quadratic", "--solvers",
