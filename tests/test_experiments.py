@@ -1090,28 +1090,23 @@ def test_cli_theta_dist_writes_csv(tmp_path, capsys):
 
 
 def test_cli_bound_check_exit_codes(tmp_path, capsys):
+    # the summary counts only the rows it checked: in the second run two of
+    # the four deterministic rows lie below ROUND_OFF_SIGMA, and in the third
+    # the sphere's one GSG row has an empty interval
     out = tmp_path / "bc.csv"
-    rc = main(["bound-check", "--problems", "sincos10", "--methods", "FFD",
-               "--sigmas", "0.01", "--points", "2", "--trials", "3",
-               "--out", str(out)])
-    captured = capsys.readouterr().out
-    assert rc == 0
-    assert "deterministic rows: 1/1 passed" in captured
-    assert (tmp_path / "bc_probabilistic.csv").exists()
-
-
-def test_cli_bound_check_summary_counts_only_the_rows_it_checked(tmp_path, capsys):
-    # two of the four deterministic rows lie below ROUND_OFF_SIGMA, and the
-    # sphere's one GSG row has an empty interval: none of these counts as passed
-    out = str(tmp_path / "bc.csv")
-    assert main(["bound-check", "--problems", "sincos10", "--methods", "FFD,LI",
-                 "--sigmas", "1e-2,1e-13", "--trials", "5", "--points", "2",
-                 "--out", out]) == 0
-    assert "deterministic rows: 2/2 passed, 2 excluded as round-off" in capsys.readouterr().out
-    assert main(["bound-check", "--problems", "sphere", "--methods", "GSG", "--eps-fs", "1e-2",
-                 "--trials", "10", "--points", "1", "--out", out]) == 0
-    assert ("probabilistic rows: 0/0 passed, 1 excluded as empty interval"
-            in capsys.readouterr().out)
+    for flags, summary in [
+        (["--problems", "sincos10", "--methods", "FFD", "--sigmas", "0.01",
+          "--points", "2", "--trials", "3"], "deterministic rows: 1/1 passed"),
+        (["--problems", "sincos10", "--methods", "FFD,LI", "--sigmas", "1e-2,1e-13",
+          "--trials", "5", "--points", "2"],
+         "deterministic rows: 2/2 passed, 2 excluded as round-off"),
+        (["--problems", "sphere", "--methods", "GSG", "--eps-fs", "1e-2",
+          "--trials", "10", "--points", "1"],
+         "probabilistic rows: 0/0 passed, 1 excluded as empty interval"),
+    ]:
+        assert main(["bound-check", *flags, "--out", str(out)]) == 0
+        assert summary in capsys.readouterr().out
+        assert (tmp_path / "bc_probabilistic.csv").exists()
 
 
 def test_cli_bound_check_skips_pairs_without_constants(tmp_path, capsys):
