@@ -1,6 +1,6 @@
 """SHA-256 digests of a fixed set of gradest CLI runs, for byte-identity checks.
 
-Runs fifty-three gradest invocations at seed 7, each in its own directory
+Runs fifty-four gradest invocations at seed 7, each in its own directory
 under a temporary root, with the gradest package from --src DIR (default:
 the src/ directory next to this script). Prints a header line naming the
 numpy version, the machine and numpy's SIMD baseline, since floating-point
@@ -126,6 +126,11 @@ INVOCATIONS = [
     ("bench_repeated_solver", ["bench", "--problems", "sphere",
                                "--solvers", "gsg:n+sd+ls,gsg:n+sd+ls",
                                "--budget-factor", "5", "--out", "bench.csv"]),
+    # a method given twice (matched ignoring case) would write two rows that
+    # no column tells apart
+    ("bound_check_repeated_method", ["bound-check", "--problems", "sincos10",
+                                     "--methods", "GSG,gsg", "--trials", "20",
+                                     "--points", "1", "--out", "bc.csv"]),
     ("bounds", ["bounds", "--method", "GSG", "--n", "10", "--delta", "0.1",
                 "--L", "2", "--eps-f", "1e-6", "--grad-norm", "1"]),
     # one condition-table row per remaining method, an empty interval, and an
