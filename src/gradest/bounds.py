@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 DETERMINISTIC = ("FFD", "CFD", "LI")
 SMOOTHING = ("GSG", "cGSG", "BSG", "cBSG")
@@ -62,15 +62,16 @@ class BoundReport:
     """Evaluated condition-table row.
 
     interval is "nonempty", "empty", or "unknown" (grad_norm not supplied).
-    sigma_hi is None in the empty and unknown cases; sigma_lo, n_min, rho and
-    grad_norm_min never need grad_norm and are always filled.
+    sigma_hi is None unless the interval is nonempty; sigma_lo, n_min, rho and
+    grad_norm_min never need grad_norm and are always filled (grad_norm_min is
+    inf at theta = 0).
     """
 
     method: str
     n: int
     theta: float
     delta: float | None
-    sigma_lo: float | None
+    sigma_lo: float
     sigma_hi: float | None
     interval: str
     n_min: int
@@ -79,31 +80,8 @@ class BoundReport:
     lambda_used: float | None
 
     def to_dict(self) -> dict:
-        """The row as JSON values: the sigma fields read "empty" or "unknown"
-        where the interval says so, and a non-finite float (grad_norm_min at
-        theta = 0) is None, written as null."""
-        def enc(v, tag):
-            if self.interval == "empty":
-                return "empty"
-            if v is None:
-                return tag
-            return v
-
-        row = {
-            "method": self.method,
-            "n": self.n,
-            "theta": self.theta,
-            "delta": self.delta,
-            "sigma_lo": enc(self.sigma_lo, "unknown"),
-            "sigma_hi": enc(self.sigma_hi, "unknown"),
-            "interval": self.interval,
-            "N_min": self.n_min,
-            "rho": self.rho,
-            "grad_norm_min": self.grad_norm_min,
-            "lambda_used": self.lambda_used,
-        }
-        return {k: None if isinstance(v, float) and not math.isfinite(v) else v
-                for k, v in row.items()}
+        """The row's fields by name, n_min under its JSON key N_min."""
+        return {"N_min" if k == "n_min" else k: v for k, v in asdict(self).items()}
 
 
 def _constants(method: str, family, n: int, L, M, cond_qinv=None, *, eps_f=0.0,
@@ -295,7 +273,7 @@ def condition_table(method: str, n: int, theta: float, delta: float | None = Non
     1 - delta) with the fixed lambda split recorded in lambda_used; these are
     the tail-bound sample sizes evaluated at the split, not a numerical
     optimum over lambda. grad_norm=None means the local gradient norm is
-    unknown: sigma_hi and the interval verdict are then reported as unknown,
+    unknown: the interval verdict is then "unknown" and sigma_hi None,
     everything else is still computed.
     """
     row, K, c, given = _constants(method, _ANY, n, L, M, cond_qinv, eps_f=eps_f,
@@ -320,8 +298,7 @@ def condition_table(method: str, n: int, theta: float, delta: float | None = Non
         ok = grad_norm >= grad_norm_min and lo <= hi and hi > 0
         interval = "nonempty" if ok else "empty"
 
-    return BoundReport(method=method, n=n, theta=theta, delta=delta,
-                       sigma_lo=None if interval == "empty" else lo,
+    return BoundReport(method=method, n=n, theta=theta, delta=delta, sigma_lo=lo,
                        sigma_hi=hi if interval == "nonempty" else None,
                        interval=interval, n_min=n_min, rho=rho,
                        grad_norm_min=grad_norm_min,

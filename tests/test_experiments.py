@@ -1026,7 +1026,7 @@ def test_cli_bounds_unknown_grad_norm(capsys):
                "--eps-f", "1e-4", "--grad-norm", "unknown"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["sigma_hi"] == "unknown"
+    assert out["sigma_hi"] is None
     assert out["grad_norm_min"] == pytest.approx(0.11313708498984762)
 
 
