@@ -118,6 +118,13 @@ def test_spec_validation_errors():
            ("solvers must not repeat an entry", dict(solvers=("gsg:n+sd+ls",) * 2)),
            ("solvers must not repeat an entry",
             dict(solvers=("ffd+lbfgs+ls", " ffd+lbfgs+ls"))),
+           # one table row per grid entry: methods compared after method_name,
+           # sigmas and eps_fs as floats
+           ("problems must not repeat an entry", dict(problems=("sphere", "quadratic",
+                                                                "sphere"))),
+           ("methods must not repeat an entry", dict(methods=("GSG", "FFD", "gsg"))),
+           ("sigmas must not repeat an entry", dict(sigmas=(0.1, 1e-2, 0.01))),
+           ("eps_fs must not repeat an entry", dict(eps_fs=(0, 0.0))),
            (r"theta must lie in \(0, 1\), got 2", dict(theta=2.0)),
            (r"theta must lie in \(0, 1\), got 0", dict(theta=0.0)),
            (r"delta must lie in \(0, 1\), got 0", dict(delta=0.0)),
@@ -1268,13 +1275,20 @@ def test_cli_bench_writes_profiles(tmp_path, capsys):
 
 
 def test_cli_bench_rejects_a_repeated_solver(tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    assert main(["bench", "--problems", "sphere", "--solvers", "gsg:n+sd+ls,gsg:n+sd+ls",
-                 "--budget-factor", "5", "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.count("\n") == 1
-    assert captured.err.startswith("gradest: error: solvers must not repeat an entry")
-    assert not any(tmp_path.iterdir())
+    # and sweep a repeated problem, bound-check a repeated method (matched
+    # ignoring case); a loop, so the test keeps its name
+    for field, argv in (
+            ("solvers", ["bench", "--problems", "sphere", "--solvers",
+                         "gsg:n+sd+ls,gsg:n+sd+ls", "--budget-factor", "5"]),
+            ("problems", ["sweep", "--problems", "sphere,sphere", "--methods", "FFD",
+                          "--trials", "2", "--points", "1"]),
+            ("methods", ["bound-check", "--problems", "sincos10", "--methods", "GSG,gsg",
+                         "--trials", "20", "--points", "1"])):
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"gradest: error: {field} must not repeat an entry")
+        assert not any(tmp_path.iterdir())
 
 
 def test_cli_method_names_are_case_insensitive(tmp_path, capsys):

@@ -127,7 +127,7 @@ INVOCATIONS = [
                                "--solvers", "gsg:n+sd+ls,gsg:n+sd+ls",
                                "--budget-factor", "5", "--out", "bench.csv"]),
     # a method given twice (matched ignoring case) would write two rows that
-    # no column tells apart
+    # no column tells apart: exit 2
     ("bound_check_repeated_method", ["bound-check", "--problems", "sincos10",
                                      "--methods", "GSG,gsg", "--trials", "20",
                                      "--points", "1", "--out", "bc.csv"]),
