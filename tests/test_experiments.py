@@ -1275,8 +1275,8 @@ def test_cli_bench_writes_profiles(tmp_path, capsys):
 
 
 def test_cli_bench_rejects_a_repeated_solver(tmp_path, capsys):
-    # and sweep a repeated problem, bound-check a repeated method (matched
-    # ignoring case); a loop, so the test keeps its name
+    # a repeated solver, problem or method (matched ignoring case) is one
+    # error line before any work, from bench, sweep and bound-check alike
     for field, argv in (
             ("solvers", ["bench", "--problems", "sphere", "--solvers",
                          "gsg:n+sd+ls,gsg:n+sd+ls", "--budget-factor", "5"]),
