@@ -1,6 +1,6 @@
 """SHA-256 digests of a fixed set of gradest CLI runs, for byte-identity checks.
 
-Runs fifty-four gradest invocations at seed 7, each in its own directory
+Runs fifty-six gradest invocations at seed 7, each in its own directory
 under a temporary root, with the gradest package from --src DIR (default:
 the src/ directory next to this script). Prints a header line naming the
 numpy version, the machine and numpy's SIMD baseline, since floating-point
@@ -71,6 +71,12 @@ INVOCATIONS = [
     ("optimize_null_step", ["optimize", "--problem", "rosenbrock2",
                             "--solver", "ffd:1e-2+lbfgs+ls", "--budget", "600",
                             "--out", "trace.csv"]),
+    # eps_f 0.5 at sigma 1e-9: the FFD estimate is noise of size eps_f / sigma,
+    # whose slope asks more decrease than any probe gives, so three line
+    # searches in a row fail under the 2 eps_f relaxation
+    ("optimize_noisy_step_failure", ["optimize", "--problem", "sphere",
+                                     "--solver", "ffd:1e-9+sd+ls", "--eps-f", "0.5",
+                                     "--budget", "600", "--out", "trace.csv"]),
     ("optimize_budget_one", ["optimize", "--problem", "quadratic", "--budget", "1",
                              "--out", "trace.csv"]),
     ("optimize_bsg_fixed", ["optimize", "--problem", "quadratic",
@@ -86,6 +92,9 @@ INVOCATIONS = [
     # sigma = 1e200 overflows every probe: non-finite thetas, empty stderr
     ("sweep_overflow", ["sweep", "--problems", "rosenbrock2", "--sigmas", "1e200",
                         "--trials", "3", "--points", "1", "--out", "sweep.csv"]),
+    # a list flag given with no entries
+    ("sweep_empty_problems", ["sweep", "--problems", "", "--methods", "FFD", "--trials", "1",
+                              "--points", "1", "--out", "sw.csv"]),
     # all seven methods under the deterministic sinusoidal noise
     ("sweep_sinusoidal", ["sweep", "--problems", "sincos10", "--noise-kind",
                           "sinusoidal_deterministic", "--eps-fs", "1e-4",
