@@ -22,8 +22,9 @@ from .estimators import EstimatorConfig, estimate
 
 # curvature pairs with s'y below this relative threshold are skipped
 CURVATURE_GUARD = 1e-10
-# Armijo backtracking: the first trial step, the factor that shrinks it, and
-# the number of shrinks before a StepFailure (MAX_BACKTRACKS + 1 probes)
+# Armijo backtracking: the sufficient-decrease constant, the first trial step, the
+# factor that shrinks it, and the shrinks before a StepFailure (MAX_BACKTRACKS + 1 probes)
+C1 = 0.2
 ALPHA0 = 1.0
 BACKTRACK = 0.3
 MAX_BACKTRACKS = 30
@@ -60,17 +61,17 @@ class LineSearchConfig:
 
     step None means Armijo backtracking from ALPHA0; a positive finite step
     means one probe at x + step * d, always accepted, and takes the
-    steepest_descent direction only. noise_relaxation None
-    means automatic: 2 * oracle noise level when the oracle is noisy, 0
-    otherwise. grad_norm_stop None means relative, 1e-6 * ||g(x0)||.
-    direction is "lbfgs" or "sd" (stored as "steepest_descent"), in any case
-    and with surrounding blanks. The backtracking schedule
-    (ALPHA0, BACKTRACK, MAX_BACKTRACKS) and the L-BFGS MEMORY are module
-    constants.
+    steepest_descent direction only. max_iters is a nonnegative count;
+    eval_budget None means no budget. grad_norm_stop None means relative,
+    1e-6 * ||g(x0)||. direction is "lbfgs" or "sd" (stored as
+    "steepest_descent"), in any case and with surrounding blanks. The Armijo
+    rule (C1, the 2 eps_f relaxation, ALPHA0, BACKTRACK, MAX_BACKTRACKS) and
+    the L-BFGS MEMORY are fixed: see armijo_search and the module constants.
     """
 
-    c1: float = 0.2
-    noise_relaxation: float | None = None
+    # read by the Armijo recheck in perfbench/workloads.py; ROADMAP item 1 deletes them
+    c1 = C1
+    noise_relaxation = None
     direction: str = "lbfgs"
     max_iters: int = 1000
     eval_budget: int | None = None
@@ -78,8 +79,6 @@ class LineSearchConfig:
     step: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.c1 < 1.0:
-            raise ValueError("c1 must lie in (0, 1)")
         direction = self.direction.strip().lower()
         direction = "steepest_descent" if direction == "sd" else direction
         if direction not in ("steepest_descent", "lbfgs"):
@@ -87,7 +86,7 @@ class LineSearchConfig:
         object.__setattr__(self, "direction", direction)
         if self.eval_budget is not None and self.eval_budget < 1:
             raise ValueError("budget must be positive")
-        if self.max_iters is not None and self.max_iters < 0:
+        if self.max_iters is None or self.max_iters < 0:
             raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
         if self.grad_norm_stop is not None and not 0.0 <= self.grad_norm_stop < math.inf:
             raise ValueError(f"grad_norm_stop must be finite and nonnegative, "
@@ -141,13 +140,14 @@ class OptimizationTrace:
 
 
 def armijo_search(oracle: NoisyOracle, x: Array, d: Array, g: Array,
-                  f_x: float, cfg: LineSearchConfig, alpha0: float = ALPHA0):
+                  f_x: float, alpha0: float = ALPHA0):
     """Backtracking search: largest alpha in {alpha0 * BACKTRACK^k} with
 
-        f(x + alpha d) <= f_x + c1 * alpha * g'd + relaxation.
+        f(x + alpha d) <= f_x + C1 * alpha * g'd + 2 * eps_f,
 
-    A probe whose f is NaN fails the comparison, so it counts as a rejected
-    probe and the search backtracks from it like any other.
+    eps_f being the oracle's noise level (0 without noise). A probe whose f
+    is NaN fails the comparison, so it counts as a rejected probe and the
+    search backtracks from it like any other.
 
     Returns (alpha, x_new, f_new, backtracks). Raises NotDescent when
     g'd is not negative (NaN included) and StepFailure when MAX_BACKTRACKS
@@ -156,12 +156,12 @@ def armijo_search(oracle: NoisyOracle, x: Array, d: Array, g: Array,
     slope = float(g.dot(d))
     if not slope < 0.0:
         raise NotDescent(f"g'd = {slope:.3e} is not a descent slope")
-    relax = 2.0 * oracle.noise.level if cfg.noise_relaxation is None else cfg.noise_relaxation
+    relax = 2.0 * oracle.noise.level
     alpha = alpha0
     for k in range(MAX_BACKTRACKS + 1):
         x_new = x + alpha * d
         f_new = oracle(x_new)
-        if f_new <= f_x + cfg.c1 * alpha * slope + relax:
+        if f_new <= f_x + C1 * alpha * slope + relax:
             return alpha, x_new, f_new, k
         alpha *= BACKTRACK
     raise StepFailure(f"no acceptable step within {MAX_BACKTRACKS} backtracks")
@@ -234,12 +234,12 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
             rng: np.random.Generator | None = None) -> OptimizationTrace:
     """Descent with the configured estimator, direction rule and step rule.
 
-    Terminates on eval_budget (tested before each estimate), max_iters,
-    grad_norm_stop (tested on the estimate g, not the true gradient),
-    nonfinite (a non-finite f(x0), which ends the run before its first
-    estimate, or an estimate whose norm is not finite, from a NaN or
+    Terminates on eval_budget (when set, tested before each estimate),
+    max_iters, grad_norm_stop (tested on the estimate g, not the true
+    gradient), nonfinite (a non-finite f(x0), which ends the run before its
+    first estimate, or an estimate whose norm is not finite, from a NaN or
     infinite entry; recorded in place), three consecutive StepFailures of
-    the line search, null_step, or, for the fixed step only, divergence (a
+    armijo_search, null_step, or, for the fixed step only, divergence (a
     non-finite arrival, or five increases in f in a row).
     null_step ends a deterministic run (noise and estimator both draw
     nothing: NoiseModel.deterministic and EstimatorConfig.deterministic)
@@ -257,8 +257,6 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
     first estimate records x0 in place, so the final record's cumulative
     evaluation count equals the oracle counter exactly.
     """
-    if ls_cfg.eval_budget is None and ls_cfg.max_iters is None:
-        raise ValueError("need at least one of eval_budget, max_iters")
     x = np.array(x0, dtype=float)
     trace = OptimizationTrace()
     f_x = oracle(x)
@@ -279,7 +277,7 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
         if ls_cfg.eval_budget is not None and oracle.eval_count >= ls_cfg.eval_budget:
             trace.termination = "eval_budget"
             break
-        if ls_cfg.max_iters is not None and k >= ls_cfg.max_iters:
+        if k >= ls_cfg.max_iters:
             trace.termination = "max_iters"
             break
 
@@ -310,7 +308,7 @@ def run_dfo(oracle: NoisyOracle, estimator_cfg: EstimatorConfig,
         if ls_cfg.step is None:
             try:
                 alpha, x_new, f_new, backtracks = armijo_search(
-                    oracle, x, d, g, f_x, ls_cfg, alpha0)
+                    oracle, x, d, g, f_x, alpha0)
             except StepFailure:
                 consecutive_failures += 1
                 trace.records.append(_record(k, oracle, x, f_x, g_norm, 0.0,

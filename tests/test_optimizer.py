@@ -1,5 +1,6 @@
 """Line search, L-BFGS directions, and the DFO driver loop."""
 
+import dataclasses
 import io
 import math
 
@@ -24,6 +25,7 @@ from gradest.estimators import CENTRAL, METHODS, EstimatorConfig, estimate, rela
 from gradest.optimizer import (
     ALPHA0,
     BACKTRACK,
+    C1,
     CURVATURE_GUARD,
     MAX_BACKTRACKS,
     TRACE_COLUMNS,
@@ -53,8 +55,7 @@ def test_armijo_accepts_full_step_on_sphere_quadratic():
     oracle = quad_oracle([1.0, 1.0])
     x = np.array([1.0, 0.0])
     g = x.copy()
-    alpha, x_new, f_new, backtracks = armijo_search(
-        oracle, x, -g, g, 0.5, LineSearchConfig())
+    alpha, x_new, f_new, backtracks = armijo_search(oracle, x, -g, g, 0.5)
     assert alpha == 1.0 and backtracks == 0
     assert f_new == 0.0 and np.array_equal(x_new, np.zeros(2))
 
@@ -65,8 +66,7 @@ def test_armijo_backtracks_exactly_once_on_overshoot():
     g = np.array([1.0])
     d = np.array([-4.0])
     # alpha=1 lands at -3 (f=4.5 > 0.5 - 0.8); alpha=0.3 lands at -0.2 (f=0.02)
-    alpha, x_new, f_new, backtracks = armijo_search(
-        oracle, x, d, g, 0.5, LineSearchConfig())
+    alpha, x_new, f_new, backtracks = armijo_search(oracle, x, d, g, 0.5)
     assert abs(alpha - 0.3) < 1e-15 and backtracks == 1
     assert abs(x_new[0] + 0.2) < 1e-15 and abs(f_new - 0.02) < 1e-15
 
@@ -75,36 +75,42 @@ def test_armijo_rejects_non_descent():
     oracle = quad_oracle([1.0, 1.0])
     x = np.ones(2)
     with pytest.raises(NotDescent):
-        armijo_search(oracle, x, x.copy(), x.copy(), 1.0, LineSearchConfig())
+        armijo_search(oracle, x, x.copy(), x.copy(), 1.0)
     with pytest.raises(NotDescent):  # a NaN slope is no descent either
-        armijo_search(oracle, x, -x, np.array([np.nan, 1.0]), 1.0, LineSearchConfig())
+        armijo_search(oracle, x, -x, np.array([np.nan, 1.0]), 1.0)
     assert oracle.eval_count == 0
 
 
 def test_armijo_step_failure_and_eval_count():
     # phi increasing along d while the (wrong) slope says descent
     oracle = NoisyOracle(make_linear(np.array([1.0])))
-    cfg = LineSearchConfig(noise_relaxation=0.0)
     with pytest.raises(StepFailure):
-        armijo_search(oracle, np.zeros(1), np.array([1.0]), np.array([-1.0]),
-                      0.0, cfg)
+        armijo_search(oracle, np.zeros(1), np.array([1.0]), np.array([-1.0]), 0.0)
     assert oracle.eval_count == MAX_BACKTRACKS + 1  # one probe per trial step
 
 
 def test_armijo_noise_relaxation_widens_acceptance():
     # true f strictly increases along d (slope 0.05) while the estimated
-    # slope is a tiny -0.01, so acceptance hinges entirely on the relaxation:
-    # f(x + alpha d) - f(x) = 0.05 alpha <= -0.002 alpha + relax
-    rising = NoisyOracle(make_linear(np.array([0.05])))
+    # slope is a tiny -0.01, so acceptance hinges on the relaxation 2 eps_f:
+    # 0.05 alpha + noise <= -0.002 alpha + 2 eps_f. At eps_f 0.1 the unit
+    # step always passes; at 0.02 it passes only on noise below -0.012, and
+    # alpha 0.3 always does (seed 2 draws noise above -0.012 for the unit
+    # step). A second oracle on the same noise stream replays the f value of
+    # each probe, which gives the expected alpha
+    line = make_linear(np.array([0.05]))
     x, d, g = np.zeros(1), np.array([1.0]), np.array([-0.01])
-    alpha, _, _, backtracks = armijo_search(
-        rising, x, d, g, 0.0, LineSearchConfig(noise_relaxation=0.2))
-    assert alpha == 1.0 and backtracks == 0
-    alpha, _, _, backtracks = armijo_search(
-        rising, x, d, g, 0.0, LineSearchConfig(noise_relaxation=0.04))
-    assert alpha == pytest.approx(0.3) and backtracks == 1
-    with pytest.raises(StepFailure):
-        armijo_search(rising, x, d, g, 0.0, LineSearchConfig())
+    results = []
+    for level in (0.1, 0.02):
+        noise = NoiseModel("uniform_iid", level, seed=2)
+        replay, expected, k = NoisyOracle(line, noise), ALPHA0, 0
+        while not replay(x + expected * d) <= C1 * expected * g.dot(d) + 2 * level:
+            expected, k = expected * BACKTRACK, k + 1
+        alpha, _, _, backtracks = armijo_search(NoisyOracle(line, noise), x, d, g, 0.0)
+        assert (alpha, backtracks) == (expected, k)
+        results.append((alpha, backtracks))
+    assert results == [(1.0, 0), (BACKTRACK, 1)]
+    with pytest.raises(StepFailure):   # no noise, no relaxation
+        armijo_search(NoisyOracle(line), x, d, g, 0.0)
 
 
 def test_armijo_first_probe_is_at_the_given_alpha0():
@@ -112,8 +118,7 @@ def test_armijo_first_probe_is_at_the_given_alpha0():
     x, g = np.array([1.0]), np.array([1.0])
     # the default alpha0 would probe the minimum x = 0; alpha0 0.5 probes
     # x = 0.5 first, which passes
-    alpha, x_new, f_new, backtracks = armijo_search(
-        oracle, x, -g, g, 0.5, LineSearchConfig(), alpha0=0.5)
+    alpha, x_new, f_new, backtracks = armijo_search(oracle, x, -g, g, 0.5, alpha0=0.5)
     assert alpha == 0.5 and backtracks == 0 and oracle.eval_count == 1
     assert x_new[0] == 0.5 and f_new == 0.125
 
@@ -132,8 +137,7 @@ def test_armijo_backtracks_out_of_a_nan_region():
     x = np.array([-1.0, 0.0])
     g = 2 * x
     assert math.isnan(value(x - g))   # the first probe, at alpha 1
-    alpha, x_new, f_new, backtracks = armijo_search(
-        oracle, x, -g, g, value(x), LineSearchConfig())
+    alpha, x_new, f_new, backtracks = armijo_search(oracle, x, -g, g, value(x))
     assert alpha == BACKTRACK and backtracks == 1 and oracle.eval_count == 2
     assert np.array_equal(x_new, x - BACKTRACK * g) and f_new == value(x_new)
 
@@ -141,12 +145,11 @@ def test_armijo_backtracks_out_of_a_nan_region():
 def test_armijo_default_relaxation_absorbs_noise_on_flat_function():
     flat = make_quadratic(np.diag([1e-12]), np.zeros(1), name="flat")
     noisy = NoisyOracle(flat, NoiseModel("uniform_iid", 0.1, seed=1))
-    # relaxation defaults to 2 * level = 0.2, the largest possible swing
-    # between the two noise draws; the tiny estimated slope costs only
-    # c1 * 1e-8, so the full step is accepted
+    # the relaxation is 2 * level = 0.2, the largest possible swing between
+    # the two noise draws; the tiny estimated slope costs only C1 * 1e-8, so
+    # the full step is accepted
     alpha, _, _, backtracks = armijo_search(
-        noisy, np.zeros(1), np.array([1.0]), np.array([-1e-8]),
-        noisy(np.zeros(1)), LineSearchConfig())
+        noisy, np.zeros(1), np.array([1.0]), np.array([-1e-8]), noisy(np.zeros(1)))
     assert alpha == 1.0 and backtracks == 0
 
 
@@ -298,8 +301,14 @@ def test_lbfgs_on_cached_pairs_matches_reference_bitwise(n, kinds, g_exp, seed):
 # ----------------------------------------------------------------- run_dfo
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        LineSearchConfig(c1=0.0)
+    # the Armijo constant and relaxation are fixed in armijo_search, not settable
+    for knob in ("c1", "noise_relaxation"):
+        with pytest.raises(TypeError, match=knob):
+            LineSearchConfig(**{knob: 0.2})
+    assert [f.name for f in dataclasses.fields(LineSearchConfig)] == [
+        "direction", "max_iters", "eval_budget", "grad_norm_stop", "step"]
+    # the class attributes that perfbench/workloads.py's Armijo recheck reads
+    assert LineSearchConfig().c1 == C1 and LineSearchConfig().noise_relaxation is None
     with pytest.raises(ValueError, match="direction must be lbfgs or sd, got 'newton'"):
         LineSearchConfig(direction="newton")
     for text, stored in (("SD", "steepest_descent"), (" lbfgs ", "lbfgs"),
@@ -314,9 +323,8 @@ def test_config_validation():
         with pytest.raises(ValueError, match="grad_norm_stop must be finite and nonnegative"):
             LineSearchConfig(grad_norm_stop=stop)
     LineSearchConfig(eval_budget=1, max_iters=0, grad_norm_stop=0.0)   # the edges are valid
-    with pytest.raises(ValueError):
-        run_dfo(quad_oracle([1.0]), EstimatorConfig(method="CFD", sigma=1e-4),
-                LineSearchConfig(max_iters=None, eval_budget=None), np.ones(1))
+    with pytest.raises(ValueError, match="max_iters must be nonnegative, got None"):
+        LineSearchConfig(max_iters=None)   # a run always has an iteration cap
     with pytest.raises(ValueError, match="rng"):  # GSG draws: no seed fallback
         run_dfo(quad_oracle([1.0]), EstimatorConfig(method="GSG", sigma=1e-4, N=2),
                 LineSearchConfig(max_iters=5), np.ones(1))
@@ -356,7 +364,7 @@ def test_noise_free_line_search_decreases_f_strictly():
     oracle = NoisyOracle(make_sincos(6, 1.0, 2.0))
     trace = run_dfo(
         oracle, EstimatorConfig(method="FFD", sigma=1e-6),
-        LineSearchConfig(noise_relaxation=0.0, max_iters=40), np.full(6, 0.5))
+        LineSearchConfig(max_iters=40), np.full(6, 0.5))
     f_vals = [r.f for r in trace.records if r.alpha > 0]
     assert len(f_vals) >= 3
     assert all(b < a for a, b in zip(f_vals, f_vals[1:]))
@@ -387,14 +395,13 @@ def test_trace_length_capped_by_max_iters():
 def test_armijo_recheckable_from_trace():
     p = make_sincos(6, 1.0, 2.0)
     oracle = NoisyOracle(p)
-    cfg = LineSearchConfig(direction="steepest_descent", noise_relaxation=0.0,
-                           max_iters=30)
+    cfg = LineSearchConfig(direction="steepest_descent", max_iters=30)
     x0 = np.full(6, 0.5)
     trace = run_dfo(oracle, EstimatorConfig(method="FFD", sigma=1e-6), cfg, x0)
     f_prev = p.value_at(x0)
     for rec in trace.records:
         if rec.alpha > 0:
-            assert rec.f <= f_prev + cfg.c1 * rec.alpha * rec.slope + 1e-12
+            assert rec.f <= f_prev + C1 * rec.alpha * rec.slope + 1e-12
         f_prev = rec.f
 
 
@@ -408,19 +415,17 @@ def test_rosenbrock_linesearch_solves_to_1e5():
 
 
 def test_step_failure_terminates_after_three_strikes():
-    # heavy noise on a flat function with no relaxation: nearly every
-    # candidate step is rejected, so step failures accumulate
+    # heavy noise on a flat function: the FFD estimate at sigma 1e-9 is noise
+    # of size eps_f / sigma, whose slope asks more decrease than the 2 eps_f
+    # relaxation allows, so every search fails
     flat = make_quadratic(np.diag([1e-14, 1e-14]), np.zeros(2), name="flat2")
     oracle = NoisyOracle(flat, NoiseModel("uniform_iid", 0.5, seed=3))
     trace = run_dfo(
         oracle, EstimatorConfig(method="FFD", sigma=1e-9),
-        LineSearchConfig(noise_relaxation=0.0, max_iters=50),
-        np.full(2, 1e-7))
-    assert trace.termination in ("step_failure", "max_iters")
-    if trace.termination == "step_failure":
-        tail = trace.records[-3:]
-        assert all(r.alpha == 0.0 for r in tail)
-        assert all(r.backtracks == MAX_BACKTRACKS + 1 for r in tail)  # failure marker
+        LineSearchConfig(max_iters=50), np.full(2, 1e-7))
+    assert trace.termination == "step_failure" and len(trace.records) == 3
+    assert all(r.alpha == 0.0 for r in trace.records)
+    assert all(r.backtracks == MAX_BACKTRACKS + 1 for r in trace.records)  # failure marker
 
 
 def test_step_after_a_step_failure_starts_at_half_alpha0():
@@ -590,7 +595,7 @@ def test_the_step_after_a_null_step_repeats_it():
     g = estimate(oracle, last.x, est_cfg).g
     assert float(np.linalg.norm(g)) == last.grad_est_norm
     assert float(np.dot(g, -g)) == last.slope
-    alpha, x_new, f_new, backtracks = armijo_search(oracle, last.x, -g, g, last.f, ls_cfg)
+    alpha, x_new, f_new, backtracks = armijo_search(oracle, last.x, -g, g, last.f)
     assert (alpha, f_new, backtracks) == (last.alpha, last.f, last.backtracks)
     assert x_new.tobytes() == last.x.tobytes()
 
@@ -632,9 +637,8 @@ def test_a_null_step_after_a_step_failure_stops_a_deterministic_run():
     g = estimate(oracle, null.x, est_cfg).g
     assert float(np.linalg.norm(g)) == null.grad_est_norm == failure.grad_est_norm
     with pytest.raises(StepFailure):
-        armijo_search(oracle, null.x, -g, g, null.f, ls_cfg)
-    alpha, x_new, f_new, backtracks = armijo_search(oracle, null.x, -g, g, null.f, ls_cfg,
-                                                    ALPHA0 / 2)
+        armijo_search(oracle, null.x, -g, g, null.f)
+    alpha, x_new, f_new, backtracks = armijo_search(oracle, null.x, -g, g, null.f, ALPHA0 / 2)
     assert (alpha, f_new, backtracks) == (null.alpha, null.f, null.backtracks)
     assert x_new.tobytes() == null.x.tobytes()
 
@@ -742,10 +746,11 @@ def test_fixed_step_gsg_smoke_on_rosenbrock():
     oracle = NoisyOracle(problem)
     trace = run_dfo(
         oracle, EstimatorConfig(method="GSG", sigma=1e-5, N=2),
-        fixed_step(1e-3, 10**5, max_iters=None, grad_norm_stop=0.0), x0,
+        fixed_step(1e-3, 10**5, max_iters=10**9, grad_norm_stop=0.0), x0,
         rng=RngStream(53).generator())
-    # with no iteration cap and no gradient stop the run goes on until f rises
-    # five times in a row, after 11,820 steps and 47,281 evaluations
+    # under an iteration cap it never reaches and with no gradient stop the
+    # run goes on until f rises five times in a row, after 11,820 steps and
+    # 47,281 evaluations
     assert trace.termination == "divergence" and len(trace.records) > 10**4
     assert all(np.all(np.isfinite(r.x)) for r in trace.records)
     assert trace.records[-1].evals_cumulative == oracle.eval_count
@@ -798,7 +803,7 @@ def _property_run(name, method, N, fixed, sigma, noise, direction, step, budget,
     est_cfg = EstimatorConfig(method=method, sigma=sigma, N=N if method in SMOOTHING else None,
                               direction_source=source)
     ls_cfg = LineSearchConfig(direction=direction, step=step, eval_budget=budget,
-                              max_iters=None)
+                              max_iters=10**9)
     oracle = NoisyOracle(problem, noise)
     trace = run_dfo(oracle, est_cfg, ls_cfg, x0, rng=RngStream(seed).generator(1))
     return problem, x0, est_cfg, ls_cfg, oracle, trace
@@ -853,7 +858,7 @@ def test_run_dfo_properties(name, method, N, fixed, sigma, kind, level, rule, bu
     relax = 2.0 * noise.level
     for r in records:
         if step is None and r.alpha > 0:
-            assert r.f <= f_prev + ls_cfg.c1 * r.alpha * r.slope + relax
+            assert r.f <= f_prev + C1 * r.alpha * r.slope + relax
         f_prev = r.f
 
     # null_step ends only a deterministic run, on a step that stayed at x;
