@@ -52,7 +52,9 @@ def _arg_type(parse):
 
 
 def _strs(text: str) -> tuple[str, ...]:
-    return tuple(t.strip() for t in text.split(",") if t.strip())
+    if entries := tuple(t.strip() for t in text.split(",") if t.strip()):
+        return entries
+    raise ValueError(f"needs at least one entry, got {text!r}")
 
 
 _STRS = _arg_type(_strs)

@@ -1391,6 +1391,11 @@ def test_cli_bad_inputs_exit_2_with_clean_error(tmp_path, capsys):
         ["optimize", "--problem", "quadratic", "--solver", "gsg:infn+sd+ls"],
         ["bench", "--problems", "quadratic", "--solvers", "gsg:infn+sd+ls"],
         ["sweep", "--problems", "quadratic", "--sample-factor", "1e308"],
+        # a list flag with no entries is an error, not the default list
+        ["sweep", "--problems", ""],
+        ["estimate", "--problem", "quadratic", "--method", "FFD", "--point", ""],
+        ["bench", "--solvers", " , "],
+        ["theta-dist", "--N-list", ","],
     ]
     for argv in cases:
         rc = main(argv)

@@ -92,7 +92,7 @@ INVOCATIONS = [
     # sigma = 1e200 overflows every probe: non-finite thetas, empty stderr
     ("sweep_overflow", ["sweep", "--problems", "rosenbrock2", "--sigmas", "1e200",
                         "--trials", "3", "--points", "1", "--out", "sweep.csv"]),
-    # a list flag given with no entries
+    # a list flag given with no entries is an error, not the default list: exit 2
     ("sweep_empty_problems", ["sweep", "--problems", "", "--methods", "FFD", "--trials", "1",
                               "--points", "1", "--out", "sw.csv"]),
     # all seven methods under the deterministic sinusoidal noise
