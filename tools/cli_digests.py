@@ -1,6 +1,6 @@
 """SHA-256 digests of a fixed set of gradest CLI runs, for byte-identity checks.
 
-Runs fifty-six gradest invocations at seed 7, each in its own directory
+Runs fifty-eight gradest invocations at seed 7, each in its own directory
 under a temporary root, with the gradest package from --src DIR (default:
 the src/ directory next to this script). Prints a header line naming the
 numpy version, the machine and numpy's SIMD baseline, since floating-point
@@ -99,6 +99,16 @@ INVOCATIONS = [
     ("sweep_sinusoidal", ["sweep", "--problems", "sincos10", "--noise-kind",
                           "sinusoidal_deterministic", "--eps-fs", "1e-4",
                           "--trials", "5", "--points", "1", "--out", "sweep.csv"]),
+    # three noise levels beside each other: each (point, sigma, method) group
+    # shares its directions, and its cells span 3 (LI), 10 (GSG) and 20 (cBSG)
+    # estimator chunks
+    ("sweep_eps_groups", ["sweep", "--problems", "sincos20", "--methods", "LI,GSG,cBSG",
+                          "--eps-fs", "0,1e-4,1e-2", "--trials", "400", "--points", "1",
+                          "--out", "sweep.csv"]),
+    # noise that depends on x, beside a noise-free level
+    ("sweep_sinusoidal_levels", ["sweep", "--problems", "sincos10", "--noise-kind",
+                                 "sinusoidal_deterministic", "--eps-fs", "0,1e-4",
+                                 "--trials", "5", "--points", "1", "--out", "sweep.csv"]),
     ("theta_dist", ["theta-dist", "--n", "8", "--N-list", "1,4,16", "--trials", "200",
                     "--out", "theta.csv"]),
     # cells whose trials span several estimator chunks: LI on sincos20 (3)
