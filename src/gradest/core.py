@@ -28,6 +28,7 @@ __all__ = [
     "ObjectiveFunction",
     "NoiseModel",
     "NoisyOracle",
+    "eval_batches",
     "make_sincos",
     "make_linear",
     "make_quadratic",
@@ -161,12 +162,30 @@ class NoisyOracle:
 
     def eval_batch(self, X: Array) -> Array:
         """f on each row of the 2-D array X; counts one evaluation per row."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.objective.n:
-            raise ValueError(f"points have shape {X.shape}, expected (*, {self.objective.n})")
-        self.eval_count += X.shape[0]
+        return eval_batches((self,), X)[0]
+
+
+def eval_batches(oracles, X: Array) -> Array:
+    """f on each row of the 2-D array X for each of oracles, a group on one
+    objective: row i of the result is oracle i's eval_batch(X). phi is
+    evaluated once for the group; each oracle then adds its own noise from
+    its own stream, never in place on the shared phi, and counts one
+    evaluation per row. ValueError when the oracles' objectives differ."""
+    objective = oracles[0].objective
+    for other in oracles[1:]:
+        if other.objective is not objective:
+            raise ValueError(f"oracles must share one objective, got {objective.name} "
+                             f"and {other.objective.name}")
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != objective.n:
+        raise ValueError(f"points have shape {X.shape}, expected (*, {objective.n})")
+    phi = objective.batch_value(X)
+    F = np.empty((len(oracles), X.shape[0]))
+    for i, oracle in enumerate(oracles):
+        oracle.eval_count += X.shape[0]
         # zero noise adds 0.0, which turns -0.0 into +0.0 as a zero noise array did
-        return self.objective.batch_value(X) + (self._noise_batch(X) if self.noise.level else 0.0)
+        np.add(phi, oracle._noise_batch(X) if oracle.noise.level else 0.0, out=F[i])
+    return F
 
 
 def make_sincos(n: int, M: float, L: float) -> ObjectiveFunction:

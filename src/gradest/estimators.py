@@ -10,24 +10,30 @@ Seven methods, split in two families:
 Evaluation accounting is exact: n+1 (FFD), 2n (CFD), n+1 (LI), N+1
 (GSG/BSG, the base value f(x) is evaluated once and reused), 2N (cGSG/cBSG).
 
-Every estimate runs through one loop, estimate_trials(oracle, x, config,
+Every estimate runs through one loop, estimate_trials(oracles, x, config,
 trials, rng, redraw): an EstimatorConfig names the method, sigma, N and an
 optional fixed direction set, and is the one place they are checked, so
 config.N or n is the direction count everywhere; rng and redraw are plain
 Generators. A chunk of trials at a time, the loop draws their directions
 (trial_directions) or takes the fixed set, checks and redraws the LI
-frames, and makes one oracle batch. estimate is its one-trial call; the
-experiment drivers pass whole cells of trials. LI solves Q g = d on every
-frame, drawn or fixed.
+frames, builds the probe rows and evaluates phi on them once
+(core.eval_batches); each of the oracles, a group on one objective, then
+adds and counts its own noise. So oracles that differ only in their noise
+share one draw, one frame check, one probe build and one phi batch, and
+each gets the estimates it would get alone on the same direction stream.
+estimate is the one-oracle, one-trial call; the experiment drivers pass
+whole cells of trials, and sweep a group of noise levels. LI solves
+Q g = d on every frame, drawn or fixed.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import DETERMINISTIC, SMOOTHING
-from .core import NoisyOracle
+from .core import NoisyOracle, eval_batches
 from .sampling import DirectionSet, unit_rows
 
 Array = np.ndarray
@@ -123,12 +129,12 @@ class EstimatorConfig:
         return self.method in AXES or self.direction_source is not None
 
 
-def estimate_trials(oracle: NoisyOracle, x: Array, config: EstimatorConfig,
+def estimate_trials(oracles: Sequence[NoisyOracle], x: Array, config: EstimatorConfig,
                     trials: int, rng: np.random.Generator | None = None,
                     redraw: np.random.Generator | None = None):
-    """trials independent estimates at x by config's method, sigma and N, a
-    chunk of at most _CHUNK_COORDS probe coordinates at a time; the output
-    does not depend on the chunk.
+    """trials independent estimates at x by config's method, sigma and N for
+    each of oracles, a chunk of at most _CHUNK_COORDS probe coordinates at a
+    time; the output does not depend on the chunk.
 
     Every trial uses config.direction_source when it is set (N x n, or n x n
     for LI), and a fixed set is never redrawn. Otherwise each chunk's
@@ -136,8 +142,15 @@ def estimate_trials(oracle: NoisyOracle, x: Array, config: EstimatorConfig,
     drawn LI frame above COND_LIMIT is redrawn once from redraw when it is
     given. FFD, CFD and LI probe n directions, the smoothing methods N.
 
-    Returns (G, cond_Q, qinv_norm): G has shape (trials, n); cond_Q and
-    qinv_norm are per-trial arrays for LI and None for the other methods.
+    The oracles are a group on one objective (ValueError otherwise) that
+    shares each chunk's draw, frame check, probe rows and phi batch; each
+    oracle adds and counts its own noise (core.eval_batches). So oracle i's
+    estimates equal, bit for bit, a call with (oracles[i],) alone and a
+    fresh direction stream of the same key.
+
+    Returns (G, cond_Q, qinv_norm): G has shape (len(oracles), trials, n),
+    one stack of estimates per oracle; cond_Q and qinv_norm are per-trial
+    arrays for LI, shared by the group, and None for the other methods.
     """
     method, sigma, fixed = config.method, config.sigma, config.direction_source
     x = np.asarray(x, dtype=float)
@@ -158,20 +171,23 @@ def estimate_trials(oracle: NoisyOracle, x: Array, config: EstimatorConfig,
             Q = fixed.Q[None].repeat(count, axis=0)
         else:
             Q = trial_directions(method, n, k, count, rng)
-        parts.append(_stack_estimates(oracle, x, method, sigma, Q, redraw=again))
+        parts.append(_stack_estimates(oracles, x, method, sigma, Q, redraw=again))
     if len(parts) == 1:   # every estimate call: no copy
         return parts[0]
-    return tuple(None if p[0] is None else np.concatenate(p) for p in zip(*parts))
+    G, cond, qinv = zip(*parts)
+    return (np.concatenate(G, axis=1),
+            *(None if p[0] is None else np.concatenate(p) for p in (cond, qinv)))
 
 
-def _stack_estimates(oracle: NoisyOracle, x: Array, method: str, sigma: float,
+def _stack_estimates(oracles: Sequence[NoisyOracle], x: Array, method: str, sigma: float,
                      Q: Array, *, redraw=None):
-    """The estimator core: T independent estimates at x, one per direction set.
+    """The estimator core: T independent estimates at x, one per direction
+    set, for each of oracles.
 
     Q is a stack of T direction sets, shape (T, k, n): the coordinate axes
     for FFD/CFD, a square frame for LI, N smoothing directions otherwise.
-    Every probe row goes to the oracle in a single eval_batch call, trial by
-    trial, so bounded noise is consumed in trial order. Each trial's rows are
+    Every probe row goes to the oracles in a single eval_batches call, trial
+    by trial, so bounded noise is consumed in trial order. Each trial's rows are
     contiguous: [x, x + sigma q_1, ..., x + sigma q_k] for the forward forms
     (FFD, LI, GSG, BSG) and [x + sigma q_1, ..., x - sigma q_1, ...] for the
     central ones (CFD, cGSG, cBSG).
@@ -188,7 +204,8 @@ def _stack_estimates(oracle: NoisyOracle, x: Array, method: str, sigma: float,
     once by redraw(count), a (count, n, n) stack, when redraw is given, and
     a frame that is still singular raises SingularDirections.
 
-    Returns (G, cond_Q, qinv_norm) as estimate_trials does.
+    Returns (G, cond_Q, qinv_norm) as estimate_trials does: G is
+    (len(oracles), T, n).
     """
     T, k, n = Q.shape
     cond = qinv = None
@@ -205,17 +222,19 @@ def _stack_estimates(oracle: NoisyOracle, x: Array, method: str, sigma: float,
         P = np.empty((T, k + 1, n))
         P[:, 0] = x
         np.add(x, step, out=P[:, 1:])
-    F = oracle.eval_batch(P.reshape(-1, n)).reshape(T, -1)
+    # one row of F per (oracle, trial)
+    F = eval_batches(oracles, P.reshape(-1, n)).reshape(len(oracles) * T, -1)
     if central:
         d = (F[:, :k] - F[:, k:]) / (2 * sigma)
     else:
         d = (F[:, 1:] - F[:, :1]) / sigma
+    d = d.reshape(len(oracles), T, k)
 
     if method in AXES:
         return d, cond, qinv
     if method == "LI":
-        return np.linalg.solve(Q, d[:, :, None])[:, :, 0], cond, qinv
-    G = np.matmul(d[:, None, :], Q)[:, 0, :]
+        return np.linalg.solve(Q, d[..., None])[..., 0], cond, qinv
+    G = np.matmul(d[:, :, None, :], Q)[:, :, 0, :]
     if method in ("GSG", "cGSG"):
         G = G / k
     elif method in ("BSG", "cBSG"):
@@ -283,9 +302,9 @@ def estimate(oracle: NoisyOracle, x: Array, config: EstimatorConfig,
     and raises ValueError when rng is None.
     """
     before = oracle.eval_count
-    G, cond, qinv = estimate_trials(oracle, x, config, 1, rng, rng)
+    G, cond, qinv = estimate_trials((oracle,), x, config, 1, rng, rng)
     return GradientEstimate(
-        G[0], oracle.eval_count - before,
+        G[0, 0], oracle.eval_count - before,
         cond_Q=None if cond is None else float(cond[0]),
         qinv_norm=None if qinv is None else float(qinv[0]))
 

@@ -17,7 +17,10 @@ come from one Generator and its noise from another, both read in trial
 order, and singular LI frames are redrawn from a third, so the output does
 not depend on how the trials are chunked. A cell builds only the
 Generators it reads: FFD and CFD cells no direction stream, and only LI
-cells a redraw stream.
+cells a redraw stream. In the sweep, the cells of one (problem, point,
+sigma, method) group differ only in eps_f and make that call together:
+they share one direction stream, one draw, one probe build and one phi
+batch per chunk, while each cell keeps its own noise stream.
 
 Every table's header declares each column's kind (Columns), and the table
 renders through one %-template built from the kinds: strings as %s,
@@ -181,7 +184,7 @@ class ExperimentSpec:
     seed: int = 0
     trials: int | None = None
     # shared grids
-    problems: tuple[str, ...] = ()
+    problems: tuple[str, ...] | None = None   # None: the experiment's default set
     methods: tuple[str, ...] = METHODS
     sigmas: tuple[float, ...] = (0.01,)
     eps_fs: tuple[float, ...] = (0.0,)
@@ -207,8 +210,8 @@ class ExperimentSpec:
         for name in ("n", "points_per_problem", "budget_factor"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("methods", "sigmas", "eps_fs", "N_list", "solvers", "taus"):
-            if len(getattr(self, name)) == 0:
+        for name in ("problems", "methods", "sigmas", "eps_fs", "N_list", "solvers", "taus"):
+            if getattr(self, name) is not None and len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be nonempty")
         object.__setattr__(self, "methods", tuple(method_name(m) for m in self.methods))
         # float columns take floats only: a JSON 1 or 0 becomes 1.0 or 0.0
@@ -232,7 +235,7 @@ class ExperimentSpec:
             raise ValueError(f"taus must lie in (0, 1), got {self.taus}")
         # a repeat would write rows that no column tells apart, or merge two
         # profile curves, which are keyed by (tau, solver label stripped)
-        for name, keys in (("problems", self.problems), ("methods", self.methods),
+        for name, keys in (("problems", self.problems or ()), ("methods", self.methods),
                            ("sigmas", self.sigmas), ("eps_fs", self.eps_fs),
                            ("solvers", [s.strip() for s in self.solvers]), ("taus", self.taus)):
             if len(set(keys)) < len(keys):
@@ -257,13 +260,15 @@ class ExperimentSpec:
             if f.name not in data:
                 continue
             v, scalar = data[f.name], f.type.removesuffix(" | None")
+            if v is None and f.default is None:
+                continue
             if scalar.startswith("tuple["):
                 kind, ok = _JSON_TYPES[scalar[len("tuple["):-len(", ...]")]]
                 if not isinstance(v, (list, tuple)) or not all(map(ok, v)):
                     raise ValueError(f"spec key {f.name!r} must be a list with "
                                      f"{kind} in each entry, got {v!r}")
                 data[f.name] = tuple(v)
-            elif not (_JSON_TYPES[scalar][1](v) or (v is None and f.default is None)):
+            elif not _JSON_TYPES[scalar][1](v):
                 raise ValueError(f"spec key {f.name!r} must be "
                                  f"{_JSON_TYPES[scalar][0]}, got {v!r}")
         return cls(**data)
@@ -282,11 +287,11 @@ class ExperimentSpec:
         return defaults[self.experiment]
 
     def problem_list(self) -> list:
-        """The named problems, else the experiment's default set: sincos20
-        for bound validation, every standard problem but linear (unbounded
-        below, so there is no minimum to race to) for the benchmark, and
-        every standard problem otherwise."""
-        if self.problems:
+        """The named problems, else (problems None) the experiment's default
+        set: sincos20 for bound validation, every standard problem but linear
+        (unbounded below, so there is no minimum to race to) for the
+        benchmark, and every standard problem otherwise."""
+        if self.problems is not None:
             return [get_problem(name)[0] for name in self.problems]
         if self.experiment == "bound_validation":
             return [get_problem("sincos20")[0]]
@@ -310,7 +315,9 @@ def _cell_streams(seed: int, config: EstimatorConfig, *key):
     """One cell's direction Generator, keyed key, and the Generator its
     singular LI frames are redrawn from, keyed (_TAG_REDRAW, *key), as
     estimate_trials takes them: None for a stream the cell does not read,
-    so FFD/CFD cells build neither and only LI cells build the second."""
+    so FFD/CFD cells build neither and only LI cells build the second. A
+    sweep group of cells that differ only in eps_f builds them once, since
+    its key leaves eps_f out, and shares their draws."""
     gen = RngStream(seed).generator
     return (None if config.deterministic else gen(*key),
             gen(_TAG_REDRAW, *key) if config.method == "LI" else None)
@@ -402,7 +409,12 @@ def run_relative_error_sweep(spec: ExperimentSpec):
     of directions probed: ceil(sample_factor n) for the smoothing methods,
     n for FFD, CFD and LI. Direction streams are keyed without eps_f, so
     cells that differ only in noise level see the same directions (common
-    random numbers): their difference in theta is the noise's doing.
+    random numbers): their difference in theta is the noise's doing. Such a
+    group of cells makes one estimate_trials call, which draws, probes and
+    evaluates phi once for all its noise levels; each cell's oracle keeps
+    its own noise stream, keyed (_TAG_NOISE, problem, point, sigma, eps_f,
+    method). Rows are written in (problem, point, sigma, eps_f, method)
+    order.
     """
     trials = spec.resolved_trials()
     rows = CsvTable(SWEEP_HEADER)
@@ -413,19 +425,23 @@ def run_relative_error_sweep(spec: ExperimentSpec):
         for pt_idx, x in enumerate(_problem_points(problem, spec, p_idx)):
             grad_true = problem.gradient_at(x)
             for s_idx, sigma in enumerate(spec.sigmas):
+                groups = []   # per method: its N column, then each level's thetas
+                for m_idx, method in enumerate(spec.methods):
+                    oracles = [make_oracle(problem, spec.noise_kind, eps_f, spec.seed,
+                                           _TAG_NOISE, p_idx, pt_idx, s_idx, e_idx, m_idx)
+                               for e_idx, eps_f in enumerate(spec.eps_fs)]
+                    config = EstimatorConfig(method, sigma,
+                                             N if method in bnd.SMOOTHING else None)
+                    streams = _cell_streams(spec.seed, config, _TAG_SWEEP, p_idx,
+                                            pt_idx, s_idx, m_idx)
+                    G = estimate_trials(oracles, x, config, trials, *streams)[0]
+                    groups.append((method, config.N or n,
+                                   [relative_error(g, grad_true) for g in G]))
                 for e_idx, eps_f in enumerate(spec.eps_fs):
-                    for m_idx, method in enumerate(spec.methods):
-                        oracle = make_oracle(problem, spec.noise_kind, eps_f, spec.seed,
-                                             _TAG_NOISE, p_idx, pt_idx, s_idx, e_idx,
-                                             m_idx)
-                        config = EstimatorConfig(method, sigma,
-                                                 N if method in bnd.SMOOTHING else None)
-                        streams = _cell_streams(spec.seed, config, _TAG_SWEEP, p_idx,
-                                                pt_idx, s_idx, m_idx)
-                        G = estimate_trials(oracle, x, config, trials, *streams)[0]
-                        cell = (problem.name, n, pt_idx, method, sigma, eps_f, config.N or n)
+                    for method, N_col, levels in groups:
+                        cell = (problem.name, n, pt_idx, method, sigma, eps_f, N_col)
                         cells.append(cell)
-                        thetas.append(relative_error(G, grad_true))
+                        thetas.append(levels[e_idx])
                         # log10 0 is -inf, and a nan theta stays nan
                         rows.rows.extend([
                             (*cell, t, spec.seed, theta, math.log10(theta) if theta > 0
@@ -482,8 +498,8 @@ def run_theta_distribution(spec: ExperimentSpec) -> CsvTable:
 
     def stats(N):
         config = EstimatorConfig("GSG", 1.0, N)
-        G = estimate_trials(NoisyOracle(problem), x, config, trials,
-                            *_cell_streams(spec.seed, config, _TAG_THETA, N))[0]
+        G = estimate_trials((NoisyOracle(problem),), x, config, trials,
+                            *_cell_streams(spec.seed, config, _TAG_THETA, N))[0][0]
         return _theta_stats(relative_error(G, grad_true)[None])[0]
 
     # a cell costs (N + 1) probe rows per trial: the longest start first
@@ -564,8 +580,8 @@ def run_bound_validation(spec: ExperimentSpec):
             sigma, eps_f + rounding, cond_qinv=1.0 if method == "LI" else None)
         errs, qinvs = [], []
         for x in points:
-            G, _, qinv = estimate_trials(oracle, x, config, det_draws, *streams)
-            errs.append(np.linalg.norm(G - problem.gradient_at(x), axis=1))
+            G, _, qinv = estimate_trials((oracle,), x, config, det_draws, *streams)
+            errs.append(np.linalg.norm(G[0] - problem.gradient_at(x), axis=1))
             qinvs.append(qinv)
         errs = np.concatenate(errs)
         bounds = np.concatenate(qinvs) * bound if method == "LI" else bound
@@ -586,8 +602,8 @@ def run_bound_validation(spec: ExperimentSpec):
                  else report.sigma_hi / 2.0)
         config = EstimatorConfig(method, sigma, report.n_min)
         oracle = make_oracle(problem, spec.noise_kind, eps_f, spec.seed, _TAG_NOISE, *key)
-        G = estimate_trials(oracle, problem.x0, config, trials,
-                            *_cell_streams(spec.seed, config, _TAG_BOUND, *key))[0]
+        G = estimate_trials((oracle,), problem.x0, config, trials,
+                            *_cell_streams(spec.seed, config, _TAG_BOUND, *key))[0][0]
         count = int(np.sum(relative_error(G, grad_true) > spec.theta))
         rate = count / trials
         return (*lead, sigma, *tail, trials, spec.seed, count, rate,

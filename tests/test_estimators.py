@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_mean_within, run_with_resample
+from gradest import estimators
 from gradest.bounds import SMOOTHING
 from gradest.core import (NOISE_KINDS, NoiseModel, NoisyOracle, make_linear, make_quadratic,
                           make_sincos, make_standard_problems)
@@ -96,7 +97,7 @@ def test_batched_cell_evaluation_accounting(method, per_trial):
     oracle = clean_oracle(make_sincos(n, 1.0, 2.0))
     rng = RngStream(13).generator()
     config = EstimatorConfig(method, 0.01, N if method in SMOOTHING else None)
-    G, cond, qinv = estimate_trials(oracle, np.full(n, 0.2), config, T, rng)
+    (G,), cond, qinv = estimate_trials((oracle,), np.full(n, 0.2), config, T, rng)
     assert G.shape == (T, n)
     assert oracle.eval_count == T * per_trial(n, N)
     assert (cond is None) == (method != "LI")
@@ -115,7 +116,7 @@ def test_batched_core_matches_one_trial_at_a_time(method):
     batched = NoisyOracle(p, noise, rng=RngStream(15).generator())
     rng = RngStream(14).generator()
     config = EstimatorConfig(method, 0.05, N if method in SMOOTHING else None)
-    G, _, qinv = estimate_trials(batched, x, config, T, rng)
+    (G,), _, qinv = estimate_trials((batched,), x, config, T, rng)
     single = NoisyOracle(p, noise, rng=RngStream(15).generator())
     for t in range(T):
         source = None if method in ("FFD", "CFD") else DirectionSet(Q[t])
@@ -127,6 +128,59 @@ def test_batched_core_matches_one_trial_at_a_time(method):
     assert single.eval_count == batched.eval_count
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_a_group_of_oracles_gets_each_oracles_own_estimates(method, monkeypatch):
+    # oracles on one objective that differ in their noise share each chunk's
+    # draw, frame check, probes and phi batch; each still gets, bit for bit,
+    # the estimates a call with it alone on a fresh direction stream gives,
+    # wherever the noise-free oracle sits in the group
+    monkeypatch.setattr(estimators, "_CHUNK_COORDS", 64)   # several chunks
+    monkeypatch.setattr(estimators, "COND_LIMIT", 100.0)   # some LI frames redrawn
+    p = make_sincos(4, 1.0, 2.0)
+    n, N, trials = 4, 5, 12
+    x = np.linspace(-0.3, 0.4, n)
+    config = EstimatorConfig(method, 0.05, N if method in SMOOTHING else None)
+    rows = trials * (2 * (config.N or n) if method in CENTRAL else (config.N or n) + 1)
+
+    def oracle(name):
+        return {"clean": lambda: NoisyOracle(p),
+                "low": lambda: NoisyOracle(p, NoiseModel("uniform_iid", 1e-4),
+                                           rng=RngStream(31).generator(1)),
+                "high": lambda: NoisyOracle(p, NoiseModel("uniform_iid", 1e-2),
+                                            rng=RngStream(31).generator(2)),
+                "sin": lambda: NoisyOracle(p, NoiseModel("sinusoidal_deterministic", 1e-3))
+                }[name]()
+
+    def streams():
+        return RngStream(32).generator(), RngStream(32).generator(1)
+
+    alone = {}
+    for name in ("clean", "low", "high", "sin"):
+        o = oracle(name)
+        (G,), cond, qinv = estimate_trials((o,), x, config, trials, *streams())
+        assert o.eval_count == rows
+        alone[name] = (G, cond, qinv)
+    for order in (("clean", "low", "high", "sin"), ("low", "high", "sin", "clean")):
+        group = [oracle(name) for name in order]
+        rng, redraw = streams()
+        G, cond, qinv = estimate_trials(group, x, config, trials, rng, redraw)
+        assert G.shape == (len(group), trials, n)
+        for name, o, g in zip(order, group, G):
+            assert g.tobytes() == alone[name][0].tobytes(), name
+            assert o.eval_count == rows
+        if method == "LI":
+            assert cond.tobytes() == alone["clean"][1].tobytes()
+            assert qinv.tobytes() == alone["clean"][2].tobytes()
+            # a frame was redrawn, and the group redrew it as each oracle alone did
+            assert redraw.random() != streams()[1].random()
+        else:
+            assert cond is qinv is None
+    assert not np.array_equal(alone["clean"][0], alone["high"][0])
+    with pytest.raises(ValueError, match="share one objective"):
+        estimate_trials((NoisyOracle(p), NoisyOracle(make_sincos(4, 1.0, 2.0))), x, config,
+                        trials, *streams())
+
+
 def test_batched_li_redraws_a_singular_frame_once():
     n = 3
     row = np.array([0.6, 0.8, 0.0])
@@ -136,13 +190,13 @@ def test_batched_li_redraws_a_singular_frame_once():
     p = make_linear(np.array([1.0, -2.0, 0.5]))
     oracle = clean_oracle(p)
     with pytest.raises(SingularDirections):
-        _stack_estimates(oracle, np.zeros(n), "LI", 0.1, Q)
+        _stack_estimates((oracle,), np.zeros(n), "LI", 0.1, Q)
     assert oracle.eval_count == 0
     with pytest.raises(SingularDirections):
-        _stack_estimates(oracle, np.zeros(n), "LI", 0.1, Q,
+        _stack_estimates((oracle,), np.zeros(n), "LI", 0.1, Q,
                          redraw=lambda count: np.stack([singular] * count))
     assert oracle.eval_count == 0
-    G, cond, _ = _stack_estimates(oracle, np.zeros(n), "LI", 0.1, Q,
+    G, cond, _ = _stack_estimates((oracle,), np.zeros(n), "LI", 0.1, Q,
                                   redraw=lambda count: np.stack([good] * count))
     assert np.max(np.abs(G - p.gradient_at(np.zeros(n)))) < 1e-10
     assert cond[0] == cond[1] < 1e12
@@ -395,7 +449,7 @@ def test_estimate_trials_is_finite_or_raises_and_counts_every_row(
     config = EstimatorConfig(method, 10.0 ** log_sigma, N if method in SMOOTHING else None,
                              direction_source=source)
     try:
-        G, cond, qinv = estimate_trials(oracle, x, config, trials, stream, stream)
+        (G,), cond, qinv = estimate_trials((oracle,), x, config, trials, stream, stream)
     except SingularDirections:
         assert method == "LI" and oracle.eval_count == 0   # checked before probing
         return

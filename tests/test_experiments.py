@@ -120,6 +120,8 @@ def test_spec_validation_errors():
             dict(solvers=("ffd+lbfgs+ls", " ffd+lbfgs+ls"))),
            # one table row per grid entry: methods compared after method_name,
            # sigmas and eps_fs as floats
+           # an empty list is not the default set (problems=None is)
+           ("problems must be nonempty", dict(problems=())),
            ("problems must not repeat an entry", dict(problems=("sphere", "quadratic",
                                                                 "sphere"))),
            ("methods must not repeat an entry", dict(methods=("GSG", "FFD", "gsg"))),
@@ -195,6 +197,21 @@ def test_spec_default_problem_sets():
     assert names("relative_error_sweep") == every
     spec = ExperimentSpec(experiment="bound_validation", problems=("linear", "sphere"))
     assert [p.name for p in spec.problem_list()] == ["linear", "sphere"]
+    # a JSON null is the default set, as an absent key is
+    spec = ExperimentSpec.from_dict({"experiment": "bound_validation", "problems": None})
+    assert spec.problems is None
+    assert [p.name for p in spec.problem_list()] == ["sincos20"]
+
+
+def test_cli_spec_file_with_no_problems_exits_2(tmp_path, capsys, monkeypatch):
+    # like every other empty grid: one error line and no table, not the
+    # default problem set
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps({
+        "problems": [], "methods": ["FFD"], "trials": 1, "points_per_problem": 1}))
+    assert main(["sweep", "--spec", "spec.json", "--out", "sweep.csv"]) == 2
+    assert capsys.readouterr().err == "gradest: error: problems must be nonempty\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
 
 # ---------------------------------------------------------------- solver grammar
@@ -520,6 +537,27 @@ def test_sweep_cells_build_only_the_streams_they_read(monkeypatch):
                       "cBSG": 1}
 
 
+def test_sweep_draws_each_group_of_noise_levels_once(monkeypatch):
+    # cells that differ only in eps_f share one direction draw per chunk, so
+    # more noise levels add no draws
+    calls = []
+    draw = estimators.trial_directions
+
+    def counted(*args):
+        calls.append(args[0])
+        return draw(*args)
+
+    monkeypatch.setattr(estimators, "trial_directions", counted)
+    counts = []
+    for eps_fs in ((0.0,), (0.0, 1e-4, 1e-2)):
+        calls.clear()
+        run_relative_error_sweep(ExperimentSpec(
+            experiment="relative_error_sweep", problems=("sincos10",), eps_fs=eps_fs,
+            points_per_problem=1, trials=3, seed=5))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == len(METHODS)
+
+
 def test_csv_bytes_do_not_depend_on_the_trial_chunk_size(monkeypatch):
     specs = [
         ExperimentSpec(experiment="relative_error_sweep",
@@ -692,8 +730,8 @@ def test_bound_validation_bytes_do_not_depend_on_the_worker_count(monkeypatch):
                                          experiments._TAG_NOISE, *key)
         config = estimators.EstimatorConfig(r["method"], r["sigma"], r["N"])
         G = estimators.estimate_trials(
-            oracle, problem.x0, config, spec.trials,
-            *experiments._cell_streams(spec.seed, config, experiments._TAG_BOUND, *key))[0]
+            (oracle,), problem.x0, config, spec.trials,
+            *experiments._cell_streams(spec.seed, config, experiments._TAG_BOUND, *key))[0][0]
         counts.append(int(np.sum(experiments.relative_error(G, grad) > spec.theta)))
         assert r["failures"] == counts[-1]
     assert len(set(counts)) == 3 and 0 < min(counts) and max(counts) < 40
