@@ -160,31 +160,42 @@ class NoisyOracle:
             return phi + self._rng.uniform(-level, level)
         return phi + float(self._noise_batch(x[None, :])[0])
 
-    def eval_batch(self, X: Array) -> Array:
-        """f on each row of the 2-D array X; counts one evaluation per row."""
-        return eval_batches((self,), X)[0]
+    def eval_batch(self, X: Array, phi: Array | None = None) -> Array:
+        """f on each row of the 2-D array X; counts one evaluation per row.
+        phi is objective.batch_value(X) when eval_batches evaluates it once
+        for a group of oracles; None evaluates it here. Either way the noise
+        is added to a new array, never in place on phi."""
+        X = _checked_points(self.objective, X)
+        self.eval_count += X.shape[0]
+        if phi is None:
+            phi = self.objective.batch_value(X)
+        # zero noise adds 0.0, which turns -0.0 into +0.0 as a zero noise array did
+        return phi + (self._noise_batch(X) if self.noise.level else 0.0)
+
+
+def _checked_points(objective: ObjectiveFunction, X: Array) -> Array:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != objective.n:
+        raise ValueError(f"points have shape {X.shape}, expected (*, {objective.n})")
+    return X
 
 
 def eval_batches(oracles, X: Array) -> Array:
     """f on each row of the 2-D array X for each of oracles, a group on one
-    objective: row i of the result is oracle i's eval_batch(X). phi is
-    evaluated once for the group; each oracle then adds its own noise from
-    its own stream, never in place on the shared phi, and counts one
-    evaluation per row. ValueError when the oracles' objectives differ."""
+    objective: row i of the result is oracles[i].eval_batch(X). phi is
+    evaluated once for the group, and each oracle adds its own noise from
+    its own stream and counts its own evaluations (eval_batch). ValueError
+    when the oracles' objectives differ."""
     objective = oracles[0].objective
     for other in oracles[1:]:
         if other.objective is not objective:
             raise ValueError(f"oracles must share one objective, got {objective.name} "
                              f"and {other.objective.name}")
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != objective.n:
-        raise ValueError(f"points have shape {X.shape}, expected (*, {objective.n})")
+    X = _checked_points(objective, X)
     phi = objective.batch_value(X)
     F = np.empty((len(oracles), X.shape[0]))
     for i, oracle in enumerate(oracles):
-        oracle.eval_count += X.shape[0]
-        # zero noise adds 0.0, which turns -0.0 into +0.0 as a zero noise array did
-        np.add(phi, oracle._noise_batch(X) if oracle.noise.level else 0.0, out=F[i])
+        F[i] = oracle.eval_batch(X, phi)
     return F
 
 
