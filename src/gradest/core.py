@@ -162,13 +162,14 @@ class NoisyOracle:
 
     def eval_batch(self, X: Array, phi: Array | None = None) -> Array:
         """f on each row of the 2-D array X; counts one evaluation per row.
-        phi is objective.batch_value(X) when eval_batches evaluates it once
-        for a group of oracles; None evaluates it here. Either way the noise
-        is added to a new array, never in place on phi."""
-        X = _checked_points(self.objective, X)
-        self.eval_count += X.shape[0]
+        phi is given by eval_batches, which has checked X and evaluated
+        objective.batch_value(X) once for a group of oracles; None checks X
+        and evaluates phi here. The noise is added to a new array, never in
+        place on phi."""
         if phi is None:
+            X = _checked_points(self.objective, X)
             phi = self.objective.batch_value(X)
+        self.eval_count += X.shape[0]
         # zero noise adds 0.0, which turns -0.0 into +0.0 as a zero noise array did
         return phi + (self._noise_batch(X) if self.noise.level else 0.0)
 
@@ -180,12 +181,12 @@ def _checked_points(objective: ObjectiveFunction, X: Array) -> Array:
     return X
 
 
-def eval_batches(oracles, X: Array) -> Array:
+def eval_batches(oracles, X: Array) -> list[Array]:
     """f on each row of the 2-D array X for each of oracles, a group on one
-    objective: row i of the result is oracles[i].eval_batch(X). phi is
-    evaluated once for the group, and each oracle adds its own noise from
-    its own stream and counts its own evaluations (eval_batch). ValueError
-    when the oracles' objectives differ."""
+    objective: entry i is oracles[i].eval_batch(X). phi is evaluated once
+    for the group, and each oracle adds its own noise from its own stream
+    and counts its own evaluations (eval_batch). ValueError when the
+    oracles' objectives differ."""
     objective = oracles[0].objective
     for other in oracles[1:]:
         if other.objective is not objective:
@@ -193,10 +194,7 @@ def eval_batches(oracles, X: Array) -> Array:
                              f"and {other.objective.name}")
     X = _checked_points(objective, X)
     phi = objective.batch_value(X)
-    F = np.empty((len(oracles), X.shape[0]))
-    for i, oracle in enumerate(oracles):
-        F[i] = oracle.eval_batch(X, phi)
-    return F
+    return [oracle.eval_batch(X, phi) for oracle in oracles]
 
 
 def make_sincos(n: int, M: float, L: float) -> ObjectiveFunction:

@@ -222,23 +222,21 @@ def _stack_estimates(oracles: Sequence[NoisyOracle], x: Array, method: str, sigm
         P = np.empty((T, k + 1, n))
         P[:, 0] = x
         np.add(x, step, out=P[:, 1:])
-    # one row of F per (oracle, trial)
-    F = eval_batches(oracles, P.reshape(-1, n)).reshape(len(oracles) * T, -1)
-    if central:
-        d = (F[:, :k] - F[:, k:]) / (2 * sigma)
-    else:
-        d = (F[:, 1:] - F[:, :1]) / sigma
-    d = d.reshape(len(oracles), T, k)
-
-    if method in AXES:
-        return d, cond, qinv
-    if method == "LI":
-        return np.linalg.solve(Q, d[..., None])[..., 0], cond, qinv
-    G = np.matmul(d[:, :, None, :], Q)[:, :, 0, :]
-    if method in ("GSG", "cGSG"):
-        G = G / k
-    elif method in ("BSG", "cBSG"):
-        G = G * (n / k)
+    G = np.empty((len(oracles), T, n))
+    for i, F in enumerate(eval_batches(oracles, P.reshape(-1, n))):
+        F = F.reshape(T, -1)
+        if central:
+            d = (F[:, :k] - F[:, k:]) / (2 * sigma)
+        else:
+            d = (F[:, 1:] - F[:, :1]) / sigma
+        if method in AXES:
+            G[i] = d
+        elif method == "LI":
+            G[i] = np.linalg.solve(Q, d[:, :, None])[:, :, 0]
+        elif method in ("GSG", "cGSG"):
+            G[i] = np.matmul(d[:, None, :], Q)[:, 0, :] / k
+        else:
+            G[i] = np.matmul(d[:, None, :], Q)[:, 0, :] * (n / k)
     return G, cond, qinv
 
 
